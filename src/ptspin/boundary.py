@@ -25,7 +25,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    swap_pair,
+    statistics_swap,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -48,8 +48,12 @@ __all__ = [
     "validate_selfadjoint",
     "validate_separated_pt",
     "validate_separated_selfadjoint",
+    "validate",
+    "lower",
+    "lower_separated",
     "compatibility_residual",
     "parse_boundary_condition",
+    "read_document",
     "load_boundary_condition",
     "boundary_condition_to_json",
 ]
@@ -242,26 +246,27 @@ def _real_block(values, name: str, n: int) -> np.ndarray:
     return m
 
 
+def _contact(n: int, B=None, C=None) -> NonseparatedBC:
+    """Connection with A = D = identity; an omitted B or C block is zero."""
+    d = n * n
+    eye = np.eye(d, dtype=np.complex128)
+    zero = np.zeros((d, d), dtype=np.complex128)
+    return NonseparatedBC(n=n, A=eye, B=zero if B is None else B,
+                          C=zero if C is None else C, D=eye)
+
+
 def delta_type(C, n: int) -> NonseparatedBC:
     """Delta-type connection: continuous psi, derivative jump C psi with C real."""
     if n < 1:
         raise ValueError(f"spin dimension must be positive, got n={n}")
-    C = _real_block(C, "coupling strength C", n)
-    d = n * n
-    eye = np.eye(d, dtype=np.complex128)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    return NonseparatedBC(n=n, A=eye, B=zero, C=C, D=eye)
+    return _contact(n, C=_real_block(C, "coupling strength C", n))
 
 
 def delta_prime_type(B, n: int) -> NonseparatedBC:
     """Derivative-continuous connection: psi jump B psi' with B real."""
     if n < 1:
         raise ValueError(f"spin dimension must be positive, got n={n}")
-    B = _real_block(B, "coupling strength B", n)
-    d = n * n
-    eye = np.eye(d, dtype=np.complex128)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    return NonseparatedBC(n=n, A=eye, B=B, C=zero, D=eye)
+    return _contact(n, B=_real_block(B, "coupling strength B", n))
 
 
 def hspin(a, b, c, d, f, g, e1, e2, e3, e4) -> SeparatedBC:
@@ -346,13 +351,63 @@ def validate_separated_selfadjoint(g_plus, g_minus, tol: float = DEFAULT_TOL) ->
     return ValidationReport.from_residuals(residuals, tol)
 
 
-def _statistics_sign(statistics) -> float:
-    value = getattr(statistics, "value", statistics)
-    if value == "boson":
-        return 1.0
-    if value == "fermion":
-        return -1.0
-    raise ValueError(f"unknown statistics {statistics!r}; expected 'boson' or 'fermion'")
+def validate(bc, tol: float | None = None) -> ValidationReport:
+    """Check any parsed boundary condition against the constraints of its family.
+
+    tol defaults to DEFAULT_TOL.
+    """
+    tol = DEFAULT_TOL if tol is None else tol
+    if isinstance(bc, NonseparatedBC):
+        return validate_nonseparated_pt(bc, tol)
+    if isinstance(bc, SeparatedBC):
+        if bc.dirichlet:
+            return ValidationReport.from_residuals({"G+conj(F)": 0.0}, tol)
+        return validate_separated_pt(bc.F, -bc.F.conj(), tol)
+    if isinstance(bc, ScalarBC):
+        if bc.kind == "sa_nonseparated":
+            return validate_selfadjoint(lift_scalar(bc.connection_matrix(), 1), tol)
+        if bc.kind == "pt_type1":
+            b, c = bc.params["b"], bc.params["c"]
+            residuals = {
+                "b_nonnegative": max(0.0, -b),
+                "one_plus_bc_nonnegative": max(0.0, -(1.0 + b * c)),
+            }
+            if 1.0 + b * c >= 0.0:
+                inner = validate_nonseparated_pt(lift_scalar(bc.connection_matrix(), 1), tol)
+                residuals.update(inner.residuals)
+            return ValidationReport.from_residuals(residuals, tol)
+        if bc.kind == "pt_type2":
+            degenerate = bc.params["h0"] == 0.0 and bc.params["h1"] == 0.0
+            residuals = {"h_nonzero": 1.0 if degenerate else 0.0}
+            if not degenerate:
+                residuals["G+conj(F)"] = 0.0
+            return ValidationReport.from_residuals(residuals, tol)
+        if bc.kind == "sa_separated":
+            return ValidationReport.from_residuals(
+                {"Gplus-hermiticity": 0.0, "Gminus-hermiticity": 0.0}, tol)
+    raise TypeError(f"no validator for {type(bc).__name__}")
+
+
+def lower(bc):
+    """Reduce a parsed condition to a SeparatedBC or NonseparatedBC.
+
+    A pt_type2 scalar becomes its one-channel SeparatedBC and the other
+    scalar families are lifted to n = 1 connection matrices.  The
+    sa_separated scalar has no connection matrix and raises ValueError; no
+    document reaches that error, because `parse_boundary_condition` only
+    yields pt_type1 and pt_type2 scalars.
+    """
+    if not isinstance(bc, ScalarBC):
+        return bc
+    if bc.kind == "pt_type2":
+        return bc.to_separated()
+    return lift_scalar(bc.connection_matrix(), 1)
+
+
+def lower_separated(bc) -> SeparatedBC | None:
+    """`lower(bc)` when that is a separated condition, otherwise None."""
+    lowered = lower(bc)
+    return lowered if isinstance(lowered, SeparatedBC) else None
 
 
 def compatibility_residual(F, k12: float, statistics="boson") -> float:
@@ -371,7 +426,7 @@ def compatibility_residual(F, k12: float, statistics="boson") -> float:
     k12 = float(k12)
     ik = 1j * k12
     eye = np.eye(d, dtype=np.complex128)
-    p = _statistics_sign(statistics) * swap_pair(n)
+    p = statistics_swap(n, statistics)
     y_plus = inverse(ik * eye - F, role="ik-F") @ (ik * eye + F)
     fc = F.conj()
     y_minus = inverse(ik * eye - fc, role="ik-conj(F)") @ (ik * eye + fc)
@@ -382,6 +437,7 @@ _SCALAR_KIND_FIELDS = {
     "scalar_pt_type1": ("theta", "phi", "b", "c"),
     "scalar_pt_type2": ("theta", "h0", "h1"),
 }
+_CONTACT_KIND_FIELD = {"delta": "C", "delta_prime": "B"}
 
 
 def _require_number(doc: dict, key: str) -> float:
@@ -437,24 +493,14 @@ def parse_boundary_condition(doc):
     if kind in _SCALAR_KIND_FIELDS:
         params = {key: _require_number(doc, key) for key in _SCALAR_KIND_FIELDS[kind]}
         return ScalarBC(kind=kind.removeprefix("scalar_"), params=params)
-    if kind == "delta":
+    if kind in _CONTACT_KIND_FIELD:
+        key = _CONTACT_KIND_FIELD[kind]
         n = _require_dim(doc)
-        C = _require_matrix(doc, "C")
+        m = _require_matrix(doc, key)
         d = n * n
-        if C.shape != (d, d):
-            raise ParseError(f"field 'C' must be {d}x{d} for n={n}, got {C.shape}")
-        eye = np.eye(d, dtype=np.complex128)
-        zero = np.zeros((d, d), dtype=np.complex128)
-        return NonseparatedBC(n=n, A=eye, B=zero, C=C, D=eye)
-    if kind == "delta_prime":
-        n = _require_dim(doc)
-        B = _require_matrix(doc, "B")
-        d = n * n
-        if B.shape != (d, d):
-            raise ParseError(f"field 'B' must be {d}x{d} for n={n}, got {B.shape}")
-        eye = np.eye(d, dtype=np.complex128)
-        zero = np.zeros((d, d), dtype=np.complex128)
-        return NonseparatedBC(n=n, A=eye, B=B, C=zero, D=eye)
+        if m.shape != (d, d):
+            raise ParseError(f"field {key!r} must be {d}x{d} for n={n}, got {m.shape}")
+        return _contact(n, **{key: m})
     if kind == "hspin":
         params = doc.get("params")
         if not isinstance(params, dict):
@@ -471,15 +517,22 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite JSON constant {name!r} is not allowed")
 
 
+def read_document(path):
+    """Decode a JSON file.
+
+    Bytes that are not UTF-8, invalid JSON and the non-finite constants
+    NaN/Infinity/-Infinity raise ParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read(), parse_constant=_reject_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_boundary_condition(path):
     """Read and parse a boundary-condition JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_boundary_condition(doc)
+    return parse_boundary_condition(read_document(path))
 
 
 def boundary_condition_to_json(bc) -> dict:

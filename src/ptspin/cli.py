@@ -15,7 +15,6 @@ import argparse
 import copy
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -24,22 +23,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .bethe import SignPattern, bethe_coefficients, path_consistency
+from .bethe import bethe_coefficients, path_consistency
 from .boundary import (
-    NonseparatedBC,
     ParseError,
-    ScalarBC,
     SeparatedBC,
     ValidationReport,
-    lift_scalar,
     load_boundary_condition,
+    lower,
+    lower_separated,
     parse_boundary_condition,
-    validate_nonseparated_pt,
-    validate_selfadjoint,
-    validate_separated_pt,
+    read_document,
+    validate,
 )
 from .linalg import (
-    DEFAULT_TOL,
     SingularMatrixError,
     SpinDims,
     complex_to_json,
@@ -47,14 +43,8 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .scattering import Statistics, make_y_factory, y_nonseparated, y_separated, ybe_residual
-from .spectra import (
-    BoundStateNotFound,
-    classify_spectrum,
-    n_particle_bound_state,
-    negative_real_eigenvalues,
-    two_particle_bound_states,
-)
+from .scattering import make_y_factory, ybe_residual
+from .spectra import bound_states, classify_spectrum
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -88,55 +78,9 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def _validate_any(bc, tol: float | None) -> ValidationReport:
-    """Dispatch a parsed boundary condition to the validator of its family."""
-    tol_eff = DEFAULT_TOL if tol is None else tol
-    if isinstance(bc, NonseparatedBC):
-        return validate_nonseparated_pt(bc, tol_eff)
-    if isinstance(bc, SeparatedBC):
-        if bc.dirichlet:
-            return ValidationReport.from_residuals({"G+conj(F)": 0.0}, tol_eff)
-        return validate_separated_pt(bc.F, -bc.F.conj(), tol_eff)
-    if isinstance(bc, ScalarBC):
-        if bc.kind == "sa_nonseparated":
-            return validate_selfadjoint(lift_scalar(bc.connection_matrix(), 1), tol_eff)
-        if bc.kind == "pt_type1":
-            b, c = bc.params["b"], bc.params["c"]
-            residuals = {
-                "b_nonnegative": max(0.0, -b),
-                "one_plus_bc_nonnegative": max(0.0, -(1.0 + b * c)),
-            }
-            if 1.0 + b * c >= 0.0:
-                inner = validate_nonseparated_pt(lift_scalar(bc.connection_matrix(), 1), tol_eff)
-                residuals.update(inner.residuals)
-            return ValidationReport.from_residuals(residuals, tol_eff)
-        if bc.kind == "pt_type2":
-            h0, h1 = bc.params["h0"], bc.params["h1"]
-            degenerate = h0 == 0.0 and h1 == 0.0
-            residuals = {"h_nonzero": 1.0 if degenerate else 0.0}
-            if not degenerate:
-                residuals["G+conj(F)"] = 0.0
-            return ValidationReport.from_residuals(residuals, tol_eff)
-        if bc.kind == "sa_separated":
-            return ValidationReport.from_residuals(
-                {"Gplus-hermiticity": 0.0, "Gminus-hermiticity": 0.0}, tol_eff)
-    raise TypeError(f"no validator for {type(bc).__name__}")
-
-
-def _lower(bc):
-    """Reduce any parsed condition to its operator-ready form."""
-    if isinstance(bc, ScalarBC):
-        if bc.kind == "pt_type2":
-            return bc.to_separated()
-        if bc.kind in ("sa_nonseparated", "pt_type1"):
-            return lift_scalar(bc.connection_matrix(), 1)
-        raise _UsageError(f"family {bc.kind!r} has no exchange-operator form")
-    return bc
-
-
 def _require_separated(bc, what: str) -> SeparatedBC:
-    lowered = _lower(bc)
-    if not isinstance(lowered, SeparatedBC):
+    lowered = lower_separated(bc)
+    if lowered is None:
         raise _UsageError(f"{what} requires a separated boundary condition")
     return lowered
 
@@ -151,23 +95,20 @@ def _report_doc(report: ValidationReport) -> dict:
 
 def cmd_validate(args, tol) -> tuple[int, str]:
     bc = load_boundary_condition(args.input)
-    report = _validate_any(bc, tol)
+    report = validate(bc, tol)
     return (EXIT_OK if report.valid else EXIT_MATH), _dumps(_report_doc(report))
 
 
 def cmd_yop(args, tol) -> tuple[int, str]:
-    bc = _lower(load_boundary_condition(args.input))
+    bc = lower(load_boundary_condition(args.input))
     k12 = 0.5 * (args.k1 - args.k2)
-    if isinstance(bc, SeparatedBC):
-        y = y_separated(bc, k12)
-    else:
-        y = y_nonseparated(bc, k12, args.statistics)
+    y = make_y_factory(bc, args.statistics)(k12)
     return EXIT_OK, _dumps({"k12": k12, "Y": matrix_to_json(y)})
 
 
 def cmd_ybe(args, tol) -> tuple[int, str]:
     momenta = _momenta(args, exactly=3)
-    bc = _lower(load_boundary_condition(args.input))
+    bc = lower(load_boundary_condition(args.input))
     factory = make_y_factory(bc, args.statistics)
     dims = SpinDims(bc.n, 3)
     residual = ybe_residual(factory, *momenta, dims)
@@ -220,26 +161,10 @@ def _bound_state_doc(state) -> dict:
 def cmd_bound(args, tol) -> tuple[int, str]:
     if args.particles < 2:
         raise _UsageError(f"--particles must be at least 2, got {args.particles}")
-    bc = load_boundary_condition(args.input)
-    lowered = _lower(bc)
-    if not isinstance(lowered, SeparatedBC):
+    bc = lower_separated(load_boundary_condition(args.input))
+    if bc is None:
         raise _UsageError("bound-state construction requires separated BC")
-    if args.particles == 2:
-        states = two_particle_bound_states(lowered, args.statistics, tol)
-    else:
-        states = []
-        if not lowered.dirichlet:
-            clusters, _ = negative_real_eigenvalues(lowered.F, tol)
-            pattern_keys = SignPattern.uniform(args.particles).pairs
-            for lam in clusters:
-                for signs in itertools.product((-1, 1), repeat=len(pattern_keys)):
-                    pattern = SignPattern(args.particles, dict(zip(pattern_keys, signs)))
-                    try:
-                        states.append(n_particle_bound_state(
-                            lowered, args.particles, lam, pattern, args.statistics, tol))
-                    except BoundStateNotFound:
-                        continue
-            states.sort(key=lambda s: (s.lam, s.epsilon.values()))
+    states = bound_states(bc, args.particles, args.statistics, tol)
     return EXIT_OK, _dumps([_bound_state_doc(s) for s in states])
 
 
@@ -267,11 +192,11 @@ _SWEEP_COLUMNS = {
 
 def _sweep_point(run: str, bc, args, tol) -> list[str]:
     if run == "validate":
-        report = _validate_any(bc, tol)
+        report = validate(bc, tol)
         return ["true" if report.valid else "false", repr(float(report.max_residual))]
     if run == "ybe":
         momenta = _momenta(args, exactly=3)
-        lowered = _lower(bc)
+        lowered = lower(bc)
         factory = make_y_factory(lowered, args.statistics)
         residual = ybe_residual(factory, *momenta, SpinDims(lowered.n, 3))
         return [repr(float(residual))]
@@ -282,11 +207,7 @@ def _sweep_point(run: str, bc, args, tol) -> list[str]:
 
 def cmd_sweep(args, tol) -> tuple[int, str]:
     name, grid = _parse_param_grid(args.param)
-    with open(args.input, "r", encoding="utf-8") as handle:
-        try:
-            template = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {args.input}: {exc}") from exc
+    template = read_document(args.input)
     if not isinstance(template, dict):
         raise ParseError("boundary-condition document must be an object")
     container = template.get("params") if template.get("kind") == "hspin" else template

@@ -7,6 +7,7 @@ for 0-based component labels a_j.  Particle/slot indices in the public API are
 """
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +20,15 @@ __all__ = [
     "SINGULARITY_RTOL",
     "SingularMatrixError",
     "SpinDims",
+    "Statistics",
+    "as_statistics",
+    "statistics_swap",
     "as_operator",
     "max_abs",
-    "kron",
     "swap_pair",
     "exchange_operator",
     "embed_pair",
     "inverse",
-    "eig",
     "complex_to_json",
     "complex_from_json",
     "vector_to_json",
@@ -84,13 +86,6 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(a)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square operators (first factor most significant)."""
-    a = as_operator(a, "kron left factor")
-    b = as_operator(b, "kron right factor")
-    return np.kron(a, b)
-
-
 def swap_pair(n: int) -> np.ndarray:
     """Permutation operator p on C^n x C^n with p(e_a x e_b) = e_b x e_a."""
     if n < 1:
@@ -100,6 +95,33 @@ def swap_pair(n: int) -> np.ndarray:
         for b in range(n):
             p[b * n + a, a * n + b] = 1.0
     return p
+
+
+class Statistics(enum.Enum):
+    """Exchange statistics of the identical particles."""
+
+    BOSON = "boson"
+    FERMION = "fermion"
+
+    @property
+    def sign(self) -> float:
+        return 1.0 if self is Statistics.BOSON else -1.0
+
+
+def as_statistics(statistics) -> Statistics:
+    if isinstance(statistics, Statistics):
+        return statistics
+    try:
+        return Statistics(statistics)
+    except ValueError:
+        raise ValueError(
+            f"unknown statistics {statistics!r}; expected 'boson' or 'fermion'"
+        ) from None
+
+
+def statistics_swap(n: int, statistics) -> np.ndarray:
+    """Statistics-signed pair exchange: +p for bosons, -p for fermions."""
+    return as_statistics(statistics).sign * swap_pair(n)
 
 
 def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:
@@ -145,12 +167,6 @@ def inverse(m, role: str = "matrix", rtol: float = SINGULARITY_RTOL) -> np.ndarr
             role=role,
         )
     return np.linalg.inv(m)
-
-
-def eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a square matrix: (values, column eigenvectors)."""
-    m = as_operator(m)
-    return np.linalg.eig(m)
 
 
 def complex_to_json(z) -> list[float]:

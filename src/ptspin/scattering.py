@@ -11,18 +11,24 @@ measured, not assumed: `ybe_residual` reports the defect for any factory.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .boundary import NonseparatedBC, SeparatedBC
-from .linalg import SingularMatrixError, SpinDims, embed_pair, inverse, max_abs, swap_pair
+from .linalg import (
+    SingularMatrixError,
+    SpinDims,
+    Statistics,
+    as_statistics,
+    embed_pair,
+    inverse,
+    max_abs,
+    statistics_swap,
+)
 
 __all__ = [
     "Statistics",
-    "Kinematics",
     "statistics_swap",
     "y_separated",
     "y_nonseparated",
@@ -30,49 +36,6 @@ __all__ = [
     "make_y_factory",
     "ybe_residual",
 ]
-
-
-class Statistics(enum.Enum):
-    """Exchange statistics of the identical particles."""
-
-    BOSON = "boson"
-    FERMION = "fermion"
-
-    @property
-    def sign(self) -> float:
-        return 1.0 if self is Statistics.BOSON else -1.0
-
-
-def as_statistics(statistics) -> Statistics:
-    if isinstance(statistics, Statistics):
-        return statistics
-    try:
-        return Statistics(statistics)
-    except ValueError:
-        raise ValueError(
-            f"unknown statistics {statistics!r}; expected 'boson' or 'fermion'"
-        ) from None
-
-
-@dataclass(frozen=True)
-class Kinematics:
-    """Momentum pair (k1, k2); derived quantities recompute from the inputs."""
-
-    k1: float
-    k2: float
-
-    @property
-    def total(self) -> float:
-        return self.k1 + self.k2
-
-    @property
-    def relative(self) -> float:
-        return 0.5 * (self.k1 - self.k2)
-
-
-def statistics_swap(n: int, statistics) -> np.ndarray:
-    """Statistics-signed pair exchange: +p for bosons, -p for fermions."""
-    return as_statistics(statistics).sign * swap_pair(n)
 
 
 def y_separated(bc: SeparatedBC, k12: float) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "negative_real_eigenvalues",
     "two_particle_bound_states",
     "n_particle_bound_state",
+    "bound_states",
     "bound_energy",
     "verify_bound_state_fd",
 ]
@@ -274,6 +275,38 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
         energy=bound_energy(lam, N),
         statistics=stats,
     )
+
+
+def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) -> list["BoundState"]:
+    """All N-particle bound states of a separated coupling, sorted by (lam, epsilon).
+
+    N = 2 is `two_particle_bound_states`.  For N >= 3 the spin vector of a
+    bound state is a joint eigenvector of every pair exchange, so it spans a
+    one-dimensional representation of the symmetric group S_N (Yang, PRL 19,
+    1312 (1967)).  All transpositions are conjugate in S_N for N >= 3, so they
+    carry one common sign: only the two uniform sign patterns can have a
+    non-empty parity sector.  Those two are tried for every clustered
+    negative real eigenvalue of F, giving at most one state each.
+    """
+    if N < 2:
+        raise ValueError(f"need at least two particles, got N={N}")
+    statistics = as_statistics(statistics)
+    if N == 2:
+        return two_particle_bound_states(bc, statistics, tol)
+    F, _ = _infer_n(bc)
+    if F is None:
+        return []
+    clusters, _ = negative_real_eigenvalues(F, tol)
+    states = []
+    for lam in clusters:
+        for sign in (-1, 1):
+            try:
+                states.append(n_particle_bound_state(
+                    bc, N, lam, SignPattern.uniform(N, sign), statistics, tol))
+            except BoundStateNotFound:
+                continue
+    states.sort(key=lambda s: (s.lam, s.epsilon.values()))
+    return states
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ from ptspin.boundary import (
     hspin,
     lift_scalar,
     load_boundary_condition,
+    lower,
+    lower_separated,
     parse_boundary_condition,
+    read_document,
     scalar_pt_type1,
     scalar_pt_type2,
     scalar_sa_nonseparated,
@@ -28,6 +31,7 @@ from ptspin.boundary import (
     validate_nonseparated_pt,
     validate_selfadjoint,
     validate_separated_pt,
+    validate,
     validate_separated_selfadjoint,
 )
 from ptspin.linalg import max_abs, swap_pair
@@ -268,3 +272,33 @@ def test_load_reports_invalid_json(tmp_path):
     path.write_text('{"kind": "nonsep')
     with pytest.raises(ParseError):
         load_boundary_condition(path)
+    path.write_bytes('{"kind": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ParseError, match="utf-8"):
+        read_document(path)
+    with pytest.raises(ParseError, match="utf-8"):
+        load_boundary_condition(path)
+
+
+def test_validate_dispatches_on_family():
+    assert validate(free_bc()).residuals == validate_nonseparated_pt(free_bc()).residuals
+    assert validate(SeparatedBC(1, None)).residuals == {"G+conj(F)": 0.0}
+    report = validate(ScalarBC("pt_type1", {"theta": 0.0, "phi": 0.0, "b": -1.0, "c": 3.0}))
+    assert not report.valid
+    assert report.residuals["b_nonnegative"] == 1.0
+    assert "AA*-BC*-I" not in report.residuals
+    assert validate(SeparatedBC(1, [[1.0j]]), tol=0.5).tolerance == 0.5
+    with pytest.raises(TypeError):
+        validate(np.eye(2))
+
+
+def test_lower_reaches_operator_ready_forms():
+    bc = free_bc()
+    assert lower(bc) is bc
+    lifted = lower(scalar_pt_type1(0.0, 0.0, 1.0, 3.0))
+    assert isinstance(lifted, NonseparatedBC) and lifted.n == 1
+    separated = lower(ScalarBC("pt_type2", {"theta": 0.0, "h0": 1.0, "h1": -2.0}))
+    assert isinstance(separated, SeparatedBC) and separated.F[0, 0] == -2.0
+    assert lower_separated(separated) is separated
+    assert lower_separated(bc) is None
+    with pytest.raises(ValueError, match="connection matrix"):
+        lower(scalar_sa_separated(1.0, 2.0))

@@ -324,6 +324,16 @@ def test_structural_errors_are_usage_errors(capsys, tmp_path):
     assert "mystery" in err
     rc, out, err = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert rc == 2 and out == ""
+    nan_doc = tmp_path / "nan.json"
+    nan_doc.write_text(FIXTURES.joinpath("hspin_diag.json").read_text().replace("-1.0", "NaN", 1))
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"kind": "hspin", "note": "\u00e9"}'.encode("latin-1"))
+    for path, reason in ((nan_doc, "NaN"), (not_utf8, "utf-8")):
+        for argv in (("validate", path),
+                     ("sweep", path, "--run", "validate", "--param", "b=0.0:1.0:2")):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 2 and out == ""
+            assert reason in err
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -6,7 +6,6 @@ from conftest import random_hspin, separated_momenta
 from ptspin.boundary import SeparatedBC, delta_type, hspin
 from ptspin.linalg import SingularMatrixError, SpinDims, max_abs, swap_pair
 from ptspin.scattering import (
-    Kinematics,
     Statistics,
     as_statistics,
     make_y_factory,
@@ -25,12 +24,6 @@ def test_statistics_coercion_and_signs():
     assert Statistics.FERMION.sign == -1.0
     with pytest.raises(ValueError):
         as_statistics("anyon")
-
-
-def test_kinematics_derives_total_and_relative():
-    kin = Kinematics(1.5, -0.5)
-    assert kin.total == 1.0
-    assert kin.relative == 1.0
 
 
 def test_statistics_swap_signs():

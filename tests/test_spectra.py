@@ -1,4 +1,6 @@
 """Spectral classification, bound-state construction, and decay verification."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ptspin.spectra import (
     BoundState,
     BoundStateNotFound,
     bound_energy,
+    bound_states,
     classify_spectrum,
     n_particle_bound_state,
     negative_real_eigenvalues,
@@ -196,12 +199,69 @@ def test_three_particle_scalar_coupling_state():
             assert max_abs(p @ state.v - state.v) <= 1e-10
 
 
-def test_mixed_sign_pattern_fails_on_parity():
-    bc = SeparatedBC(2, -np.eye(4))
-    pattern = SignPattern(3, {(2, 1): 1, (3, 1): -1, (3, 2): 1})
-    with pytest.raises(BoundStateNotFound) as excinfo:
-        n_particle_bound_state(bc, 3, -1.0, pattern, "boson")
-    assert excinfo.value.reason == "parity"
+def all_sign_patterns(N):
+    pairs = SignPattern.uniform(N).pairs
+    for signs in itertools.product((-1, 1), repeat=len(pairs)):
+        yield SignPattern(N, dict(zip(pairs, signs)))
+
+
+@pytest.mark.parametrize("N,n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_mixed_sign_pattern_fails_on_parity(N, n):
+    """No non-uniform pattern has a parity sector, even for a lambda*I coupling
+    that every vector satisfies; `bound_states` relies on this to skip them."""
+    bc = SeparatedBC(n, -np.eye(n * n))
+    mixed = [p for p in all_sign_patterns(N) if len(set(p.values())) == 2]
+    assert len(mixed) == 2 ** (N * (N - 1) // 2) - 2
+    for stats in ("boson", "fermion"):
+        for pattern in mixed:
+            with pytest.raises(BoundStateNotFound) as excinfo:
+                n_particle_bound_state(bc, N, -1.0, pattern, stats)
+            assert excinfo.value.reason == "parity"
+
+
+def exhaustive_bound_states(bc, N, statistics):
+    """Reference search over every sign pattern for every eigenvalue cluster."""
+    clusters, _ = negative_real_eigenvalues(bc.F)
+    states = []
+    for lam in clusters:
+        for pattern in all_sign_patterns(N):
+            try:
+                states.append(n_particle_bound_state(bc, N, lam, pattern, statistics))
+            except BoundStateNotFound:
+                continue
+    states.sort(key=lambda s: (s.lam, s.epsilon.values()))
+    return states
+
+
+def test_bound_states_match_exhaustive_search(rng):
+    couplings = [SeparatedBC(2, -0.5 * np.eye(4)), diag_hspin(),
+                 hspin(a=-1.0, b=-1.0, c=0.0, d=0.0, f=-1.0, g=0.0,
+                       e1=0.0, e2=0.0, e3=0.0, e4=0.0)]
+    couplings += [random_hspin(rng, symmetric=True) for _ in range(2)]
+    found = 0
+    for bc in couplings:
+        for N in (3, 4):
+            for stats in ("boson", "fermion"):
+                got = bound_states(bc, N, stats)
+                want = exhaustive_bound_states(bc, N, stats)
+                assert [(s.lam, s.epsilon.values()) for s in got] == \
+                    [(s.lam, s.epsilon.values()) for s in want]
+                for a, b in zip(got, want):
+                    assert (a.v == b.v).all()
+                found += len(got)
+    assert found > 0
+
+
+def test_bound_states_two_particles_and_edge_cases():
+    bc = diag_hspin()
+    for stats in ("boson", "fermion"):
+        got = bound_states(bc, 2, stats)
+        want = two_particle_bound_states(bc, stats)
+        assert [(s.lam, s.epsilon.values()) for s in got] == \
+            [(s.lam, s.epsilon.values()) for s in want]
+    assert bound_states(SeparatedBC(2, None), 3, "boson") == []
+    with pytest.raises(ValueError):
+        bound_states(bc, 1, "boson")
 
 
 def test_nondegenerate_eigenvalue_fails_on_eigenvalue_stage():
