@@ -23,9 +23,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .boundary import SeparatedBC
-from .linalg import SingularMatrixError, SpinDims, embed_pair, max_abs
-from .scattering import Statistics, as_statistics, y_separated
+from .boundary import SeparatedBC, require_separated
+from .linalg import SingularMatrixError, SpinDims, Statistics, as_statistics, embed_pair, max_abs
+from .scattering import y_separated
 
 __all__ = [
     "BetheState",
@@ -172,8 +172,7 @@ def _check_momenta(momenta) -> tuple[float, ...]:
 
 
 def _check_state_inputs(bc, momenta, u_init):
-    if not isinstance(bc, SeparatedBC):
-        raise TypeError("coefficient propagation requires a separated boundary condition")
+    require_separated(bc, "coefficient propagation")
     momenta = _check_momenta(momenta)
     dims = SpinDims(bc.n, len(momenta))
     u = np.asarray(u_init, dtype=np.complex128).reshape(-1)
@@ -239,20 +238,9 @@ def _spin_slot_permutation(vec: np.ndarray, order: np.ndarray, dims: SpinDims) -
 
 
 def _permutation_sign(order: np.ndarray) -> int:
-    seen = np.zeros(len(order), dtype=bool)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            pos = order[pos]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the inversion count of order."""
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:
@@ -342,8 +330,7 @@ def boundary_jump_residual(state: BetheState, bc: SeparatedBC, j: int, probe: fl
         raise ValueError(f"interface check is limited to two particles, got N={state.dims.N}")
     if j != 1:
         raise IndexError(f"pair index must be 1 for two particles, got {j}")
-    if not isinstance(bc, SeparatedBC):
-        raise TypeError("interface check requires a separated boundary condition")
+    require_separated(bc, "interface check")
     if bc.n != state.dims.n:
         raise ValueError("boundary condition and state have different spin dimensions")
     probe = float(probe)

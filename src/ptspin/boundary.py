@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_operator,
-    inverse,
+    cayley,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -51,6 +51,7 @@ __all__ = [
     "validate",
     "lower",
     "lower_separated",
+    "require_separated",
     "compatibility_residual",
     "parse_boundary_condition",
     "read_document",
@@ -88,13 +89,6 @@ class ScalarBC:
                 ]
             )
         raise ValueError(f"scalar family {self.kind!r} has no connection matrix")
-
-    def to_separated(self) -> SeparatedBC:
-        """Separated form of the pt_type2 family (h0 = 0 gives Dirichlet)."""
-        if self.kind != "pt_type2":
-            raise ValueError(f"scalar family {self.kind!r} has no separated form")
-        p = self.params
-        return scalar_pt_type2(p["theta"], p["h0"], p["h1"])
 
 
 @dataclass(frozen=True)
@@ -400,7 +394,7 @@ def lower(bc):
     if not isinstance(bc, ScalarBC):
         return bc
     if bc.kind == "pt_type2":
-        return bc.to_separated()
+        return scalar_pt_type2(**bc.params)
     return lift_scalar(bc.connection_matrix(), 1)
 
 
@@ -408,6 +402,13 @@ def lower_separated(bc) -> SeparatedBC | None:
     """`lower(bc)` when that is a separated condition, otherwise None."""
     lowered = lower(bc)
     return lowered if isinstance(lowered, SeparatedBC) else None
+
+
+def require_separated(bc, what: str) -> SeparatedBC:
+    """Return bc if it is a SeparatedBC; otherwise raise TypeError naming what needs it."""
+    if not isinstance(bc, SeparatedBC):
+        raise TypeError(f"{what} requires a separated boundary condition")
+    return bc
 
 
 def compatibility_residual(F, k12: float, statistics="boson") -> float:
@@ -423,13 +424,9 @@ def compatibility_residual(F, k12: float, statistics="boson") -> float:
     n = math.isqrt(d)
     if n * n != d:
         raise ValueError(f"coupling matrix dimension {d} is not a perfect square")
-    k12 = float(k12)
-    ik = 1j * k12
-    eye = np.eye(d, dtype=np.complex128)
     p = statistics_swap(n, statistics)
-    y_plus = inverse(ik * eye - F, role="ik-F") @ (ik * eye + F)
-    fc = F.conj()
-    y_minus = inverse(ik * eye - fc, role="ik-conj(F)") @ (ik * eye + fc)
+    y_plus = cayley(F, k12)
+    y_minus = cayley(F.conj(), k12, role="ik-conj(F)")
     return max_abs(y_plus - p @ y_minus @ p)
 
 
@@ -536,7 +533,11 @@ def load_boundary_condition(path):
 
 
 def boundary_condition_to_json(bc) -> dict:
-    """Encode a boundary condition back into its document form."""
+    """Encode a boundary condition back into its document form.
+
+    Objects with no document kind, among them the self-adjoint scalar
+    families, raise TypeError.
+    """
     if isinstance(bc, NonseparatedBC):
         return {
             "kind": "nonseparated",
@@ -550,6 +551,6 @@ def boundary_condition_to_json(bc) -> dict:
         if bc.dirichlet:
             return {"kind": "scalar_pt_type2", "theta": 0.0, "h0": 0.0, "h1": 1.0}
         return {"kind": "separated", "n": bc.n, "F": matrix_to_json(bc.F)}
-    if isinstance(bc, ScalarBC):
+    if isinstance(bc, ScalarBC) and f"scalar_{bc.kind}" in _SCALAR_KIND_FIELDS:
         return {"kind": f"scalar_{bc.kind}", **{k: float(v) for k, v in bc.params.items()}}
     raise TypeError(f"cannot encode {type(bc).__name__} as a boundary-condition document")

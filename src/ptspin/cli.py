@@ -6,8 +6,9 @@ formatting: dictionary keys in fixed order, floats in shortest round-trip
 form, ASCII-only escapes.  Exit codes: 0 success, 1 mathematical failure
 (invalid condition, singular operator), 2 usage or parse error.
 
-The decision tolerance defaults to 1e-10, can be overridden by the
-PTSPIN_TOL environment variable, and a --tol flag overrides both.
+The decision tolerance defaults to 1e-10 for validate and to
+1e-10 * (1 + spectral radius of F) for classify and bound.  The PTSPIN_TOL
+environment variable overrides the default, and a --tol flag overrides both.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from .linalg import (
     vector_to_json,
 )
 from .scattering import make_y_factory, ybe_residual
-from .spectra import bound_states, classify_spectrum
+from .spectra import SpectrumReport, bound_states, classify_spectrum
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -106,13 +107,15 @@ def cmd_yop(args, tol) -> tuple[int, str]:
     return EXIT_OK, _dumps({"k12": k12, "Y": matrix_to_json(y)})
 
 
-def cmd_ybe(args, tol) -> tuple[int, str]:
+def _ybe(bc, args) -> float:
     momenta = _momenta(args, exactly=3)
-    bc = lower(load_boundary_condition(args.input))
-    factory = make_y_factory(bc, args.statistics)
-    dims = SpinDims(bc.n, 3)
-    residual = ybe_residual(factory, *momenta, dims)
-    return EXIT_OK, _dumps({"residual": float(residual)})
+    lowered = lower(bc)
+    factory = make_y_factory(lowered, args.statistics)
+    return float(ybe_residual(factory, *momenta, SpinDims(lowered.n, 3)))
+
+
+def cmd_ybe(args, tol) -> tuple[int, str]:
+    return EXIT_OK, _dumps({"residual": _ybe(load_boundary_condition(args.input), args)})
 
 
 def cmd_bethe(args, tol) -> tuple[int, str]:
@@ -168,11 +171,15 @@ def cmd_bound(args, tol) -> tuple[int, str]:
     return EXIT_OK, _dumps([_bound_state_doc(s) for s in states])
 
 
-def cmd_classify(args, tol) -> tuple[int, str]:
-    lowered = _require_separated(load_boundary_condition(args.input), "spectral classification")
+def _classify(bc, tol) -> SpectrumReport:
+    lowered = _require_separated(bc, "spectral classification")
     if lowered.dirichlet:
         raise _UsageError("the Dirichlet member has no coupling matrix to classify")
-    report = classify_spectrum(lowered.F, tol)
+    return classify_spectrum(lowered.F, tol)
+
+
+def cmd_classify(args, tol) -> tuple[int, str]:
+    report = _classify(load_boundary_condition(args.input), tol)
     doc = {
         "eigenvalues": [complex_to_json(v) for v in report.eigenvalues],
         "real_subset": [float(v) for v in report.real_subset],
@@ -195,12 +202,8 @@ def _sweep_point(run: str, bc, args, tol) -> list[str]:
         report = validate(bc, tol)
         return ["true" if report.valid else "false", repr(float(report.max_residual))]
     if run == "ybe":
-        momenta = _momenta(args, exactly=3)
-        lowered = lower(bc)
-        factory = make_y_factory(lowered, args.statistics)
-        residual = ybe_residual(factory, *momenta, SpinDims(lowered.n, 3))
-        return [repr(float(residual))]
-    report = classify_spectrum(_require_separated(bc, "spectral classification").F, tol)
+        return [repr(_ybe(bc, args))]
+    report = _classify(bc, tol)
     n_real = len(report.real_subset)
     return [str(n_real), str(len(report.eigenvalues) - n_real)]
 
@@ -269,8 +272,9 @@ def _statistics_flag(parser):
 
 def _tol_flag(parser):
     parser.add_argument("--tol", type=float, default=None,
-                        help="decision tolerance (default 1e-10; PTSPIN_TOL overrides "
-                             "the default, this flag overrides both)")
+                        help="decision tolerance (default 1e-10 for validate, "
+                             "1e-10*(1+spectral radius of F) for classify and bound; "
+                             "PTSPIN_TOL overrides the default, this flag overrides both)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,10 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         tol = _resolve_tol(args)
         code, text = _DISPATCH[args.command](args, tol)
-    except _UsageError as exc:
-        print(f"ptspin: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, OSError) as exc:
+    except (_UsageError, ParseError, OSError) as exc:
         print(f"ptspin: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SingularMatrixError as exc:

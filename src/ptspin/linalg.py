@@ -29,6 +29,7 @@ __all__ = [
     "exchange_operator",
     "embed_pair",
     "inverse",
+    "cayley",
     "complex_to_json",
     "complex_from_json",
     "vector_to_json",
@@ -88,13 +89,7 @@ def max_abs(m) -> float:
 
 def swap_pair(n: int) -> np.ndarray:
     """Permutation operator p on C^n x C^n with p(e_a x e_b) = e_b x e_a."""
-    if n < 1:
-        raise ValueError(f"spin dimension must be positive, got n={n}")
-    p = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            p[b * n + a, a * n + b] = 1.0
-    return p
+    return exchange_operator(1, 2, SpinDims(n, 2))
 
 
 class Statistics(enum.Enum):
@@ -167,6 +162,16 @@ def inverse(m, role: str = "matrix", rtol: float = SINGULARITY_RTOL) -> np.ndarr
             role=role,
         )
     return np.linalg.inv(m)
+
+
+def cayley(F, k12: float, role: str = "ik-F") -> np.ndarray:
+    """Cayley form (ik - F)^-1 (ik + F) of a square matrix F at k = k12.
+
+    role names the inverted matrix ik - F in a SingularMatrixError.
+    """
+    ik = 1j * float(k12)
+    eye = np.eye(F.shape[0], dtype=np.complex128)
+    return inverse(ik * eye - F, role=role) @ (ik * eye + F)
 
 
 def complex_to_json(z) -> list[float]:

@@ -21,6 +21,7 @@ from .linalg import (
     SpinDims,
     Statistics,
     as_statistics,
+    cayley,
     embed_pair,
     inverse,
     max_abs,
@@ -44,22 +45,18 @@ def y_separated(bc: SeparatedBC, k12: float) -> np.ndarray:
     The Dirichlet member has no finite coupling matrix and yields the constant
     limit Y = -identity.
     """
-    d = bc.n * bc.n
     if bc.dirichlet:
-        return -np.eye(d, dtype=np.complex128)
-    ik = 1j * float(k12)
-    eye = np.eye(d, dtype=np.complex128)
+        return -np.eye(bc.n * bc.n, dtype=np.complex128)
     try:
-        resolvent = inverse(ik * eye - bc.F, role="ik-F")
+        return cayley(bc.F, k12)
     except SingularMatrixError:
         eigenvalues = np.linalg.eigvals(bc.F)
-        nearest = complex(eigenvalues[int(np.argmin(np.abs(eigenvalues - ik)))])
+        nearest = complex(eigenvalues[int(np.argmin(np.abs(eigenvalues - 1j * float(k12))))])
         raise SingularMatrixError(
             f"relative momentum k12={k12!r} makes ik collide with coupling "
             f"eigenvalue {nearest!r}",
             role="ik-F",
         ) from None
-    return resolvent @ (ik * eye + bc.F)
 
 
 def y_nonseparated(bc: NonseparatedBC, k12: float, statistics) -> np.ndarray:

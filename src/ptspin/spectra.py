@@ -14,14 +14,22 @@ profile inside one ordering region and compares against the stored energy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bethe import SignPattern
-from .boundary import SeparatedBC
-from .linalg import SpinDims, as_operator, embed_pair, exchange_operator, max_abs, swap_pair
-from .scattering import Statistics, as_statistics
+from .boundary import SeparatedBC, require_separated
+from .linalg import (
+    SpinDims,
+    Statistics,
+    as_operator,
+    as_statistics,
+    embed_pair,
+    exchange_operator,
+    max_abs,
+    swap_pair,
+)
 
 __all__ = [
     "BoundStateNotFound",
@@ -144,32 +152,19 @@ def _nullspace(constraints: np.ndarray, tol: float) -> np.ndarray:
     return vh[dim - n_small:].conj().T
 
 
-def _infer_n(bc: SeparatedBC) -> tuple[np.ndarray, int]:
-    if not isinstance(bc, SeparatedBC):
-        raise TypeError("bound-state construction requires a separated boundary condition")
-    if bc.dirichlet:
-        return None, bc.n
-    return bc.F, bc.n
-
-
 def negative_real_eigenvalues(F, tol: float | None = None) -> tuple[tuple[float, ...], float]:
     """Clustered real eigenvalues below zero, plus the tolerance used.
 
-    Eigenvalues with |Im| <= tol and Re < -tol are sorted ascending and
-    collapsed whenever consecutive values differ by at most tol, keeping one
-    representative per cluster.
+    The real subset of `classify_spectrum(F, tol)` below -tol, which is in
+    ascending order, is collapsed whenever consecutive values differ by at
+    most tol, keeping one representative per cluster.
     """
-    F = as_operator(F, "coupling matrix F")
-    values = np.linalg.eigvals(F)
-    if tol is None:
-        tol = _default_tol(values)
-    tol = float(tol)
-    candidates = sorted(float(v.real) for v in values if abs(v.imag) <= tol and v.real < -tol)
+    report = classify_spectrum(F, tol)
+    tol = report.tol
     clusters: list[float] = []
-    for lam in candidates:
-        if clusters and lam - clusters[-1] <= tol:
-            continue
-        clusters.append(lam)
+    for lam in (v for v in report.real_subset if v < -tol):
+        if not clusters or lam - clusters[-1] > tol:
+            clusters.append(lam)
     return tuple(clusters), tol
 
 
@@ -181,10 +176,11 @@ def two_particle_bound_states(bc: SeparatedBC, statistics, tol: float | None = N
     of F - lam, conj(F) - lam, and p - sign(statistics)*epsilon.  One state is
     emitted per independent vector; the list is sorted by (lam, epsilon).
     """
-    F, n = _infer_n(bc)
+    bc = require_separated(bc, "bound-state construction")
     stats = as_statistics(statistics)
-    if F is None:
+    if bc.dirichlet:
         return []
+    F, n = bc.F, bc.n
     clusters, tol = negative_real_eigenvalues(F, tol)
     p = swap_pair(n)
     eye = np.eye(n * n, dtype=np.complex128)
@@ -220,7 +216,8 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
     alone are already unsatisfiable or the eigenvalue conditions removed the
     remaining freedom.
     """
-    F, n = _infer_n(bc)
+    bc = require_separated(bc, "bound-state construction")
+    F, n = bc.F, bc.n
     N = int(N)
     if N < 2:
         raise ValueError(f"need at least two particles, got N={N}")
@@ -293,10 +290,9 @@ def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) 
     statistics = as_statistics(statistics)
     if N == 2:
         return two_particle_bound_states(bc, statistics, tol)
-    F, _ = _infer_n(bc)
-    if F is None:
+    if require_separated(bc, "bound-state construction").dirichlet:
         return []
-    clusters, _ = negative_real_eigenvalues(F, tol)
+    clusters, tol = negative_real_eigenvalues(bc.F, tol)
     states = []
     for lam in clusters:
         for sign in (-1, 1):
@@ -314,7 +310,8 @@ class BoundState:
     """A square-integrable N-particle state decaying at rate lam < 0.
 
     v is the unit spin vector (length n^N, phase fixed so the largest entry is
-    real positive); energy always equals bound_energy(lam, n_particles).
+    real positive), and the spin dimension n is derived from its length;
+    energy always equals bound_energy(lam, n_particles).
     lam = 0 is tolerated for degenerate constant-profile checks but never
     produced by the constructors above.
     """
@@ -325,6 +322,7 @@ class BoundState:
     epsilon: SignPattern
     energy: float
     statistics: Statistics
+    n: int = field(init=False)
 
     def __post_init__(self):
         if self.n_particles < 2:
@@ -342,11 +340,8 @@ class BoundState:
             raise ValueError(
                 f"spin vector length {len(v)} is not a perfect {self.n_particles}-th power")
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "statistics", as_statistics(self.statistics))
-
-    @property
-    def n(self) -> int:
-        return round(len(self.v) ** (1.0 / self.n_particles))
 
     def parity_residual(self) -> float:
         """Worst defect of the stored pair-exchange sign relations."""

@@ -225,6 +225,28 @@ def test_parse_roundtrip_separated(rng):
     assert max_abs(back.F - bc.F) == 0.0
 
 
+def test_encoder_round_trips_every_documented_kind(rng):
+    documented = [
+        NonseparatedBC(2, *(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                            for _ in "ABCD")),
+        SeparatedBC(2, rng.normal(size=(4, 4))),
+        delta_type(rng.normal(size=(4, 4)), 2),
+        delta_prime_type(rng.normal(size=(4, 4)), 2),
+        scalar_pt_type1(0.1, 0.2, 1.0, 3.0),
+        scalar_pt_type2(0.3, 1.0, -2.0),
+        scalar_pt_type2(0.3, 0.0, 2.0),
+        random_hspin(rng),
+    ]
+    for bc in documented:
+        doc = boundary_condition_to_json(bc)
+        back = parse_boundary_condition(json.loads(json.dumps(doc, allow_nan=False)))
+        assert boundary_condition_to_json(back) == doc
+    for bc in (scalar_sa_nonseparated(0.0, 1.0, 0.0, 0.0, 1.0),
+               scalar_sa_separated(1.0, math.inf)):
+        with pytest.raises(TypeError):
+            boundary_condition_to_json(bc)
+
+
 def test_parse_scalar_kinds_keep_parameters():
     doc = {"kind": "scalar_pt_type1", "theta": 0.1, "phi": 0.2, "b": 1.0, "c": 3.0}
     bc = parse_boundary_condition(doc)

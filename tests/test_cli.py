@@ -260,10 +260,16 @@ def test_classify_conjugate_pair_document(capsys):
 
 
 def test_classify_dirichlet_is_usage_error(capsys):
-    rc, out, err = run_cli(capsys, "classify", fx("scalar_pt2_dirichlet.json"))
-    assert rc == 2
-    assert out == ""
-    assert "Dirichlet" in err
+    dirichlet = fx("scalar_pt2_dirichlet.json")
+    errors = set()
+    for argv in (("classify", dirichlet),
+                 ("sweep", dirichlet, "--run", "classify", "--param", "h0=0.0:1.0:2")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "Dirichlet" in err
+        errors.add(err)
+    assert len(errors) == 1
 
 
 # -- sweep -------------------------------------------------------------------------

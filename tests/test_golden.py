@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from golden.capture import golden_argvs
 from ptspin.cli import main
 
 TESTS = Path(__file__).parent
@@ -32,3 +33,7 @@ def test_golden_corpus_replays_byte_identically(capsys):
             mismatches.append(" ".join(case["argv"]))
     assert len(CASES) > 300
     assert mismatches == []
+
+
+def test_corpus_matches_the_capture_argv_list():
+    assert [case["argv"] for case in CASES] == golden_argvs()

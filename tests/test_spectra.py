@@ -80,11 +80,17 @@ def test_classify_real_matrix_pairs_everything(rng):
         assert rep.unpaired == ()
 
 
-def test_classify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        classify_spectrum(np.eye(2), tol=-1.0)
-    with pytest.raises(ValueError):
-        classify_spectrum(np.eye(2), tol=np.nan)
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda tol: classify_spectrum(np.eye(2), tol=tol),
+    lambda tol: negative_real_eigenvalues(-np.eye(4), tol),
+    lambda tol: two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson", tol),
+    lambda tol: bound_states(SeparatedBC(2, -np.eye(4)), 3, "boson", tol=tol),
+], ids=["classify_spectrum", "negative_real_eigenvalues", "two_particle_bound_states",
+        "bound_states"])
+def test_classify_rejects_bad_tolerance(call, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        call(tol)
 
 
 def test_negative_real_eigenvalue_clusters():
