@@ -14,6 +14,15 @@ anchored by the two-particle case u_21 = Y(k12) u_12.  Coefficients for every
 permutation are produced by propagating along a canonical reduced word
 (reversed bubble sort); `path_consistency` measures how much the result would
 depend on the word chosen.
+
+Y^{j,j+1} is never built as an n^N x n^N matrix.  A pair operator touches two
+of the N tensor slots, so it is applied as one n^2 x n^2 product on the
+(n^(j-1), n^2, rest) view of a coefficient vector or transport matrix, and Y
+is computed once per momentum pair.  Propagation is memoised on canonical-word
+prefixes, one pair application per permutation.  `path_consistency` carries
+each word's prefix transport from one braid site to the next, applies the two
+braids (j, j+1, j) and (j+1, j, j+1) to it, and takes their difference through
+the shared remainder of the word once.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .boundary import SeparatedBC, require_separated
-from .linalg import SingularMatrixError, SpinDims, Statistics, as_statistics, embed_pair, max_abs
+from .linalg import SingularMatrixError, SpinDims, Statistics, as_statistics, max_abs
 from .scattering import y_separated
 
 __all__ = [
@@ -128,38 +137,41 @@ def _canonical_word(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _PairExchangeCache:
-    """Embedded exchange operators keyed by (slot, label pair)."""
+    """Exchange operators keyed by momentum pair, applied slot-locally."""
 
     def __init__(self, bc: SeparatedBC, momenta: tuple[float, ...], dims: SpinDims):
         self.bc = bc
         self.momenta = momenta
         self.dims = dims
-        self._cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self._cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def operator(self, slot: int, alpha: int, beta: int) -> np.ndarray:
-        key = (slot, alpha, beta)
+    def operator(self, alpha: int, beta: int) -> np.ndarray:
+        key = (alpha, beta)
         if key not in self._cache:
             k_ab = 0.5 * (self.momenta[alpha - 1] - self.momenta[beta - 1])
             try:
-                y = y_separated(self.bc, k_ab)
+                self._cache[key] = y_separated(self.bc, k_ab)
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"momentum pair ({alpha},{beta}) gives a singular exchange "
                     f"operator: {exc}",
                     role=exc.role,
                 ) from None
-            self._cache[key] = embed_pair(y, slot, self.dims)
         return self._cache[key]
 
-    def apply_word(self, word: tuple[int, ...], start: np.ndarray) -> np.ndarray:
-        """Propagate a coefficient (or transport matrix) from the identity."""
-        seq = list(range(1, self.dims.N + 1))
-        out = start
+    def apply_word(self, word: tuple[int, ...], t: np.ndarray, labels: list[int]) -> np.ndarray:
+        """Apply the adjacent swaps of word to t, whose slots carry labels.
+
+        t is a coefficient vector or a transport matrix (n^N rows); labels is
+        updated in place to the label sequence after the word.
+        """
+        n = self.dims.n
         for slot in word:
-            alpha, beta = seq[slot - 1], seq[slot]
-            out = self.operator(slot, alpha, beta) @ out
-            seq[slot - 1], seq[slot] = beta, alpha
-        return out
+            alpha, beta = labels[slot - 1], labels[slot]
+            view = t.reshape(n ** (slot - 1), n * n, -1)
+            t = np.matmul(self.operator(alpha, beta), view).reshape(t.shape)
+            labels[slot - 1], labels[slot] = beta, alpha
+        return t
 
 
 def _check_momenta(momenta) -> tuple[float, ...]:
@@ -187,15 +199,30 @@ def _check_state_inputs(bc, momenta, u_init):
 
 
 def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheState:
-    """Propagate the identity-permutation coefficient to all N! permutations."""
+    """Propagate the identity-permutation coefficient to all N! permutations.
+
+    Each coefficient is its canonical word applied to u_init.  Propagation is
+    memoised on word prefixes, so a permutation costs one pair application
+    beyond the longest prefix already propagated.
+    """
     momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
     stats = as_statistics(statistics)
     cache = _PairExchangeCache(bc, momenta, dims)
+    # word prefix -> (coefficient, slot labels after the prefix)
+    propagated = {(): (u, tuple(range(1, dims.N + 1)))}
     coefficients: dict[tuple[int, ...], np.ndarray] = {}
     words: dict[tuple[int, ...], tuple[int, ...]] = {}
     for perm in itertools.permutations(range(1, dims.N + 1)):
         word = _canonical_word(perm)
-        coefficients[perm] = cache.apply_word(word, u)
+        m = len(word)
+        while word[:m] not in propagated:
+            m -= 1
+        coeff, labels = propagated[word[:m]]
+        labels = list(labels)
+        for step in range(m, len(word)):
+            coeff = cache.apply_word(word[step:step + 1], coeff, labels)
+            propagated[word[:step + 1]] = (coeff, tuple(labels))
+        coefficients[perm] = coeff
         words[perm] = word
     return BetheState(dims=dims, momenta=momenta, coefficients=coefficients,
                       words=words, statistics=stats)
@@ -211,6 +238,10 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     (every initial coefficient at once), so it vanishes exactly when the
     Yang-Baxter identity holds on the visited relative momenta; u_init is
     validated but the returned number does not depend on it.
+
+    The prefix transport is carried forward from one braid site to the next.
+    Both braids leave the same slot labels, so their suffix operators agree
+    and the suffix is applied once, to the difference of the two braids.
     """
     momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
     as_statistics(statistics)
@@ -221,13 +252,17 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     worst = 0.0
     for perm in itertools.permutations(range(1, dims.N + 1)):
         word = _canonical_word(perm)
+        prefix, labels, done = eye, list(range(1, dims.N + 1)), 0
         for i in range(len(word) - 2):
             a, b, c = word[i], word[i + 1], word[i + 2]
             if a == c and abs(a - b) == 1:
-                flipped = word[:i] + (b, a, b) + word[i + 3:]
-                t_canonical = cache.apply_word(word, eye)
-                t_flipped = cache.apply_word(flipped, eye)
-                worst = max(worst, max_abs(t_canonical - t_flipped))
+                prefix = cache.apply_word(word[done:i], prefix, labels)
+                done = i
+                suffix_labels = list(labels)
+                canonical = cache.apply_word((a, b, a), prefix, suffix_labels)
+                flipped = cache.apply_word((b, a, b), prefix, list(labels))
+                diff = cache.apply_word(word[i + 3:], canonical - flipped, suffix_labels)
+                worst = max(worst, max_abs(diff))
     return worst
 
 
@@ -244,20 +279,18 @@ def _permutation_sign(order: np.ndarray) -> int:
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:
+    """Plane-wave sum at a point y of the fundamental region, all N! terms at once."""
+    slots = np.array(list(state.coefficients), dtype=np.intp) - 1
+    coeffs = np.array(list(state.coefficients.values()), dtype=dtype)
     momenta = np.asarray(state.momenta, dtype=np.longdouble)
-    value = np.zeros(state.dims.total_dim, dtype=dtype)
-    for perm, coeff in state.coefficients.items():
-        slots = np.asarray(perm) - 1
-        phase = np.exp(1j * np.dot(momenta[slots], y).astype(dtype))
-        value = value + coeff.astype(dtype) * phase
-    return value
+    phases = np.exp(1j * (momenta[slots] @ y).astype(dtype))
+    return phases @ coeffs
 
 
-def _wavefunction(state: BetheState, x, statistics, dtype) -> np.ndarray:
+def _wavefunction(state: BetheState, x, dtype) -> np.ndarray:
     x = np.asarray(x, dtype=np.longdouble).reshape(-1)
     if x.shape[0] != state.dims.N:
         raise ValueError(f"position must have {state.dims.N} coordinates, got {x.shape[0]}")
-    stats = as_statistics(statistics)
     scale = max(1.0, float(np.max(np.abs(x))))
     order = np.argsort(x, kind="stable")
     y = x[order]
@@ -268,7 +301,7 @@ def _wavefunction(state: BetheState, x, statistics, dtype) -> np.ndarray:
         )
     value = _fundamental_value(state, y, dtype)
     reindexed = _spin_slot_permutation(value, order, state.dims)
-    if stats is Statistics.FERMION and _permutation_sign(order) < 0:
+    if state.statistics is Statistics.FERMION and _permutation_sign(order) < 0:
         reindexed = -reindexed
     return reindexed
 
@@ -278,9 +311,16 @@ def evaluate_wavefunction(state: BetheState, x, statistics) -> np.ndarray:
 
     The point is sorted into the fundamental region, the plane-wave sum is
     evaluated there, and the value is carried back by reindexing spin slots
-    with the sorting permutation (signed for fermions).
+    with the sorting permutation (signed for fermions).  statistics must
+    match the statistics the state was propagated with.
     """
-    return _wavefunction(state, x, statistics, np.complex128).astype(np.complex128)
+    stats = as_statistics(statistics)
+    if stats is not state.statistics:
+        raise ValueError(
+            f"statistics {stats.value!r} does not match the state's "
+            f"{state.statistics.value!r}"
+        )
+    return _wavefunction(state, x, np.complex128).astype(np.complex128)
 
 
 def _fd_weights(nodes: np.ndarray, max_order: int) -> np.ndarray:
@@ -343,7 +383,7 @@ def boundary_jump_residual(state: BetheState, bc: SeparatedBC, j: int, probe: fl
         samples = []
         for s in sign * nodes:
             point = np.array([probe - 0.5 * s, probe + 0.5 * s], dtype=np.longdouble)
-            samples.append(_wavefunction(state, point, state.statistics, np.clongdouble))
+            samples.append(_wavefunction(state, point, np.clongdouble))
         stack = np.array(samples)
         value = weights[0] @ stack
         derivative = sign * (weights[1] @ stack)

@@ -1,4 +1,7 @@
 """Coefficient propagation, wavefunction assembly, and interface defects."""
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from ptspin.bethe import (
     path_consistency,
 )
 from ptspin.boundary import SeparatedBC, delta_type, hspin
-from ptspin.linalg import SingularMatrixError, SpinDims, exchange_operator, max_abs
+from ptspin.linalg import SingularMatrixError, SpinDims, embed_pair, exchange_operator, max_abs
 from ptspin.scattering import make_y_factory, y_separated, ybe_residual
 
 
@@ -174,6 +177,102 @@ def test_path_consistency_needs_three_particles():
         path_consistency(bc, (1.0, -1.0), np.array([1.0, 0, 0, 0]), "boson")
 
 
+# -- dense reference engine --------------------------------------------------
+#
+# The slot-local engine in ptspin.bethe replaces this one: every step is a
+# dense n^N x n^N product with an operator embedded by Kronecker products, and
+# every word is replayed in full from the identity.
+
+def reference_word(perm):
+    """Reversed bubble-sort word of adjacent swaps taking the identity to perm."""
+    seq = list(perm)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(seq) - 1):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                word.append(j + 1)
+                changed = True
+    return tuple(reversed(word))
+
+
+class ReferenceEngine:
+    """Embedded exchange operators keyed by (slot, label pair), replayed densely."""
+
+    def __init__(self, bc, momenta):
+        self.bc = bc
+        self.momenta = momenta
+        self.dims = SpinDims(bc.n, len(momenta))
+        self.operators = {}
+
+    def operator(self, slot, alpha, beta):
+        key = (slot, alpha, beta)
+        if key not in self.operators:
+            k = 0.5 * (self.momenta[alpha - 1] - self.momenta[beta - 1])
+            self.operators[key] = embed_pair(y_separated(self.bc, k), slot, self.dims)
+        return self.operators[key]
+
+    def replay(self, word, start):
+        seq = list(range(1, self.dims.N + 1))
+        out = start
+        for slot in word:
+            alpha, beta = seq[slot - 1], seq[slot]
+            out = self.operator(slot, alpha, beta) @ out
+            seq[slot - 1], seq[slot] = beta, alpha
+        return out
+
+    def path_consistency(self):
+        eye = np.eye(self.dims.total_dim, dtype=complex)
+        worst = 0.0
+        for perm in itertools.permutations(range(1, self.dims.N + 1)):
+            word = reference_word(perm)
+            for i in range(len(word) - 2):
+                a, b, c = word[i:i + 3]
+                if a == c and abs(a - b) == 1:
+                    flipped = word[:i] + (b, a, b) + word[i + 3:]
+                    gap = self.replay(word, eye) - self.replay(flipped, eye)
+                    worst = max(worst, max_abs(gap))
+        return worst
+
+
+def dense_complex_coupling(rng, n):
+    return SeparatedBC(n, rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+
+
+@pytest.mark.parametrize("stats", ["boson", "fermion"])
+@pytest.mark.parametrize("n,N", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5)])
+def test_local_engine_matches_dense_reference(rng, n, N, stats):
+    bc = random_hspin(rng) if n == 2 else dense_complex_coupling(rng, n)
+    momenta = separated_momenta(rng, N)
+    u = rng.normal(size=n ** N) + 1j * rng.normal(size=n ** N)
+    reference = ReferenceEngine(bc, momenta)
+    state = bethe_coefficients(bc, momenta, u, stats)
+    assert list(state.words) == list(itertools.permutations(range(1, N + 1)))
+    for perm, word in state.words.items():
+        assert word == reference_word(perm)
+        want = reference.replay(word, u)
+        assert max_abs(state.coefficients[perm] - want) <= 1e-13 * max_abs(want)
+    want = reference.path_consistency()
+    assert abs(path_consistency(bc, momenta, u, stats) - want) <= 1e-12 * want
+
+
+def test_path_consistency_memory_stays_local(rng):
+    """n=3, N=5 transports are 243x243 (0.9 MB); embedded operators cost ~40 MB."""
+    bc = dense_complex_coupling(rng, 3)
+    momenta = separated_momenta(rng, 5)
+    u = np.zeros(3 ** 5, complex)
+    u[0] = 1.0
+    tracemalloc.start()
+    try:
+        path_consistency(bc, momenta, u, "boson")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # -- wavefunction evaluation -------------------------------------------------
 
 def explicit_wavefunction(state, x, stats):
@@ -266,6 +365,15 @@ def test_wavefunction_rejects_coincidence_points():
         evaluate_wavefunction(state, (0.5, 0.5 + 1e-15), "boson")
     with pytest.raises(ValueError):
         evaluate_wavefunction(state, (0.5,), "boson")
+
+
+def test_wavefunction_rejects_mismatched_statistics():
+    bc = SeparatedBC(2, np.zeros((4, 4)))
+    u = np.array([0.0, 1.0, -1.0, 0.0], complex)
+    state = bethe_coefficients(bc, (1.0, -1.0), u, "fermion")
+    with pytest.raises(ValueError, match="statistics"):
+        evaluate_wavefunction(state, (0.1, 0.7), "boson")
+    assert evaluate_wavefunction(state, (0.1, 0.7), "fermion").shape == (4,)
 
 
 # -- interface defect --------------------------------------------------------
