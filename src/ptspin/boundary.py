@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_operator,
+    as_tolerance,
     cayley,
     matrix_from_json,
     matrix_to_json,
@@ -50,7 +51,6 @@ __all__ = [
     "validate_separated_selfadjoint",
     "validate",
     "lower",
-    "lower_separated",
     "require_separated",
     "compatibility_residual",
     "parse_boundary_condition",
@@ -80,7 +80,7 @@ class ScalarBC:
             phase = np.exp(1j * p["theta"])
             return phase * np.array([[p["a"], p["b"]], [p["c"], p["d"]]])
         if self.kind == "pt_type1":
-            root = math.sqrt(1.0 + p["b"] * p["c"])
+            root = math.sqrt(_require_one_plus_bc(p["b"], p["c"]))
             phase = np.exp(1j * p["theta"])
             return phase * np.array(
                 [
@@ -153,6 +153,7 @@ class ValidationReport:
 
     @classmethod
     def from_residuals(cls, residuals: dict[str, float], tolerance: float) -> ValidationReport:
+        tolerance = as_tolerance(tolerance)
         worst = max(residuals.values()) if residuals else 0.0
         return cls(valid=worst <= tolerance, residuals=dict(residuals), tolerance=tolerance)
 
@@ -166,6 +167,13 @@ def _require_finite_real(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"parameter {name} must be finite, got {value!r}")
     return value
+
+
+def _require_one_plus_bc(b: float, c: float) -> float:
+    """1 + bc, which the pt_type1 family needs non-negative for its square root."""
+    if 1.0 + b * c < 0.0:
+        raise ValueError(f"parameter constraint 1 + bc >= 0 violated: got {1.0 + b * c!r}")
+    return 1.0 + b * c
 
 
 def scalar_sa_nonseparated(theta: float, a: float, b: float, c: float, d: float) -> ScalarBC:
@@ -203,8 +211,7 @@ def scalar_pt_type1(theta: float, phi: float, b: float, c: float) -> ScalarBC:
     c = _require_finite_real(c, "c")
     if b < 0.0:
         raise ValueError(f"parameter b must be non-negative, got {b!r}")
-    if 1.0 + b * c < 0.0:
-        raise ValueError(f"parameter constraint 1 + bc >= 0 violated: got {1.0 + b * c!r}")
+    _require_one_plus_bc(b, c)
     params = {
         "theta": _require_finite_real(theta, "theta") % TWO_PI,
         "phi": _require_finite_real(phi, "phi") % TWO_PI,
@@ -396,12 +403,6 @@ def lower(bc):
     if bc.kind == "pt_type2":
         return scalar_pt_type2(**bc.params)
     return lift_scalar(bc.connection_matrix(), 1)
-
-
-def lower_separated(bc) -> SeparatedBC | None:
-    """`lower(bc)` when that is a separated condition, otherwise None."""
-    lowered = lower(bc)
-    return lowered if isinstance(lowered, SeparatedBC) else None
 
 
 def require_separated(bc, what: str) -> SeparatedBC:

@@ -31,14 +31,15 @@ from .boundary import (
     ValidationReport,
     load_boundary_condition,
     lower,
-    lower_separated,
     parse_boundary_condition,
     read_document,
+    require_separated,
     validate,
 )
 from .linalg import (
     SingularMatrixError,
     SpinDims,
+    as_tolerance,
     complex_to_json,
     matrix_to_json,
     vector_from_json,
@@ -58,20 +59,13 @@ class _UsageError(Exception):
 
 def _resolve_tol(args) -> float | None:
     """--tol beats PTSPIN_TOL beats the library default (returned as None)."""
-    flag = getattr(args, "tol", None)
-    if flag is not None:
-        if not math.isfinite(flag) or flag <= 0:
-            raise _UsageError(f"--tol must be a positive number, got {flag}")
-        return float(flag)
-    env = os.environ.get("PTSPIN_TOL")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise _UsageError(f"PTSPIN_TOL must be a number, got {env!r}") from None
-        if not math.isfinite(value) or value <= 0:
-            raise _UsageError(f"PTSPIN_TOL must be a positive number, got {env!r}")
-        return value
+    for source, value in (("--tol", getattr(args, "tol", None)),
+                          ("PTSPIN_TOL", os.environ.get("PTSPIN_TOL"))):
+        if value is not None:
+            try:
+                return as_tolerance(value)
+            except ValueError as exc:
+                raise _UsageError(f"{source}: {exc}") from None
     return None
 
 
@@ -80,10 +74,10 @@ def _dumps(doc) -> str:
 
 
 def _require_separated(bc, what: str) -> SeparatedBC:
-    lowered = lower_separated(bc)
-    if lowered is None:
-        raise _UsageError(f"{what} requires a separated boundary condition")
-    return lowered
+    try:
+        return require_separated(lower(bc), what)
+    except TypeError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _report_doc(report: ValidationReport) -> dict:
@@ -164,9 +158,7 @@ def _bound_state_doc(state) -> dict:
 def cmd_bound(args, tol) -> tuple[int, str]:
     if args.particles < 2:
         raise _UsageError(f"--particles must be at least 2, got {args.particles}")
-    bc = lower_separated(load_boundary_condition(args.input))
-    if bc is None:
-        raise _UsageError("bound-state construction requires separated BC")
+    bc = _require_separated(load_boundary_condition(args.input), "bound-state construction")
     states = bound_states(bc, args.particles, args.statistics, tol)
     return EXIT_OK, _dumps([_bound_state_doc(s) for s in states])
 

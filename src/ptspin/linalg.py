@@ -24,6 +24,7 @@ __all__ = [
     "as_statistics",
     "statistics_swap",
     "as_operator",
+    "as_tolerance",
     "max_abs",
     "swap_pair",
     "exchange_operator",
@@ -40,7 +41,7 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
-    """Inversion refused: smallest singular value below rtol times the largest."""
+    """Inversion refused: smallest singular value below SINGULARITY_RTOL times the largest."""
 
     def __init__(self, message: str, role: str = "matrix"):
         super().__init__(message)
@@ -77,6 +78,14 @@ def as_operator(values, role: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{role} has non-finite entries")
     return m
+
+
+def as_tolerance(tol) -> float:
+    """Coerce a decision tolerance to float; it must be positive and finite."""
+    tol = float(tol)
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def max_abs(m) -> float:
@@ -151,11 +160,11 @@ def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
     return np.kron(np.kron(left, m), right)
 
 
-def inverse(m, role: str = "matrix", rtol: float = SINGULARITY_RTOL) -> np.ndarray:
+def inverse(m, role: str = "matrix") -> np.ndarray:
     """Matrix inverse guarded by a singular-value ratio check."""
     m = as_operator(m, role)
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < rtol * sv[0]:
+    if sv[0] == 0.0 or sv[-1] < SINGULARITY_RTOL * sv[0]:
         raise SingularMatrixError(
             f"{role} is singular or near-singular "
             f"(smallest/largest singular value {sv[-1]:.3e}/{sv[0]:.3e})",

@@ -21,10 +21,12 @@ import numpy as np
 from .bethe import SignPattern
 from .boundary import SeparatedBC, require_separated
 from .linalg import (
+    DEFAULT_TOL,
     SpinDims,
     Statistics,
     as_operator,
     as_statistics,
+    as_tolerance,
     embed_pair,
     exchange_operator,
     max_abs,
@@ -79,9 +81,12 @@ class SpectrumReport:
         return not self.complex_pairs and not self.unpaired
 
 
-def _default_tol(eigenvalues: np.ndarray) -> float:
+def _resolve_tol(tol, eigenvalues: np.ndarray) -> float:
+    """tol checked by `as_tolerance`, or DEFAULT_TOL * (1 + spectral radius) when None."""
+    if tol is not None:
+        return as_tolerance(tol)
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return 1e-10 * (1.0 + radius)
+    return DEFAULT_TOL * (1.0 + radius)
 
 
 def classify_spectrum(F, tol: float | None = None) -> SpectrumReport:
@@ -92,11 +97,7 @@ def classify_spectrum(F, tol: float | None = None) -> SpectrumReport:
     """
     F = as_operator(F, "F")
     values = np.linalg.eigvals(F)
-    if tol is None:
-        tol = _default_tol(values)
-    tol = float(tol)
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    tol = _resolve_tol(tol, values)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     real_subset = tuple(float(v.real) for v in values if abs(v.imag) <= tol)
@@ -150,6 +151,13 @@ def _nullspace(constraints: np.ndarray, tol: float) -> np.ndarray:
     if n_small == 0:
         return np.zeros((dim, 0), dtype=np.complex128)
     return vh[dim - n_small:].conj().T
+
+
+def _parity_stack(epsilon: SignPattern, stats: Statistics, dims: SpinDims) -> np.ndarray:
+    """Blocks P_kl - sign(statistics) * epsilon_kl * I stacked in `epsilon.pairs` order."""
+    eye = np.eye(dims.total_dim, dtype=np.complex128)
+    return np.vstack([exchange_operator(l, k, dims) - stats.sign * epsilon[(k, l)] * eye
+                      for (k, l) in epsilon.pairs])
 
 
 def negative_real_eigenvalues(F, tol: float | None = None) -> tuple[tuple[float, ...], float]:
@@ -214,13 +222,12 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
     each adjacent pair, the eigenvalue conditions of F and conj(F).  When no
     vector survives, the raised error reports whether the parity conditions
     alone are already unsatisfiable or the eigenvalue conditions removed the
-    remaining freedom.
+    remaining freedom.  By S_N (see `bound_states`) only a uniform pattern has a
+    parity sector; for sign(statistics) * epsilon = -1 it is antisymmetric, empty if n < N.
     """
     bc = require_separated(bc, "bound-state construction")
     F, n = bc.F, bc.n
     N = int(N)
-    if N < 2:
-        raise ValueError(f"need at least two particles, got N={N}")
     lam = float(lam)
     if not lam < 0:
         raise ValueError(f"decay rate must be negative, got {lam}")
@@ -230,18 +237,9 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
         raise ValueError(
             f"sign pattern is for {epsilon.n_particles} particles, expected {N}")
     stats = as_statistics(statistics)
-    dims = SpinDims(n, N)
-    dim = dims.total_dim
-    eye = np.eye(dim, dtype=np.complex128)
-    parity_blocks = [
-        exchange_operator(l, k, dims) - stats.sign * epsilon[(k, l)] * eye
-        for (k, l) in epsilon.pairs
-    ]
-    if tol is None:
-        tol = _default_tol(np.linalg.eigvals(F)) if F is not None else 1e-10
-    tol = float(tol)
-    parity_basis = _nullspace(np.vstack(parity_blocks), tol)
-    if parity_basis.shape[1] == 0:
+    tol = _resolve_tol(tol, np.linalg.eigvals(F) if F is not None and tol is None else np.zeros(0))
+    uniform = len(set(epsilon.values())) == 1
+    if not uniform or (stats.sign * epsilon[(2, 1)] < 0 and n < N):
         raise BoundStateNotFound(
             f"no spin vector realizes the sign pattern {epsilon.values()} for "
             f"{stats.value}s with n={n}, N={N}",
@@ -253,7 +251,9 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
             "limits must vanish)",
             reason="eigenvalue",
         )
-    blocks = list(parity_blocks)
+    dims = SpinDims(n, N)
+    eye = np.eye(dims.total_dim, dtype=np.complex128)
+    blocks = [_parity_stack(epsilon, stats, dims)]
     for j in range(1, N):
         blocks.append(embed_pair(F, j, dims) - lam * eye)
         blocks.append(embed_pair(F.conj(), j, dims) - lam * eye)
@@ -346,11 +346,7 @@ class BoundState:
     def parity_residual(self) -> float:
         """Worst defect of the stored pair-exchange sign relations."""
         dims = SpinDims(self.n, self.n_particles)
-        worst = 0.0
-        for (k, l) in self.epsilon.pairs:
-            op = exchange_operator(l, k, dims)
-            worst = max(worst, max_abs(op @ self.v - self.statistics.sign * self.epsilon[(k, l)] * self.v))
-        return worst
+        return max_abs(_parity_stack(self.epsilon, self.statistics, dims) @ self.v)
 
 
 _AXIS_SAMPLES = {2: 48, 3: 17}

@@ -8,10 +8,16 @@ should be frozen:
 
     PYTHONPATH=src python tests/golden/capture.py
 
+With --diff the cases are replayed against cases.json without writing it:
+each case that would change is printed with the fields (exit, stdout,
+stderr) that differ and, for JSON stdout, the largest move of a number, and
+the exit status is 1 if any case differs.
+
 tests/test_golden.py replays the corpus and requires byte identity.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -73,16 +79,61 @@ def run_case(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code or 0, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def main() -> None:
+def _numeric_leaves(doc, path=()) -> dict:
+    """Map the path of every number in a decoded JSON document to its value."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float, list, dict)):
+        return {}
+    if isinstance(doc, (int, float)):
+        return {path: float(doc)}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return {leaf: value for key, item in items
+            for leaf, value in _numeric_leaves(item, path + (key,)).items()}
+
+
+def numeric_move(old: str, new: str) -> str:
+    """Largest absolute change of a number between two JSON outputs."""
+    try:
+        before, after = _numeric_leaves(json.loads(old)), _numeric_leaves(json.loads(new))
+    except json.JSONDecodeError:
+        return "not JSON"
+    if before.keys() != after.keys():
+        return "numbers added or removed"
+    move = max((abs(after[leaf] - before[leaf]) for leaf in before), default=0.0)
+    return f"largest numeric move {move!r}"
+
+
+def diff(stored: list[dict]) -> int:
+    """Replay every stored case and print the ones that differ; 1 if any does."""
+    differing = 0
+    for before in stored:
+        after = run_case(before["argv"])
+        fields = [key for key in ("exit", "stdout", "stderr") if before[key] != after[key]]
+        if "stdout" in fields:
+            fields[fields.index("stdout")] = f"stdout ({numeric_move(before['stdout'], after['stdout'])})"
+        if fields:
+            differing += 1
+            print(f"{' '.join(before['argv'])}: {', '.join(fields)}")
+    print(f"{differing} of {len(stored)} cases differ", file=sys.stderr)
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="compare with cases.json instead of writing it")
+    args = parser.parse_args(argv)
     os.environ.pop("PTSPIN_TOL", None)
     os.chdir(TESTS)
+    if args.diff:
+        return diff(json.loads(OUTPUT.read_text(encoding="utf-8")))
     cases = []
     for argv in golden_argvs():
         cases.append(run_case(argv))
         print(" ".join(argv), "->", cases[-1]["exit"], file=sys.stderr)
     OUTPUT.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {OUTPUT}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -21,7 +21,6 @@ from ptspin.boundary import (
     lift_scalar,
     load_boundary_condition,
     lower,
-    lower_separated,
     parse_boundary_condition,
     read_document,
     scalar_pt_type1,
@@ -320,7 +319,5 @@ def test_lower_reaches_operator_ready_forms():
     assert isinstance(lifted, NonseparatedBC) and lifted.n == 1
     separated = lower(ScalarBC("pt_type2", {"theta": 0.0, "h0": 1.0, "h1": -2.0}))
     assert isinstance(separated, SeparatedBC) and separated.F[0, 0] == -2.0
-    assert lower_separated(separated) is separated
-    assert lower_separated(bc) is None
     with pytest.raises(ValueError, match="connection matrix"):
         lower(scalar_sa_separated(1.0, 2.0))

@@ -122,6 +122,20 @@ def test_yop_singular_momentum_reports_math_failure(capsys):
     assert err == ""
 
 
+def test_invalid_pt_type1_document_names_the_violated_constraint(capsys, tmp_path):
+    doc = tmp_path / "pt1_negative_root.json"
+    doc.write_text(json.dumps({"kind": "scalar_pt_type1", "theta": 0.0, "phi": 0.0,
+                               "b": 1.0, "c": -3.0}))
+    for argv in (("yop", doc, "--k1", "1.0", "--k2", "-1.0"),
+                 ("ybe", doc, "--k", "1.0,0.3,-0.7"),
+                 ("sweep", doc, "--run", "ybe", "--param", "theta=0.0:1.0:2",
+                  "--k", "1.0,0.3,-0.7")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (1, "")
+        assert json.loads(out) == {
+            "error": "invalid", "detail": "parameter constraint 1 + bc >= 0 violated: got -2.0"}
+
+
 def test_yop_missing_argument_is_usage_error(capsys):
     rc, out, err = run_cli(capsys, "yop", fx("separated_free.json"), "--k1", "1.0")
     assert rc == 2
@@ -322,7 +336,38 @@ def test_output_flag_redirects_stdout(capsys, tmp_path):
     assert target.read_text() == direct
 
 
-def test_structural_errors_are_usage_errors(capsys, tmp_path):
+_ZERO = [0.0, 0.0]
+
+# (argv, PTSPIN_TOL or None, stderr fragment); "{doc}" in argv is replaced by
+# the path of a file holding the JSON document given as the fourth entry.
+_USAGE_ERRORS = [
+    (("validate", fx("perturbed_a.json"), "--tol", "0"), None, "--tol: tolerance must be positive"),
+    (("validate", fx("perturbed_a.json")), "-1", "PTSPIN_TOL: tolerance must be positive"),
+    (("bethe", fx("hspin_diag.json"), "--k", "1.0,-1.0", "--u-init", "nope"), None, "--u-init"),
+    *[(("sweep", fx("hspin_diag.json"), "--run", "validate", "--param", param), None, fragment)
+      for param, fragment in (("g0:1:2", "name=lo:hi:steps"), ("g=0:1", "name=lo:hi:steps"),
+                              ("g=a:1:2", "name=lo:hi:steps"), ("g=0:1:0", "steps >= 1"),
+                              ("g=0:inf:2", "finite bounds"))],
+    (("sweep", fx("hspin_diag.json"), "--run", "ybe", "--param", "g=0:1:2"), None, "--k is required"),
+    (("ybe", fx("hspin_diag.json"), "--k", "1,2"), None, "exactly 3 momenta"),
+    (("ybe", fx("hspin_diag.json"), "--k", "1,x,2"), None, "comma-separated list of numbers"),
+    (("ybe", fx("hspin_diag.json"), "--k", "1,nan,2"), None, "must be finite"),
+    (("sweep", "{doc}", "--run", "validate", "--param", "g=0:1:2"), None, "must be an object",
+     [{"kind": "hspin"}]),
+    (("validate", "{doc}"), None, "missing field 'c'",
+     {"kind": "scalar_pt_type1", "theta": 0.0, "phi": 0.0, "b": 1.0}),
+    (("validate", "{doc}"), None, "positive integer", {"kind": "separated", "n": 1.5, "F": [[_ZERO]]}),
+    (("validate", "{doc}"), None, "'params' must be an object", {"kind": "hspin", "params": [1.0]}),
+    (("validate", "{doc}"), None, "D must be square",
+     {"kind": "nonseparated", "n": 1, "A": [[_ZERO]], "B": [[_ZERO]], "C": [[_ZERO]],
+      "D": [[_ZERO, _ZERO]]}),
+    (("validate", "{doc}"), None, "must be 4x4 for n=2", {"kind": "delta", "n": 2, "C": [[_ZERO]]}),
+    (("validate", "{doc}"), None, "[re, im] number pair",
+     {"kind": "separated", "n": 1, "F": [[["a", 0]]]}),
+]
+
+
+def test_structural_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
     rc, out, err = run_cli(capsys, "validate", fx("truncated.json"))
     assert rc == 2 and out == ""
     rc, out, err = run_cli(capsys, "validate", fx("unknown_kind.json"))
@@ -340,6 +385,19 @@ def test_structural_errors_are_usage_errors(capsys, tmp_path):
             rc, out, err = run_cli(capsys, *argv)
             assert rc == 2 and out == ""
             assert reason in err
+    failures = []
+    for argv, env_tol, fragment, *doc in _USAGE_ERRORS:
+        if doc:
+            (tmp_path / "doc.json").write_text(json.dumps(doc[0]))
+        if env_tol is None:
+            monkeypatch.delenv("PTSPIN_TOL", raising=False)
+        else:
+            monkeypatch.setenv("PTSPIN_TOL", env_tol)
+        argv = [str(tmp_path / "doc.json") if a == "{doc}" else a for a in argv]
+        rc, out, err = run_cli(capsys, *argv)
+        if rc != 2 or out != "" or fragment not in err:
+            failures.append((argv, rc, out, err))
+    assert failures == []
 
 
 def test_reruns_are_byte_identical(capsys):

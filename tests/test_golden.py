@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.capture import golden_argvs
+from golden.capture import golden_argvs, numeric_move
 from ptspin.cli import main
 
 TESTS = Path(__file__).parent
@@ -37,3 +37,10 @@ def test_golden_corpus_replays_byte_identically(capsys):
 
 def test_corpus_matches_the_capture_argv_list():
     assert [case["argv"] for case in CASES] == golden_argvs()
+
+
+def test_numeric_move_reports_the_largest_change():
+    assert numeric_move('{"a":[1.0,2.0],"b":true}', '{"a":[1.0,2.5],"b":false}') == \
+        "largest numeric move 0.5"
+    assert numeric_move("[1]", "[1,2]") == "numbers added or removed"
+    assert numeric_move("param,value\r\n", "param,other\r\n") == "not JSON"

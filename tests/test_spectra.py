@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_hspin
 from ptspin.bethe import SignPattern
-from ptspin.boundary import SeparatedBC, hspin
+from ptspin.boundary import SeparatedBC, hspin, validate
 from ptspin.linalg import SpinDims, exchange_operator, max_abs
 from ptspin.spectra import (
     BoundState,
@@ -86,8 +86,11 @@ def test_classify_real_matrix_pairs_everything(rng):
     lambda tol: negative_real_eigenvalues(-np.eye(4), tol),
     lambda tol: two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson", tol),
     lambda tol: bound_states(SeparatedBC(2, -np.eye(4)), 3, "boson", tol=tol),
+    lambda tol: n_particle_bound_state(SeparatedBC(2, -np.eye(4)), 3, -1.0,
+                                       SignPattern.uniform(3), "boson", tol),
+    lambda tol: validate(SeparatedBC(2, -np.eye(4)), tol),
 ], ids=["classify_spectrum", "negative_real_eigenvalues", "two_particle_bound_states",
-        "bound_states"])
+        "bound_states", "n_particle_bound_state", "validate"])
 def test_classify_rejects_bad_tolerance(call, tol):
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         call(tol)
@@ -211,18 +214,33 @@ def all_sign_patterns(N):
         yield SignPattern(N, dict(zip(pairs, signs)))
 
 
-@pytest.mark.parametrize("N,n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+@pytest.mark.parametrize("N,n", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
 def test_mixed_sign_pattern_fails_on_parity(N, n):
     """No non-uniform pattern has a parity sector, even for a lambda*I coupling
-    that every vector satisfies; `bound_states` relies on this to skip them."""
+    that every vector satisfies; `bound_states` relies on this to skip them.
+
+    The sector rule of `n_particle_bound_state` is checked against the SVD of
+    the stacked parity constraints, and no tolerance can open a sector it
+    rules out."""
     bc = SeparatedBC(n, -np.eye(n * n))
+    dims = SpinDims(n, N)
+    eye = np.eye(dims.total_dim)
     mixed = [p for p in all_sign_patterns(N) if len(set(p.values())) == 2]
     assert len(mixed) == 2 ** (N * (N - 1) // 2) - 2
-    for stats in ("boson", "fermion"):
-        for pattern in mixed:
-            with pytest.raises(BoundStateNotFound) as excinfo:
-                n_particle_bound_state(bc, N, -1.0, pattern, stats)
-            assert excinfo.value.reason == "parity"
+    for stats, sign in (("boson", 1.0), ("fermion", -1.0)):
+        for pattern in all_sign_patterns(N):
+            stack = np.vstack([exchange_operator(l, k, dims) - sign * pattern[(k, l)] * eye
+                               for (k, l) in pattern.pairs])
+            sector_dim = int(np.sum(np.linalg.svd(stack, compute_uv=False) <= 1e-10))
+            if pattern in mixed:
+                assert sector_dim == 0
+            for tol in ((None, 1e6) if sector_dim == 0 else (None,)):
+                try:
+                    n_particle_bound_state(bc, N, -1.0, pattern, stats, tol)
+                except BoundStateNotFound as exc:
+                    assert (sector_dim, exc.reason) == (0, "parity")
+                else:
+                    assert sector_dim > 0
 
 
 def exhaustive_bound_states(bc, N, statistics):
