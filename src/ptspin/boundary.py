@@ -393,8 +393,10 @@ def lower(bc):
     """Reduce a parsed condition to a SeparatedBC or NonseparatedBC.
 
     A pt_type2 scalar becomes its one-channel SeparatedBC and the other
-    scalar families are lifted to n = 1 connection matrices.  The
-    sa_separated scalar has no connection matrix and raises ValueError; no
+    scalar families are lifted to n = 1 connection matrices.  The parsed
+    pt_type1 and pt_type2 scalars go through their family constructors, so
+    every parameter inequality that `validate` reports raises ValueError here.
+    The sa_separated scalar has no connection matrix and raises ValueError; no
     document reaches that error, because `parse_boundary_condition` only
     yields pt_type1 and pt_type2 scalars.
     """
@@ -402,6 +404,8 @@ def lower(bc):
         return bc
     if bc.kind == "pt_type2":
         return scalar_pt_type2(**bc.params)
+    if bc.kind == "pt_type1":
+        bc = scalar_pt_type1(**bc.params)
     return lift_scalar(bc.connection_matrix(), 1)
 
 

@@ -1,12 +1,18 @@
 """Spectral classification of the coupling matrix and bound-state construction.
 
-A separated interaction with coupling F binds pairs of particles through real
-negative eigenvalues: the profile exp(lam * sum_{i>j} |x_i - x_j|) solves the
-free equation away from coincidence planes and meets the interface conditions
-exactly when F v = lam v and conj(F) v = lam v.  Both conditions are imposed;
-they coincide for real F.  The spin vector must additionally be a joint
-eigenvector of every pair exchange with signs fixed by a SignPattern and the
-statistics, which for three or more particles is a genuine restriction.
+A separated interaction with coupling F binds particles through real negative
+eigenvalues: the profile exp(lam * sum_{i>j} |x_i - x_j|) solves the free
+equation away from coincidence planes and meets the interface conditions
+exactly when F v = lam v and conj(F) v = lam v on every adjacent pair (they
+coincide for real F).  The spin vector must also be a joint eigenvector of
+every pair exchange with one common sign, so it lies in Sym^N(C^n) or
+Λ^N(C^n); an empty sector (a non-uniform SignPattern, or Λ^N with n < N) is
+the "parity" failure.  Bound states are solved inside the sector, in
+C(n+N-1, N) or C(n, N) dimensions instead of n^N, where pair (1, 2) implies
+every pair, and the solutions get a canonical basis in occupation-number
+order (`_sector_solutions`).  N = 2 emits every basis vector, N >= 3 the
+first one per sign.  The dense n^N pair-exchange conditions (`_parity_stack`)
+serve only the independent check `BoundState.parity_residual`.
 
 `verify_bound_state_fd` is an independent check: it differentiates nothing
 analytically, it just applies a second-order grid Laplacian to the decay
@@ -14,11 +20,12 @@ profile inside one ordering region and compares against the stored energy.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import SignPattern
+from .bethe import SignPattern, _permutation_sign
 from .boundary import SeparatedBC, require_separated
 from .linalg import (
     DEFAULT_TOL,
@@ -27,10 +34,8 @@ from .linalg import (
     as_operator,
     as_statistics,
     as_tolerance,
-    embed_pair,
     exchange_operator,
     max_abs,
-    swap_pair,
 )
 
 __all__ = [
@@ -144,13 +149,9 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _nullspace(constraints: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the numerical nullspace of a stacked matrix."""
-    _, sv, vh = np.linalg.svd(constraints)
-    dim = constraints.shape[1]
-    n_small = int(np.sum(sv <= tol)) + max(0, dim - len(sv))
-    if n_small == 0:
-        return np.zeros((dim, 0), dtype=np.complex128)
-    return vh[dim - n_small:].conj().T
+    """Orthonormal columns spanning the numerical nullspace of a tall stacked matrix."""
+    _, sv, vh = np.linalg.svd(constraints, full_matrices=False)
+    return vh[len(sv) - int(np.sum(sv <= tol)):].conj().T
 
 
 def _parity_stack(epsilon: SignPattern, stats: Statistics, dims: SpinDims) -> np.ndarray:
@@ -158,6 +159,52 @@ def _parity_stack(epsilon: SignPattern, stats: Statistics, dims: SpinDims) -> np
     eye = np.eye(dims.total_dim, dtype=np.complex128)
     return np.vstack([exchange_operator(l, k, dims) - stats.sign * epsilon[(k, l)] * eye
                       for (k, l) in epsilon.pairs])
+
+
+def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
+    """Orthonormal occupation-number basis of Sym^N(C^n) (sign +1) or Λ^N(C^n) (sign -1).
+
+    One column per sorted label tuple (non-decreasing for Sym^N, increasing
+    for Λ^N) in lexicographic order: the normalized sum of e_{a_1} x ... x
+    e_{a_N} over every ordering of the labels, signed by the ordering's parity
+    for Λ^N.  Λ^N(C^n) has no columns when n < N.
+    """
+    orders = np.array(list(itertools.permutations(range(N))), dtype=np.intp)
+    weights = [_permutation_sign(o) for o in orders.tolist()] if exchange_sign < 0 else 1.0
+    choose = itertools.combinations_with_replacement if exchange_sign > 0 else itertools.combinations
+    labels = np.array(list(choose(range(n), N)), dtype=np.intp).reshape(-1, N)
+    flat = labels[:, orders] @ n ** np.arange(N - 1, -1, -1)
+    S = np.zeros((n ** N, len(labels)))
+    np.add.at(S, (flat, np.arange(len(labels))[:, None]), weights)
+    return S / np.linalg.norm(S, axis=0)
+
+
+def _sector_solutions(F: np.ndarray, lam: float, S: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Canonical basis of {v in range(S) : F_12 v = conj(F)_12 v = lam v}.
+
+    F and conj(F) act on slots 1-2 of S's columns through their (n^2, rest)
+    view; inside the symmetric or antisymmetric sector pair (1, 2) implies
+    every other pair, since each pair exchange maps v to +-v.  K spans the
+    nullspace of the stacked d-column constraints (singular values <= tol).
+    The basis is the Gram-Schmidt of the projections K K^H e_i of S's
+    columns, in column order, keeping a remainder whose norm is at least
+    1/sqrt(2d): since the squared norms of all d projections sum to dim K,
+    this cut-off always keeps dim K vectors, and the result depends on the
+    nullspace only, not on which K the SVD returns.  Each vector is mapped
+    back through S and phase-normalized.
+    """
+    view = S.reshape(F.shape[0], -1)
+    K = _nullspace(np.vstack([(M @ view).reshape(S.shape) - lam * S for M in (F, F.conj())]), tol)
+    basis: list[np.ndarray] = []
+    for w in K.conj():
+        if len(basis) == K.shape[1]:
+            break
+        for q in basis:
+            w = w - (q.conj() @ w) * q
+        norm = np.linalg.norm(w)
+        if norm >= 1.0 / np.sqrt(2 * S.shape[1]):
+            basis.append(w / norm)
+    return [_normalize_phase(S @ (K @ q)) for q in basis]
 
 
 def negative_real_eigenvalues(F, tol: float | None = None) -> tuple[tuple[float, ...], float]:
@@ -177,53 +224,26 @@ def negative_real_eigenvalues(F, tol: float | None = None) -> tuple[tuple[float,
 
 
 def two_particle_bound_states(bc: SeparatedBC, statistics, tol: float | None = None) -> list["BoundState"]:
-    """All two-particle bound states of a separated coupling.
+    """All two-particle bound states of a separated coupling: `bound_states(bc, 2, ...)`.
 
     For every clustered real eigenvalue lam < 0 of F and every exchange sign
-    epsilon in {+1, -1}, the admissible spin vectors form the joint nullspace
-    of F - lam, conj(F) - lam, and p - sign(statistics)*epsilon.  One state is
-    emitted per independent vector; the list is sorted by (lam, epsilon).
+    epsilon in {+1, -1}, one state is emitted per vector of the canonical
+    basis of the joint nullspace of F - lam, conj(F) - lam and
+    p - sign(statistics)*epsilon; the list is sorted by (lam, epsilon).
     """
-    bc = require_separated(bc, "bound-state construction")
-    stats = as_statistics(statistics)
-    if bc.dirichlet:
-        return []
-    F, n = bc.F, bc.n
-    clusters, tol = negative_real_eigenvalues(F, tol)
-    p = swap_pair(n)
-    eye = np.eye(n * n, dtype=np.complex128)
-    states: list[BoundState] = []
-    for lam in clusters:
-        for eps in (-1, 1):
-            stack = np.vstack([
-                F - lam * eye,
-                F.conj() - lam * eye,
-                p - stats.sign * eps * eye,
-            ])
-            basis = _nullspace(stack, tol)
-            for col in range(basis.shape[1]):
-                states.append(BoundState(
-                    n_particles=2,
-                    lam=lam,
-                    v=_normalize_phase(basis[:, col]),
-                    epsilon=SignPattern(2, {(2, 1): eps}),
-                    energy=bound_energy(lam, 2),
-                    statistics=stats,
-                ))
-    states.sort(key=lambda s: (s.lam, s.epsilon[(2, 1)]))
-    return states
+    return bound_states(bc, 2, statistics, tol)
 
 
 def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPattern,
                            statistics, tol: float | None = None) -> "BoundState":
     """One N-particle bound state with prescribed decay rate and sign pattern.
 
-    The spin vector must satisfy every pair-exchange sign condition and, for
-    each adjacent pair, the eigenvalue conditions of F and conj(F).  When no
-    vector survives, the raised error reports whether the parity conditions
-    alone are already unsatisfiable or the eigenvalue conditions removed the
-    remaining freedom.  By S_N (see `bound_states`) only a uniform pattern has a
-    parity sector; for sign(statistics) * epsilon = -1 it is antisymmetric, empty if n < N.
+    The spin vector is the first canonical vector (see `bound_states`) that
+    meets every pair-exchange sign and, on each adjacent pair, the F and
+    conj(F) eigenvalue conditions.  BoundStateNotFound says "parity" when the
+    pattern's sector is empty (a non-uniform pattern, or Λ^N(C^n) with n < N
+    for sign(statistics) * epsilon = -1) and "eigenvalue" when the eigenvalue
+    conditions leave no vector of it.
     """
     bc = require_separated(bc, "bound-state construction")
     F, n = bc.F, bc.n
@@ -238,8 +258,8 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
             f"sign pattern is for {epsilon.n_particles} particles, expected {N}")
     stats = as_statistics(statistics)
     tol = _resolve_tol(tol, np.linalg.eigvals(F) if F is not None and tol is None else np.zeros(0))
-    uniform = len(set(epsilon.values())) == 1
-    if not uniform or (stats.sign * epsilon[(2, 1)] < 0 and n < N):
+    sector = _sector_basis(n, N, stats.sign * epsilon[(2, 1)])
+    if len(set(epsilon.values())) > 1 or sector.shape[1] == 0:
         raise BoundStateNotFound(
             f"no spin vector realizes the sign pattern {epsilon.values()} for "
             f"{stats.value}s with n={n}, N={N}",
@@ -251,57 +271,42 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
             "limits must vanish)",
             reason="eigenvalue",
         )
-    dims = SpinDims(n, N)
-    eye = np.eye(dims.total_dim, dtype=np.complex128)
-    blocks = [_parity_stack(epsilon, stats, dims)]
-    for j in range(1, N):
-        blocks.append(embed_pair(F, j, dims) - lam * eye)
-        blocks.append(embed_pair(F.conj(), j, dims) - lam * eye)
-    basis = _nullspace(np.vstack(blocks), tol)
-    if basis.shape[1] == 0:
+    vectors = _sector_solutions(F, lam, sector, tol)
+    if not vectors:
         raise BoundStateNotFound(
             f"the parity sector is non-empty but no vector in it satisfies the "
             f"coupling eigenvalue conditions at lam={lam}",
             reason="eigenvalue",
         )
-    return BoundState(
-        n_particles=N,
-        lam=lam,
-        v=_normalize_phase(basis[:, 0]),
-        epsilon=epsilon,
-        energy=bound_energy(lam, N),
-        statistics=stats,
-    )
+    return BoundState(N, lam, vectors[0], epsilon, bound_energy(lam, N), stats)
 
 
 def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) -> list["BoundState"]:
     """All N-particle bound states of a separated coupling, sorted by (lam, epsilon).
 
-    N = 2 is `two_particle_bound_states`.  For N >= 3 the spin vector of a
-    bound state is a joint eigenvector of every pair exchange, so it spans a
-    one-dimensional representation of the symmetric group S_N (Yang, PRL 19,
-    1312 (1967)).  All transpositions are conjugate in S_N for N >= 3, so they
-    carry one common sign: only the two uniform sign patterns can have a
-    non-empty parity sector.  Those two are tried for every clustered
-    negative real eigenvalue of F, giving at most one state each.
+    The spin vector of a bound state is a joint eigenvector of every pair
+    exchange, so for N >= 3 it spans a one-dimensional representation of the
+    symmetric group S_N (Yang, PRL 19, 1312 (1967)).  All transpositions are
+    conjugate in S_N, so they carry one common sign: only the two uniform sign
+    patterns can have a non-empty parity sector, Sym^N(C^n) or Λ^N(C^n).  For
+    every clustered negative real eigenvalue of F and both signs the solutions
+    in that sector get their canonical basis (`_sector_solutions`).  N = 2
+    emits one state per basis vector, N >= 3 only the first, if any.
     """
     if N < 2:
         raise ValueError(f"need at least two particles, got N={N}")
-    statistics = as_statistics(statistics)
-    if N == 2:
-        return two_particle_bound_states(bc, statistics, tol)
-    if require_separated(bc, "bound-state construction").dirichlet:
+    stats = as_statistics(statistics)
+    bc = require_separated(bc, "bound-state construction")
+    if bc.dirichlet:
         return []
     clusters, tol = negative_real_eigenvalues(bc.F, tol)
+    sectors = {eps: _sector_basis(bc.n, N, stats.sign * eps) for eps in (-1, 1)}
     states = []
     for lam in clusters:
-        for sign in (-1, 1):
-            try:
-                states.append(n_particle_bound_state(
-                    bc, N, lam, SignPattern.uniform(N, sign), statistics, tol))
-            except BoundStateNotFound:
-                continue
-    states.sort(key=lambda s: (s.lam, s.epsilon.values()))
+        for eps, sector in sectors.items():
+            vectors = _sector_solutions(bc.F, lam, sector, tol)
+            states += [BoundState(N, lam, v, SignPattern.uniform(N, eps), bound_energy(lam, N), stats)
+                       for v in (vectors if N == 2 else vectors[:1])]
     return states
 
 
@@ -350,7 +355,6 @@ class BoundState:
 
 
 _AXIS_SAMPLES = {2: 48, 3: 17}
-_MAX_CENTERS = 4000
 _MIN_INDEX_GAP = 3
 
 
@@ -360,11 +364,7 @@ def _stencil_centers(N: int, m_max: int) -> np.ndarray:
     grids = np.meshgrid(*([cand] * N), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     gaps = np.diff(pts, axis=1)
-    pts = pts[(gaps >= _MIN_INDEX_GAP).all(axis=1)]
-    if len(pts) > _MAX_CENTERS:
-        keep = np.unique(np.linspace(0, len(pts) - 1, _MAX_CENTERS).astype(np.int64))
-        pts = pts[keep]
-    return pts
+    return pts[(gaps >= _MIN_INDEX_GAP).all(axis=1)]
 
 
 def _decay_profile(points: np.ndarray, lam: np.longdouble) -> np.ndarray:

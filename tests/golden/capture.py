@@ -34,10 +34,6 @@ FIXTURES = sorted(f"fixtures/{p.name}" for p in (TESTS / "fixtures").glob("*.jso
 EXTRA_INPUTS = sorted(f"golden/inputs/{p.name}" for p in (TESTS / "golden" / "inputs").glob("*.json"))
 STATISTICS = ("boson", "fermion")
 
-# Largest particle count for `bound` per input; the n=3 search at N=5 is too
-# slow for the exhaustive reference to capture.
-MAX_PARTICLES = {"golden/inputs/lambda_identity_n3.json": 4}
-
 # Scalar parameter swept per input; inputs without one exercise the usage error.
 SWEEP_PARAMS = {
     "fixtures/hspin_diag.json": "g=0.0:0.2:3",
@@ -61,7 +57,7 @@ def golden_argvs() -> list[list[str]]:
             argvs.append(["ybe", path, "--k", MOMENTA, "--statistics", stats])
             argvs.append(["bethe", path, "--k", "1.0,-1.0", "--statistics", stats])
             argvs.append(["bethe", path, "--k", MOMENTA, "--statistics", stats])
-            for particles in range(2, MAX_PARTICLES.get(path, 5) + 1):
+            for particles in range(2, 6):
                 argvs.append(["bound", path, "--particles", str(particles), "--statistics", stats])
         param = SWEEP_PARAMS.get(path, "x=0.0:1.0:2")
         for run in ("classify", "validate", "ybe"):

@@ -136,6 +136,21 @@ def test_invalid_pt_type1_document_names_the_violated_constraint(capsys, tmp_pat
             "error": "invalid", "detail": "parameter constraint 1 + bc >= 0 violated: got -2.0"}
 
 
+def test_pt_type1_document_that_validate_rejects_is_rejected_by_every_command(capsys, tmp_path):
+    doc = tmp_path / "pt1_negative_b.json"
+    doc.write_text(json.dumps({"kind": "scalar_pt_type1", "theta": 0.0, "phi": 0.0,
+                               "b": -1.0, "c": 0.5}))
+    rc, out, _ = run_cli(capsys, "validate", doc)
+    assert rc == 1
+    assert json.loads(out)["residuals"]["b_nonnegative"] == 1.0
+    for argv in (("yop", doc, "--k1", "1.0", "--k2", "-1.0"),
+                 ("ybe", doc, "--k", "1.0,0.3,-0.7")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (1, "")
+        assert json.loads(out) == {
+            "error": "invalid", "detail": "parameter b must be non-negative, got -1.0"}
+
+
 def test_yop_missing_argument_is_usage_error(capsys):
     rc, out, err = run_cli(capsys, "yop", fx("separated_free.json"), "--k1", "1.0")
     assert rc == 2

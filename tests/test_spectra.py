@@ -1,5 +1,7 @@
 """Spectral classification, bound-state construction, and decay verification."""
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ import pytest
 from conftest import random_hspin
 from ptspin.bethe import SignPattern
 from ptspin.boundary import SeparatedBC, hspin, validate
-from ptspin.linalg import SpinDims, exchange_operator, max_abs
+from ptspin.linalg import SpinDims, embed_pair, exchange_operator, max_abs
 from ptspin.spectra import (
+    _sector_basis,
+    _sector_solutions,
     BoundState,
     BoundStateNotFound,
     bound_energy,
@@ -286,6 +290,109 @@ def test_bound_states_two_particles_and_edge_cases():
     assert bound_states(SeparatedBC(2, None), 3, "boson") == []
     with pytest.raises(ValueError):
         bound_states(bc, 1, "boson")
+
+
+@pytest.mark.parametrize("n,N", [(1, 2), (2, 3), (3, 2), (3, 4)])
+def test_sector_basis_is_orthonormal_and_exchange_signed(n, N):
+    dims = SpinDims(n, N)
+    for sign, dim in ((1, math.comb(n + N - 1, N)), (-1, math.comb(n, N))):
+        S = _sector_basis(n, N, sign)
+        assert S.shape == (n ** N, dim)
+        assert max_abs(S.T @ S - np.eye(dim)) <= 1e-15
+        for k in range(2, N + 1):
+            for l in range(1, k):
+                assert max_abs(exchange_operator(l, k, dims) @ S - sign * S) <= 1e-15
+
+
+def complex_coupling_with_bound_sector(rng, lam):
+    """Dense complex n=3 coupling F = lam + R (1 - Q x Q), Q the orthogonal
+    projector onto a random complex plane U in C^3.  F v = lam v on U x U but
+    conj(F) v = lam v only on conj(U) x conj(U), so the bound sector is
+    Sym^N(U ∩ conj(U)), a line that no coordinate axis spans."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    proj = np.kron(q @ q.conj().T, q @ q.conj().T)
+    r = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    return SeparatedBC(3, lam * np.eye(9) + r @ (np.eye(9) - proj))
+
+
+def dense_bound_space(bc, N, lam, exchange_sign, tol):
+    """Reference: orthonormal nullspace of every pair-exchange block and the
+    embedded F, conj(F) blocks of every adjacent pair, all n^N wide."""
+    dims = SpinDims(bc.n, N)
+    eye = np.eye(dims.total_dim)
+    blocks = [exchange_operator(l, k, dims) - exchange_sign * eye
+              for k in range(2, N + 1) for l in range(1, k)]
+    blocks += [embed_pair(m, j, dims) - lam * eye for j in range(1, N) for m in (bc.F, bc.F.conj())]
+    _, sv, vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+    return vh[sv <= tol].conj().T
+
+
+def projector(vectors):
+    return sum(np.outer(v, v.conj()) for v in vectors)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sector_solver_matches_dense_reference(rng, n, N):
+    """The sector solve spans the nullspace of the dense n^N-wide stack for every
+    (lambda, epsilon); emitted vectors lie in it, all of them at N = 2."""
+    if n == 2:
+        couplings = [SeparatedBC(2, -0.7 * np.eye(4)),
+                     hspin(a=-1.0, b=-1.0, c=0.0, d=0.0, f=-1.0, g=0.0,
+                           e1=0.0, e2=0.0, e3=0.0, e4=0.0)]
+        couplings += [random_hspin(rng, symmetric=True) for _ in range(2)]
+    else:
+        couplings = [SeparatedBC(3, -1.3 * np.eye(9))]
+        couplings += [complex_coupling_with_bound_sector(rng, lam) for lam in (-0.8, -1.6)]
+    nonempty = 0
+    for bc in couplings:
+        clusters, tol = negative_real_eigenvalues(bc.F)
+        for stats, sign in (("boson", 1.0), ("fermion", -1.0)):
+            states = bound_states(bc, N, stats)
+            assert {s.lam for s in states} <= set(clusters)
+            for lam in clusters:
+                for eps in (-1, 1):
+                    ref = dense_bound_space(bc, N, lam, sign * eps, tol)
+                    full = _sector_solutions(bc.F, lam, _sector_basis(n, N, sign * eps), tol)
+                    emitted = [s.v for s in states if (s.lam, s.epsilon[(2, 1)]) == (lam, eps)]
+                    assert len(full) == ref.shape[1]
+                    assert max_abs(projector(full) - ref @ ref.conj().T) <= 1e-12
+                    assert len(emitted) == (len(full) if N == 2 else min(1, len(full)))
+                    for v in emitted:
+                        assert max_abs(v - ref @ (ref.conj().T @ v)) <= 1e-10
+                    nonempty += bool(emitted)
+    assert nonempty > 0
+
+
+def test_canonical_basis_is_ordered_by_occupation():
+    """Degenerate solutions come out as the Gram-Schmidt of the projected
+    occupation-number vectors in lexicographic order, not as the rotation of
+    the nullspace that the SVD happens to return."""
+    r = np.sqrt(0.5)
+    e00, e01, e11 = np.array([1.0, 0, 0, 0]), np.array([0, r, r, 0]), np.array([0, 0, 0, 1.0])
+    w = np.array([r, 0, 0, r])
+    cases = [(-np.eye(4), [e00, e01, e11]),
+             # lambda = -1 on Sym^2 minus w; the SVD returns e01 first here
+             (-np.eye(4) + 3.0 * np.outer(w, w), [np.array([r, 0, 0, -r]), e01])]
+    for F, want in cases:
+        states = bound_states(SeparatedBC(2, F), 2, "boson")
+        symmetric = [s.v for s in states if s.epsilon[(2, 1)] == 1]
+        assert len(symmetric) == len(want)
+        for v, expected in zip(symmetric, want):
+            assert max_abs(v - expected) <= 1e-15
+
+
+def test_bound_search_stays_in_the_sector():
+    """n=3, N=5 solves 21 sector columns, not a stack 243 wide."""
+    tracemalloc.start()
+    try:
+        states = bound_states(SeparatedBC(3, -np.eye(9)), 5, "boson")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.epsilon.values() for s in states] == [(1,) * 10]
+    assert states[0].parity_residual() <= 1e-12
+    assert peak < 2_000_000
 
 
 def test_nondegenerate_eigenvalue_fails_on_eigenvalue_stage():
