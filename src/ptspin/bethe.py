@@ -18,17 +18,24 @@ depend on the word chosen.
 Y^{j,j+1} is never built as an n^N x n^N matrix.  A pair operator touches two
 of the N tensor slots, so it is applied as one n^2 x n^2 product on the
 (n^(j-1), n^2, rest) view of a coefficient vector or transport matrix, and Y
-is computed once per momentum pair.  Propagation is memoised on canonical-word
-prefixes, one pair application per permutation.  `path_consistency` carries
-each word's prefix transport from one braid site to the next, applies the two
-braids (j, j+1, j) and (j+1, j, j+1) to it, and takes their difference through
-the shared remainder of the word once.
+is computed once per momentum pair.  The canonical words of N particles form
+a trie (27, 155, 1045, 8029 nodes for N = 4, 5, 6, 7; from N = 4 on, some
+interior nodes are not words).  Its shape, the slot labels of every edge and
+its braid sites depend only on N, so they are planned once per N, and each
+call walks the trie depth-first once, holding only the arrays of the current
+path.  `bethe_coefficients` makes one pair application per node.
+`path_consistency` reuses the walk's transport as the canonical braid of each
+braid site, applies only the flipped braid, and moves the difference down the
+site's subtree, which every word through the site shares, one swap at a time.
+Both produce the same floating-point operations as replaying each word alone.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -114,6 +121,17 @@ class BetheState:
     coefficients: Mapping[tuple[int, ...], np.ndarray]
     words: Mapping[tuple[int, ...], tuple[int, ...]]
     statistics: Statistics
+    # The plane-wave sum's operands, built once: the momentum at each slot of
+    # every permutation (N!, N) and the coefficients stacked (N!, n^N).
+    _slot_momenta: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefficient_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        slots = np.array(list(self.coefficients), dtype=np.intp) - 1
+        object.__setattr__(self, "_slot_momenta",
+                           np.asarray(self.momenta, dtype=np.longdouble)[slots])
+        object.__setattr__(self, "_coefficient_array",
+                           np.array(list(self.coefficients.values()), dtype=np.complex128))
 
 
 def _canonical_word(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,42 +154,128 @@ def _canonical_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-class _PairExchangeCache:
-    """Exchange operators keyed by momentum pair, applied slot-locally."""
+class _TrieNode(NamedTuple):
+    """One node of the canonical-word trie: a word prefix, one swap past its parent.
 
-    def __init__(self, bc: SeparatedBC, momenta: tuple[float, ...], dims: SpinDims):
-        self.bc = bc
-        self.momenta = momenta
-        self.dims = dims
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+    Rows are listed depth-first, so a node's parent is the nearest earlier row
+    of depth `depth - 1`.  step is the slot j of the swap and the labels
+    (alpha, beta) at slots j, j+1 before it; perm is the permutation if the
+    prefix is a canonical word.  If the last three swaps are a braid (a, b, a)
+    with |a - b| = 1, braid holds the steps of (b, a, b) from depth - 3.
+    transport says a braid node lies in the subtree (self included), last
+    that the node is its parent's last child, and free lists the depths on
+    the path whose transports are dead after this node.
+    """
 
-    def operator(self, alpha: int, beta: int) -> np.ndarray:
-        key = (alpha, beta)
-        if key not in self._cache:
-            k_ab = 0.5 * (self.momenta[alpha - 1] - self.momenta[beta - 1])
-            try:
-                self._cache[key] = y_separated(self.bc, k_ab)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"momentum pair ({alpha},{beta}) gives a singular exchange "
-                    f"operator: {exc}",
-                    role=exc.role,
-                ) from None
-        return self._cache[key]
+    depth: int
+    step: tuple[int, tuple[int, int]]
+    perm: tuple[int, ...] | None
+    braid: tuple[tuple[int, tuple[int, int]], ...] | None
+    transport: bool
+    last: bool
+    free: tuple[int, ...]
 
-    def apply_word(self, word: tuple[int, ...], t: np.ndarray, labels: list[int]) -> np.ndarray:
-        """Apply the adjacent swaps of word to t, whose slots carry labels.
 
-        t is a coefficient vector or a transport matrix (n^N rows); labels is
-        updated in place to the label sequence after the word.
-        """
-        n = self.dims.n
-        for slot in word:
-            alpha, beta = labels[slot - 1], labels[slot]
-            view = t.reshape(n ** (slot - 1), n * n, -1)
-            t = np.matmul(self.operator(alpha, beta), view).reshape(t.shape)
-            labels[slot - 1], labels[slot] = beta, alpha
-        return t
+class _WordTree(NamedTuple):
+    """The trie's rows (root excluded), its words and their momentum pairs.
+
+    words lists (perm, word) in itertools.permutations order; pairs lists the
+    momentum pairs in the order the words first use them.
+    """
+
+    rows: tuple[_TrieNode, ...]
+    words: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
+def _steps(word: tuple[int, ...], N: int) -> list[tuple[int, tuple[int, int]]]:
+    """(slot, (alpha, beta)) of each swap of word, replayed from the identity."""
+    labels, steps = list(range(1, N + 1)), []
+    for slot in word:
+        alpha, beta = labels[slot - 1], labels[slot]
+        steps.append((slot, (alpha, beta)))
+        labels[slot - 1], labels[slot] = beta, alpha
+    return steps
+
+
+def _is_braid(prefix: tuple[int, ...]) -> bool:
+    """Whether prefix ends in a braid (a, b, a) with |a - b| = 1."""
+    return len(prefix) >= 3 and prefix[-3] == prefix[-1] and abs(prefix[-1] - prefix[-2]) == 1
+
+
+@functools.cache
+def _word_tree(N: int) -> _WordTree:
+    """Trie of the canonical words for N particles, with its walk bookkeeping.
+
+    Children are visited lightest subtree first, so the arrays a node keeps
+    for its children are released before its heaviest subtree is entered.
+    """
+    words = tuple((perm, _canonical_word(perm))
+                  for perm in itertools.permutations(range(1, N + 1)))
+    pairs: dict[tuple[int, int], None] = {}
+    perm_at: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+    for perm, word in words:
+        for _, pair in _steps(word, N):
+            pairs.setdefault(pair)
+        for m in range(len(word)):
+            perm_at.setdefault(word[:m], None)
+        perm_at[word] = perm
+    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for prefix in perm_at:
+        if prefix:
+            children.setdefault(prefix[:-1], []).append(prefix)
+    weight = collections.Counter(prefix[:m] for prefix in perm_at for m in range(len(prefix)))
+    order, stack = [], [()]
+    while stack:
+        prefix = stack.pop()
+        order.append(prefix)
+        stack.extend(sorted(children.get(prefix, ()), key=lambda c: (weight[c], c[-1]),
+                            reverse=True))
+    del order[0]
+    # A node's transport is needed where a braid node lies below it.  It is
+    # dead after its last use: by a child's transport, by a braid node three
+    # levels down, or by the node itself.  A node's differences are dead
+    # after its last child.
+    transport = {b[:m] for b in order if _is_braid(b) for m in range(len(b) + 1)}
+    last_child: dict[tuple[int, ...], int] = {}
+    last_use: dict[tuple[int, ...], int] = {}
+    for i, prefix in enumerate(order):
+        last_child[prefix[:-1]] = i
+        if prefix in transport:
+            last_use[prefix] = last_use[prefix[:-1]] = i
+        if _is_braid(prefix):
+            last_use[prefix[:-3]] = i
+    free: dict[int, list[int]] = {}
+    for prefix, i in last_use.items():
+        free.setdefault(i, []).append(len(prefix))
+    rows = []
+    for i, prefix in enumerate(order):
+        braid = None
+        if _is_braid(prefix):
+            a, b = prefix[-2:]
+            braid = tuple(_steps(prefix[:-3] + (a, b, a), N)[-3:])
+        rows.append(_TrieNode(depth=len(prefix), step=_steps(prefix, N)[-1],
+                              perm=perm_at[prefix], braid=braid, transport=prefix in transport,
+                              last=last_child[prefix[:-1]] == i,
+                              free=tuple(sorted(free.get(i, ())))))
+    return _WordTree(rows=tuple(rows), words=words, pairs=tuple(pairs))
+
+
+def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
+                        pairs: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], np.ndarray]:
+    """Y((k_alpha - k_beta)/2) for each momentum pair, built in the order given."""
+    operators = {}
+    for alpha, beta in pairs:
+        k_ab = 0.5 * (momenta[alpha - 1] - momenta[beta - 1])
+        try:
+            operators[alpha, beta] = y_separated(bc, k_ab)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"momentum pair ({alpha},{beta}) gives a singular exchange "
+                f"operator: {exc}",
+                role=exc.role,
+            ) from None
+    return operators
 
 
 def _check_momenta(momenta) -> tuple[float, ...]:
@@ -198,34 +302,86 @@ def _check_state_inputs(bc, momenta, u_init):
     return momenta, dims, u
 
 
-def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheState:
-    """Propagate the identity-permutation coefficient to all N! permutations.
+def _walk(bc: SeparatedBC, momenta: tuple[float, ...], dims: SpinDims,
+          u: np.ndarray | None, consistency: bool):
+    """One depth-first pass over the canonical-word trie.
 
-    Each coefficient is its canonical word applied to u_init.  Propagation is
-    memoised on word prefixes, so a permutation costs one pair application
-    beyond the longest prefix already propagated.
+    With u, every node applies its swap to its parent's coefficient; the
+    coefficients of the word nodes are returned by permutation.  With
+    consistency, every node with a braid node below it carries its transport
+    (the identity at the root), every braid node starts the difference of its
+    two braids, and each difference is moved down the braid node's subtree
+    one swap at a time, with the max-abs taken at every word node; the worst
+    is returned (else None).  Only arrays on the current path are held, and
+    each is dropped after its last use.
+    """
+    tree = _word_tree(dims.N)
+    operators = _exchange_operators(bc, momenta, tree.pairs)
+    n = dims.n
+
+    def apply(step, t):
+        slot, pair = step
+        return np.matmul(operators[pair], t.reshape(n ** (slot - 1), n * n, -1)).reshape(t.shape)
+
+    found = {tree.words[0][0]: u}
+    vectors, diffs = [u], [()]
+    transports = [np.eye(dims.total_dim, dtype=np.complex128) if consistency else None]
+    worst = 0.0
+    for row in tree.rows:
+        d = row.depth
+        if u is not None:
+            del vectors[d:]
+            vectors.append(apply(row.step, vectors[-1]))
+            if row.perm:
+                found[row.perm] = vectors[-1]
+        if not consistency:
+            continue
+        del transports[d:], diffs[d:]
+        moved = [apply(row.step, diff) for diff in diffs[-1]]
+        if row.last:
+            diffs[d - 1] = ()
+        transports.append(apply(row.step, transports[-1]) if row.transport else None)
+        if d - 1 in row.free:
+            transports[d - 1] = None
+        if row.braid:
+            flipped = transports[d - 3]
+            if d - 3 in row.free:
+                transports[d - 3] = None
+            for step in row.braid:
+                flipped = apply(step, flipped)
+            moved.append(transports[d] - flipped)
+            del flipped
+        if d in row.free:
+            transports[d] = None
+        if row.perm:
+            for diff in moved:
+                worst = max(worst, max_abs(diff))
+        diffs.append(moved)
+    return found, (worst if consistency else None)
+
+
+def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
+    """The BetheState and, if asked and N >= 3, the path consistency (else None).
+
+    Both come from one walk over the trie, with each exchange operator built once.
     """
     momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
     stats = as_statistics(statistics)
-    cache = _PairExchangeCache(bc, momenta, dims)
-    # word prefix -> (coefficient, slot labels after the prefix)
-    propagated = {(): (u, tuple(range(1, dims.N + 1)))}
-    coefficients: dict[tuple[int, ...], np.ndarray] = {}
-    words: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for perm in itertools.permutations(range(1, dims.N + 1)):
-        word = _canonical_word(perm)
-        m = len(word)
-        while word[:m] not in propagated:
-            m -= 1
-        coeff, labels = propagated[word[:m]]
-        labels = list(labels)
-        for step in range(m, len(word)):
-            coeff = cache.apply_word(word[step:step + 1], coeff, labels)
-            propagated[word[:step + 1]] = (coeff, tuple(labels))
-        coefficients[perm] = coeff
-        words[perm] = word
-    return BetheState(dims=dims, momenta=momenta, coefficients=coefficients,
-                      words=words, statistics=stats)
+    found, worst = _walk(bc, momenta, dims, u, consistency and dims.N >= 3)
+    words = dict(_word_tree(dims.N).words)
+    state = BetheState(dims=dims, momenta=momenta,
+                       coefficients={perm: found[perm] for perm in words},
+                       words=words, statistics=stats)
+    return state, worst
+
+
+def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheState:
+    """Propagate the identity-permutation coefficient to all N! permutations.
+
+    Each coefficient is its canonical word applied to u_init, with one pair
+    application per node of the trie of canonical words.
+    """
+    return _bethe(bc, momenta, u_init, statistics, consistency=False)[0]
 
 
 def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
@@ -239,31 +395,17 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     Yang-Baxter identity holds on the visited relative momenta; u_init is
     validated but the returned number does not depend on it.
 
-    The prefix transport is carried forward from one braid site to the next.
-    Both braids leave the same slot labels, so their suffix operators agree
-    and the suffix is applied once, to the difference of the two braids.
+    A braid site is a trie node whose last three swaps form a braid.  Its
+    canonical braid is the node's own transport; only the flipped braid is
+    applied to the transport three levels up.  Both braids leave the same
+    slot labels, so every word through the node shares the suffix operators,
+    and the difference is moved down the node's subtree once.
     """
     momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    cache = _PairExchangeCache(bc, momenta, dims)
-    eye = np.eye(dims.total_dim, dtype=np.complex128)
-    worst = 0.0
-    for perm in itertools.permutations(range(1, dims.N + 1)):
-        word = _canonical_word(perm)
-        prefix, labels, done = eye, list(range(1, dims.N + 1)), 0
-        for i in range(len(word) - 2):
-            a, b, c = word[i], word[i + 1], word[i + 2]
-            if a == c and abs(a - b) == 1:
-                prefix = cache.apply_word(word[done:i], prefix, labels)
-                done = i
-                suffix_labels = list(labels)
-                canonical = cache.apply_word((a, b, a), prefix, suffix_labels)
-                flipped = cache.apply_word((b, a, b), prefix, list(labels))
-                diff = cache.apply_word(word[i + 3:], canonical - flipped, suffix_labels)
-                worst = max(worst, max_abs(diff))
-    return worst
+    return _walk(bc, momenta, dims, None, True)[1]
 
 
 def _spin_slot_permutation(vec: np.ndarray, order: np.ndarray, dims: SpinDims) -> np.ndarray:
@@ -280,11 +422,8 @@ def _permutation_sign(order: np.ndarray) -> int:
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:
     """Plane-wave sum at a point y of the fundamental region, all N! terms at once."""
-    slots = np.array(list(state.coefficients), dtype=np.intp) - 1
-    coeffs = np.array(list(state.coefficients.values()), dtype=dtype)
-    momenta = np.asarray(state.momenta, dtype=np.longdouble)
-    phases = np.exp(1j * (momenta[slots] @ y).astype(dtype))
-    return phases @ coeffs
+    phases = np.exp(1j * (state._slot_momenta @ y).astype(dtype))
+    return phases @ state._coefficient_array.astype(dtype, copy=False)
 
 
 def _wavefunction(state: BetheState, x, dtype) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bethe import bethe_coefficients, path_consistency
+from .bethe import _bethe
 from .boundary import (
     ParseError,
     SeparatedBC,
@@ -124,11 +124,7 @@ def cmd_bethe(args, tol) -> tuple[int, str]:
             u_init = vector_from_json(json.loads(args.u_init))
         except (json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"--u-init: {exc}") from None
-    state = bethe_coefficients(bc, momenta, u_init, args.statistics)
-    consistency = (
-        float(path_consistency(bc, momenta, u_init, args.statistics))
-        if dims.N >= 3 else None
-    )
+    state, consistency = _bethe(bc, momenta, u_init, args.statistics, consistency=True)
     coefficients = [
         {
             "perm": list(perm),

@@ -45,6 +45,8 @@ SWEEP_PARAMS = {
     "golden/inputs/hspin_random.json": "e1=-1.0:1.0:3",
 }
 MOMENTA = "1.0,0.3,-0.7"
+# N=4 is the smallest N whose word trie has interior nodes that are not words.
+MOMENTA_N4 = "1.0,0.3,-0.7,-1.6"
 
 
 def golden_argvs() -> list[list[str]]:
@@ -57,6 +59,7 @@ def golden_argvs() -> list[list[str]]:
             argvs.append(["ybe", path, "--k", MOMENTA, "--statistics", stats])
             argvs.append(["bethe", path, "--k", "1.0,-1.0", "--statistics", stats])
             argvs.append(["bethe", path, "--k", MOMENTA, "--statistics", stats])
+            argvs.append(["bethe", path, "--k", MOMENTA_N4, "--statistics", stats])
             for particles in range(2, 6):
                 argvs.append(["bound", path, "--particles", str(particles), "--statistics", stats])
         param = SWEEP_PARAMS.get(path, "x=0.0:1.0:2")

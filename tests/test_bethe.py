@@ -8,6 +8,7 @@ import pytest
 from conftest import random_hspin, separated_momenta
 from ptspin.bethe import (
     SignPattern,
+    _word_tree,
     bethe_coefficients,
     boundary_jump_residual,
     evaluate_wavefunction,
@@ -256,6 +257,125 @@ def test_local_engine_matches_dense_reference(rng, n, N, stats):
         assert max_abs(state.coefficients[perm] - want) <= 1e-13 * max_abs(want)
     want = reference.path_consistency()
     assert abs(path_consistency(bc, momenta, u, stats) - want) <= 1e-12 * want
+
+
+# -- prefix-memo reference engine --------------------------------------------
+#
+# The trie walk in ptspin.bethe replaces this per-permutation engine: each
+# permutation extends the longest prefix of its word already propagated, and
+# each braid site of each word carries the prefix transport, applies both
+# braids to it and pushes their difference through the rest of the word.  Both
+# engines make the same np.matmul calls for every output, so they agree bit
+# for bit.
+
+class PrefixMemoEngine:
+    """Slot-local exchange operators keyed by momentum pair, one word at a time."""
+
+    def __init__(self, bc, momenta):
+        self.bc = bc
+        self.momenta = momenta
+        self.n, self.N = bc.n, len(momenta)
+        self.operators = {}
+
+    def operator(self, alpha, beta):
+        if (alpha, beta) not in self.operators:
+            k = 0.5 * (self.momenta[alpha - 1] - self.momenta[beta - 1])
+            self.operators[alpha, beta] = y_separated(self.bc, k)
+        return self.operators[alpha, beta]
+
+    def apply_word(self, word, t, labels):
+        for slot in word:
+            alpha, beta = labels[slot - 1], labels[slot]
+            view = t.reshape(self.n ** (slot - 1), self.n * self.n, -1)
+            t = np.matmul(self.operator(alpha, beta), view).reshape(t.shape)
+            labels[slot - 1], labels[slot] = beta, alpha
+        return t
+
+    def coefficients(self, u):
+        propagated = {(): (u, tuple(range(1, self.N + 1)))}
+        out = {}
+        for perm in itertools.permutations(range(1, self.N + 1)):
+            word = reference_word(perm)
+            m = len(word)
+            while word[:m] not in propagated:
+                m -= 1
+            coeff, labels = propagated[word[:m]]
+            labels = list(labels)
+            for step in range(m, len(word)):
+                coeff = self.apply_word(word[step:step + 1], coeff, labels)
+                propagated[word[:step + 1]] = (coeff, tuple(labels))
+            out[perm] = coeff
+        return out
+
+    def path_consistency(self):
+        eye = np.eye(self.n ** self.N, dtype=complex)
+        worst = 0.0
+        for perm in itertools.permutations(range(1, self.N + 1)):
+            word = reference_word(perm)
+            prefix, labels, done = eye, list(range(1, self.N + 1)), 0
+            for i in range(len(word) - 2):
+                a, b, c = word[i:i + 3]
+                if a == c and abs(a - b) == 1:
+                    prefix = self.apply_word(word[done:i], prefix, labels)
+                    done = i
+                    suffix_labels = list(labels)
+                    canonical = self.apply_word((a, b, a), prefix, suffix_labels)
+                    flipped = self.apply_word((b, a, b), prefix, list(labels))
+                    diff = self.apply_word(word[i + 3:], canonical - flipped, suffix_labels)
+                    worst = max(worst, max_abs(diff))
+        return worst
+
+
+@pytest.mark.parametrize("stats", ["boson", "fermion"])
+@pytest.mark.parametrize("n,N", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5)])
+def test_trie_walk_matches_prefix_memo_reference_exactly(rng, n, N, stats):
+    bc = random_hspin(rng) if n == 2 else dense_complex_coupling(rng, n)
+    momenta = separated_momenta(rng, N)
+    u = rng.normal(size=n ** N) + 1j * rng.normal(size=n ** N)
+    reference = PrefixMemoEngine(bc, momenta)
+    want = reference.coefficients(u)
+    state = bethe_coefficients(bc, momenta, u, stats)
+    assert list(state.coefficients) == list(want)
+    assert all(np.array_equal(state.coefficients[perm], want[perm]) for perm in want)
+    assert path_consistency(bc, momenta, u, stats) == reference.path_consistency()
+
+
+def label_steps(word, N):
+    """(slot, (alpha, beta)) of each swap of word replayed from the identity."""
+    seq, steps = list(range(1, N + 1)), []
+    for slot in word:
+        steps.append((slot, (seq[slot - 1], seq[slot])))
+        seq[slot - 1], seq[slot] = seq[slot], seq[slot - 1]
+    return steps, tuple(seq)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_word_tree_holds_every_canonical_word_once(N):
+    tree = _word_tree(N)
+    perms = list(itertools.permutations(range(1, N + 1)))
+    assert [perm for perm, _ in tree.words] == perms
+    assert all(word == reference_word(perm) for perm, word in tree.words)
+    path, nodes, seen = [()], [], [perms[0]]
+    for row in tree.rows:
+        # Depth-first order: the parent is the last row one level up.
+        assert 1 <= row.depth <= len(path)
+        del path[row.depth:]
+        word = path[-1] + (row.step[0],)
+        path.append(word)
+        nodes.append(word)
+        steps, seq = label_steps(word, N)
+        assert row.step == steps[-1]
+        if row.perm is not None:
+            assert row.perm == seq and reference_word(seq) == word
+            seen.append(row.perm)
+        if len(word) >= 3 and word[-3] == word[-1] and abs(word[-1] - word[-2]) == 1:
+            a, b = word[-2:]
+            assert row.braid == tuple(label_steps(word[:-3] + (a, b, a), N)[0][-3:])
+        else:
+            assert row.braid is None
+    assert sorted(seen) == perms
+    prefixes = {word[:m] for _, word in tree.words for m in range(1, len(word) + 1)}
+    assert len(nodes) == len(prefixes) and set(nodes) == prefixes
 
 
 def test_path_consistency_memory_stays_local(rng):

@@ -31,3 +31,28 @@ def test_fd_convergence_is_second_order(capsys):
               if line.strip().startswith("2.0e-03")]
     assert len(ratios) == 2
     assert all(abs(ratio - 4.0) <= 0.1 for ratio in ratios)
+
+
+def write_runs(path, values):
+    with open(path, "w", encoding="utf-8") as handle:
+        for seed, value in enumerate(values, start=1):
+            metrics = {"tasks_per_s": {"value": value, "unit": "1/s"},
+                       "bethe.share": {"value": 0.5, "unit": "ratio"}}
+            handle.write(json.dumps({"workload": "w", "seed": seed, "trace": 0,
+                                     "result": {"metrics": metrics}}) + "\n")
+
+
+def test_bench_summary_records_medians_wins_and_verdicts(tmp_path, capsys):
+    parent, change, target = tmp_path / "parent.jsonl", tmp_path / "change.jsonl", tmp_path / "B.json"
+    write_runs(parent, [10.0 + 0.1 * i for i in range(10)])
+    write_runs(change, [20.0 + 0.1 * i for i in range(9)] + [5.0])
+    assert load_script("bench_summary").main([str(parent), str(change), "--out", str(target)]) == 0
+    record = json.loads(target.read_text())
+    assert record["seeds"] == list(range(1, 11))
+    rate = record["workloads"]["w"]["tasks_per_s"]
+    assert rate["parent"]["median"] == 10.45 and rate["change"]["median"] == 20.35
+    assert (rate["pair_wins"], rate["pairs"], rate["better"]) == (9, 10, "higher")
+    assert rate["verdict"] == "improved"
+    share = record["workloads"]["w"]["bethe.share"]
+    assert (share["pair_wins"], share["verdict"], share["ratio"]) == (0, "same", 1.0)
+    assert f"wrote {target}" in capsys.readouterr().out
