@@ -16,14 +16,14 @@ permutation are produced by propagating along a canonical reduced word
 depend on the word chosen.
 
 Y^{j,j+1} is never built as an n^N x n^N matrix.  A pair operator touches two
-of the N tensor slots, so it is applied as one n^2 x n^2 product on the
-(n^(j-1), n^2, rest) view of a coefficient vector or transport matrix, and Y
-is computed once per momentum pair.  The canonical words of N particles form
-a trie (27, 155, 1045, 8029 nodes for N = 4, 5, 6, 7; from N = 4 on, some
-interior nodes are not words).  Its shape, the slot labels of every edge and
-its braid sites depend only on N, so they are planned once per N, and each
-call walks the trie depth-first once, holding only the arrays of the current
-path.  `bethe_coefficients` makes one pair application per node.
+of the N tensor slots, so `linalg.apply_pair` applies it as one n^2 x n^2
+product on the (n^(j-1), n^2, rest) view of a coefficient vector or transport
+matrix, and Y is computed once per momentum pair.  The canonical words of N
+particles form a trie (27, 155, 1045, 8029 nodes for N = 4, 5, 6, 7; from
+N = 4 on, some interior nodes are not words).  Its shape, the slot labels of
+every edge and its braid sites depend only on N, so they are planned once per
+N, and each call walks the trie depth-first once, holding only the arrays of
+the current path.  `bethe_coefficients` makes one pair application per node.
 `path_consistency` reuses the walk's transport as the canonical braid of each
 braid site, applies only the flipped braid, and moves the difference down the
 site's subtree, which every word through the site shares, one swap at a time.
@@ -40,7 +40,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .boundary import SeparatedBC, require_separated
-from .linalg import SingularMatrixError, SpinDims, Statistics, as_statistics, max_abs
+from .linalg import (SingularMatrixError, SpinDims, Statistics, apply_pair, as_statistics,
+                     max_abs, permutation_sign, permute_slots)
 from .scattering import y_separated
 
 __all__ = [
@@ -317,11 +318,10 @@ def _walk(bc: SeparatedBC, momenta: tuple[float, ...], dims: SpinDims,
     """
     tree = _word_tree(dims.N)
     operators = _exchange_operators(bc, momenta, tree.pairs)
-    n = dims.n
 
     def apply(step, t):
         slot, pair = step
-        return np.matmul(operators[pair], t.reshape(n ** (slot - 1), n * n, -1)).reshape(t.shape)
+        return apply_pair(operators[pair], slot, t, dims.n)
 
     found = {tree.words[0][0]: u}
     vectors, diffs = [u], [()]
@@ -408,18 +408,6 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     return _walk(bc, momenta, dims, None, True)[1]
 
 
-def _spin_slot_permutation(vec: np.ndarray, order: np.ndarray, dims: SpinDims) -> np.ndarray:
-    """Reindex spin slots: result[a_1..a_N] = vec[a_{order(1)}..a_{order(N)}]."""
-    tensor = vec.reshape((dims.n,) * dims.N)
-    return np.transpose(tensor, axes=np.argsort(order)).reshape(-1)
-
-
-def _permutation_sign(order: np.ndarray) -> int:
-    """+1 or -1 by the parity of the inversion count of order."""
-    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
-    return -1 if inversions % 2 else 1
-
-
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:
     """Plane-wave sum at a point y of the fundamental region, all N! terms at once."""
     phases = np.exp(1j * (state._slot_momenta @ y).astype(dtype))
@@ -438,9 +426,8 @@ def _wavefunction(state: BetheState, x, dtype) -> np.ndarray:
             "position lies on (or too near) a coincidence plane; "
             "the wavefunction is only defined on open ordering regions"
         )
-    value = _fundamental_value(state, y, dtype)
-    reindexed = _spin_slot_permutation(value, order, state.dims)
-    if state.statistics is Statistics.FERMION and _permutation_sign(order) < 0:
+    reindexed = permute_slots(_fundamental_value(state, y, dtype), order, state.dims.n)
+    if state.statistics is Statistics.FERMION and permutation_sign(order) < 0:
         reindexed = -reindexed
     return reindexed
 

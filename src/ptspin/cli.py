@@ -125,19 +125,14 @@ def cmd_bethe(args, tol) -> tuple[int, str]:
         except (json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"--u-init: {exc}") from None
     state, consistency = _bethe(bc, momenta, u_init, args.statistics, consistency=True)
-    coefficients = [
-        {
-            "perm": list(perm),
-            "word": list(state.words[perm]),
-            "u": vector_to_json(state.coefficients[perm]),
-        }
-        for perm in sorted(state.coefficients)
-    ]
+    perms = sorted(state.coefficients)
+    vectors = matrix_to_json([state.coefficients[perm] for perm in perms])
     doc = {
         "momenta": [float(k) for k in momenta],
         "statistics": state.statistics.value,
         "path_consistency": consistency,
-        "coefficients": coefficients,
+        "coefficients": [{"perm": list(perm), "word": list(state.words[perm]), "u": u}
+                         for perm, u in zip(perms, vectors)],
     }
     return EXIT_OK, _dumps(doc)
 

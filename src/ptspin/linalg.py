@@ -4,6 +4,7 @@ Tensor-product bases are ordered lexicographically with the first factor most
 significant: the flat index of e_{a1} x ... x e_{aN} is sum_j a_j * n**(N-j)
 for 0-based component labels a_j.  Particle/slot indices in the public API are
 1-based, matching the physics conventions used throughout the package.
+`apply_pair`, `permute_slots` and `permutation_sign` are this layout's one home.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ __all__ = [
     "as_tolerance",
     "max_abs",
     "swap_pair",
+    "apply_pair",
+    "permute_slots",
+    "permutation_sign",
     "exchange_operator",
     "embed_pair",
     "inverse",
@@ -128,17 +132,32 @@ def statistics_swap(n: int, statistics) -> np.ndarray:
     return as_statistics(statistics).sign * swap_pair(n)
 
 
+def apply_pair(m: np.ndarray, j: int, t: np.ndarray, n: int) -> np.ndarray:
+    """Apply the n^2 x n^2 operator m to slots (j, j+1) (1-based j) of t along axis 0."""
+    return np.matmul(m, t.reshape(n ** (j - 1), n * n, -1)).reshape(t.shape)
+
+
+def permute_slots(t: np.ndarray, order, n: int) -> np.ndarray:
+    """result[a_1..a_N] = t[a_order(1)..a_order(N)] on axis 0; order is 0-based, N = len(order)."""
+    tensor = t.reshape((n,) * len(order) + t.shape[1:])
+    return np.moveaxis(tensor, range(len(order)), order).reshape(t.shape)
+
+
+def permutation_sign(orders) -> np.ndarray:
+    """+1 or -1 by the parity of the inversion count of each row of orders."""
+    orders = np.asarray(orders)
+    inversions = np.triu(orders[..., :, None] > orders[..., None, :]).sum(axis=(-2, -1))
+    return 1 - 2 * (inversions % 2)
+
+
 def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:
     """Operator exchanging tensor factors i and j (1-based, any distinct pair)."""
     if not (1 <= i <= dims.N and 1 <= j <= dims.N):
         raise IndexError(f"factor indices ({i},{j}) out of range for N={dims.N}")
     if i == j:
         raise ValueError("exchange requires two distinct factors")
-    idx = np.arange(dims.total_dim).reshape((dims.n,) * dims.N)
-    swapped = np.swapaxes(idx, i - 1, j - 1)
-    op = np.zeros((dims.total_dim, dims.total_dim), dtype=np.complex128)
-    op[swapped.ravel(), idx.ravel()] = 1.0
-    return op
+    order = [{i - 1: j - 1, j - 1: i - 1}.get(a, a) for a in range(dims.N)]
+    return permute_slots(np.eye(dims.total_dim, dtype=np.complex128), order, dims.n)
 
 
 def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
@@ -204,7 +223,7 @@ def vector_to_json(v) -> list[list[float]]:
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 1:
         raise ValueError(f"vector must be 1-dimensional, got shape {v.shape}")
-    return [complex_to_json(z) for z in v]
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -217,7 +236,7 @@ def matrix_to_json(m) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {m.shape}")
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:

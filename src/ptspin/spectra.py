@@ -11,8 +11,8 @@ the "parity" failure.  Bound states are solved inside the sector, in
 C(n+N-1, N) or C(n, N) dimensions instead of n^N, where pair (1, 2) implies
 every pair, and the solutions get a canonical basis in occupation-number
 order (`_sector_solutions`).  N = 2 emits every basis vector, N >= 3 the
-first one per sign.  The dense n^N pair-exchange conditions (`_parity_stack`)
-serve only the independent check `BoundState.parity_residual`.
+first one per sign.  The independent check `BoundState.parity_residual`
+applies each pair exchange as a slot swap (`linalg.permute_slots`).
 
 `verify_bound_state_fd` is an independent check: it differentiates nothing
 analytically, it just applies a second-order grid Laplacian to the decay
@@ -20,22 +20,22 @@ profile inside one ordering region and compares against the stored energy.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import SignPattern, _permutation_sign
+from .bethe import SignPattern
 from .boundary import SeparatedBC, require_separated
 from .linalg import (
     DEFAULT_TOL,
-    SpinDims,
     Statistics,
+    apply_pair,
     as_operator,
     as_statistics,
     as_tolerance,
-    exchange_operator,
     max_abs,
+    permutation_sign,
+    permute_slots,
 )
 
 __all__ = [
@@ -154,47 +154,42 @@ def _nullspace(constraints: np.ndarray, tol: float) -> np.ndarray:
     return vh[len(sv) - int(np.sum(sv <= tol)):].conj().T
 
 
-def _parity_stack(epsilon: SignPattern, stats: Statistics, dims: SpinDims) -> np.ndarray:
-    """Blocks P_kl - sign(statistics) * epsilon_kl * I stacked in `epsilon.pairs` order."""
-    eye = np.eye(dims.total_dim, dtype=np.complex128)
-    return np.vstack([exchange_operator(l, k, dims) - stats.sign * epsilon[(k, l)] * eye
-                      for (k, l) in epsilon.pairs])
-
-
 def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     """Orthonormal occupation-number basis of Sym^N(C^n) (sign +1) or Λ^N(C^n) (sign -1).
 
     One column per sorted label tuple (non-decreasing for Sym^N, increasing
     for Λ^N) in lexicographic order: the normalized sum of e_{a_1} x ... x
     e_{a_N} over every ordering of the labels, signed by the ordering's parity
-    for Λ^N.  Λ^N(C^n) has no columns when n < N.
+    for Λ^N.  Each label row a adds its stabiliser size prod_b m_b! (Sym^N)
+    or, for distinct labels, its parity (Λ^N) to column sort(a).
     """
-    orders = np.array(list(itertools.permutations(range(N))), dtype=np.intp)
-    weights = [_permutation_sign(o) for o in orders.tolist()] if exchange_sign < 0 else 1.0
-    choose = itertools.combinations_with_replacement if exchange_sign > 0 else itertools.combinations
-    labels = np.array(list(choose(range(n), N)), dtype=np.intp).reshape(-1, N)
-    flat = labels[:, orders] @ n ** np.arange(N - 1, -1, -1)
-    S = np.zeros((n ** N, len(labels)))
-    np.add.at(S, (flat, np.arange(len(labels))[:, None]), weights)
+    labels = np.indices((n,) * N).reshape(N, -1).T
+    keys = np.sort(labels, axis=1)
+    weights = (np.tril(labels[:, :, None] == labels[:, None, :]).sum(axis=2).prod(axis=1, dtype=float)
+               if exchange_sign > 0 else
+               permutation_sign(labels) * (np.diff(keys, axis=1) > 0).all(axis=1))
+    rows = np.flatnonzero(weights)
+    columns, inverse = np.unique(keys[rows], axis=0, return_inverse=True)
+    S = np.zeros((n ** N, len(columns)))
+    S[rows, inverse.reshape(-1)] = weights[rows]
     return S / np.linalg.norm(S, axis=0)
 
 
 def _sector_solutions(F: np.ndarray, lam: float, S: np.ndarray, tol: float) -> list[np.ndarray]:
     """Canonical basis of {v in range(S) : F_12 v = conj(F)_12 v = lam v}.
 
-    F and conj(F) act on slots 1-2 of S's columns through their (n^2, rest)
-    view; inside the symmetric or antisymmetric sector pair (1, 2) implies
-    every other pair, since each pair exchange maps v to +-v.  K spans the
-    nullspace of the stacked d-column constraints (singular values <= tol).
-    The basis is the Gram-Schmidt of the projections K K^H e_i of S's
-    columns, in column order, keeping a remainder whose norm is at least
-    1/sqrt(2d): since the squared norms of all d projections sum to dim K,
-    this cut-off always keeps dim K vectors, and the result depends on the
-    nullspace only, not on which K the SVD returns.  Each vector is mapped
-    back through S and phase-normalized.
+    F and conj(F) act on slots 1-2 of S's columns (`apply_pair`); inside the
+    symmetric or antisymmetric sector pair (1, 2) implies every other pair,
+    since each pair exchange maps v to +-v.  K spans the nullspace of the
+    stacked d-column constraints (singular values <= tol).  The basis is the
+    Gram-Schmidt of the projections K K^H e_i of S's columns, in column order,
+    keeping a remainder whose norm is at least 1/sqrt(2d): since the squared
+    norms of all d projections sum to dim K, this cut-off always keeps dim K
+    vectors, and the result depends on the nullspace only, not on which K the
+    SVD returns.  Each vector is mapped back through S and phase-normalized.
     """
-    view = S.reshape(F.shape[0], -1)
-    K = _nullspace(np.vstack([(M @ view).reshape(S.shape) - lam * S for M in (F, F.conj())]), tol)
+    n = round(len(F) ** 0.5)
+    K = _nullspace(np.vstack([apply_pair(M, 1, S, n) - lam * S for M in (F, F.conj())]), tol)
     basis: list[np.ndarray] = []
     for w in K.conj():
         if len(basis) == K.shape[1]:
@@ -349,9 +344,12 @@ class BoundState:
         object.__setattr__(self, "statistics", as_statistics(self.statistics))
 
     def parity_residual(self) -> float:
-        """Worst defect of the stored pair-exchange sign relations."""
-        dims = SpinDims(self.n, self.n_particles)
-        return max_abs(_parity_stack(self.epsilon, self.statistics, dims) @ self.v)
+        """Worst defect of the stored pair-exchange sign relations, each P_kl a slot swap."""
+        swaps = {(k, l): [{k - 1: l - 1, l - 1: k - 1}.get(a, a) for a in range(self.n_particles)]
+                 for k, l in self.epsilon.pairs}
+        return max(max_abs(permute_slots(self.v, order, self.n)
+                           - self.statistics.sign * self.epsilon[pair] * self.v)
+                   for pair, order in swaps.items())
 
 
 _AXIS_SAMPLES = {2: 48, 3: 17}

@@ -1,4 +1,7 @@
 """Tensor-product plumbing and JSON codecs."""
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +9,7 @@ from hypothesis import given, strategies as st
 from ptspin.linalg import (
     SingularMatrixError,
     SpinDims,
+    apply_pair,
     as_operator,
     complex_from_json,
     complex_to_json,
@@ -15,6 +19,8 @@ from ptspin.linalg import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
+    permutation_sign,
+    permute_slots,
     swap_pair,
     vector_from_json,
     vector_to_json,
@@ -123,6 +129,56 @@ def test_embed_pair_rejects_out_of_range_slot():
         embed_pair(np.eye(4), 0, dims)
 
 
+@pytest.mark.parametrize("n,N", [(2, 2), (2, 4), (3, 3)])
+def test_apply_pair_matches_embedded_operator(rng, n, N):
+    """The slot-local product equals the dense embedded operator on every slot,
+    for a vector and for a matrix acted on along axis 0."""
+    dims = SpinDims(n, N)
+    m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+    vector = rng.normal(size=dims.total_dim) + 1j * rng.normal(size=dims.total_dim)
+    matrix = rng.normal(size=(dims.total_dim, 5)) + 1j * rng.normal(size=(dims.total_dim, 5))
+    for j in range(1, N):
+        dense = embed_pair(m, j, dims)
+        for t in (vector, matrix):
+            got = apply_pair(m, j, t, n)
+            assert got.shape == t.shape
+            assert max_abs(got - dense @ t) <= 1e-13
+
+
+@pytest.mark.parametrize("n,N", [(2, 3), (3, 3), (2, 4)])
+def test_permute_slots_transpositions_match_exchange_operator(rng, n, N):
+    dims = SpinDims(n, N)
+    vector = rng.normal(size=dims.total_dim) + 1j * rng.normal(size=dims.total_dim)
+    matrix = rng.normal(size=(dims.total_dim, 3)) + 1j * rng.normal(size=(dims.total_dim, 3))
+    for i, j in itertools.combinations(range(1, N + 1), 2):
+        order = np.arange(N)
+        order[[i - 1, j - 1]] = j - 1, i - 1
+        for t in (vector, matrix):
+            assert (permute_slots(t, order, n) == exchange_operator(i, j, dims) @ t).all()
+
+
+def test_permute_slots_reindexes_and_composes(rng):
+    """result[a] = t[a_order], so permuting by p and then by q is permuting by q[p]."""
+    n, N = 2, 4
+    t = rng.normal(size=n ** N)
+    tensor = t.reshape((n,) * N)
+    orders = [np.array(o) for o in itertools.permutations(range(N))]
+    for order in orders:
+        got = permute_slots(t, order, n).reshape((n,) * N)
+        for a in itertools.product(range(n), repeat=N):
+            assert got[a] == tensor[tuple(a[k] for k in order)]
+    for p, q in itertools.product(orders[::5], orders[::7]):
+        assert (permute_slots(permute_slots(t, p, n), q, n) == permute_slots(t, q[p], n)).all()
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_permutation_sign_is_the_inversion_parity(N):
+    orders = list(itertools.permutations(range(N)))
+    want = [(-1) ** sum(a > b for a, b in itertools.combinations(o, 2)) for o in orders]
+    assert permutation_sign(np.array(orders)).tolist() == want
+    assert [int(permutation_sign(o)) for o in orders] == want
+
+
 def test_inverse_matches_reference(rng):
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert max_abs(inverse(m, role="test") @ m - np.eye(5)) < 1e-10
@@ -151,6 +207,21 @@ def test_matrix_json_roundtrip_bit_exact(rng):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     back = matrix_from_json(matrix_to_json(m))
     assert (back == m).all()
+
+
+def test_array_codecs_match_the_scalar_codec_byte_for_byte(rng):
+    """Whole-array encoding prints exactly what per-entry encoding printed,
+    signed zeros and subnormals included."""
+    m = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    m[0, :3] = [-0.0, complex(0.0, -0.0), complex(5e-324, -2.2e-308)]
+    m[1, 0] = complex(1e308, -1e-300)
+    for a, encode in ((m, matrix_to_json), (m[0], vector_to_json), (m[:, 1], vector_to_json)):
+        cells = np.vectorize(complex_to_json, otypes=[object])(a).tolist()
+        assert json.dumps(encode(a)) == json.dumps(cells)
+    with pytest.raises(ValueError, match="vector must be 1-dimensional"):
+        vector_to_json(m)
+    with pytest.raises(ValueError, match="matrix must be 2-dimensional"):
+        matrix_to_json(m[0])
 
 
 def test_json_decoders_reject_malformed_cells():

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_hspin
 from ptspin.bethe import SignPattern
 from ptspin.boundary import SeparatedBC, hspin, validate
-from ptspin.linalg import SpinDims, embed_pair, exchange_operator, max_abs
+from ptspin.linalg import SpinDims, Statistics, embed_pair, exchange_operator, max_abs
 from ptspin.spectra import (
     _sector_basis,
     _sector_solutions,
@@ -304,6 +304,29 @@ def test_sector_basis_is_orthonormal_and_exchange_signed(n, N):
                 assert max_abs(exchange_operator(l, k, dims) @ S - sign * S) <= 1e-15
 
 
+def ordering_sector_basis(n, N, exchange_sign):
+    """Reference: each sorted label tuple summed over all N! orderings of its
+    labels (signed by the ordering's inversion parity for Λ^N), normalized."""
+    orders = np.array(list(itertools.permutations(range(N))), dtype=np.intp)
+    weights = 1.0
+    if exchange_sign < 0:
+        weights = [(-1) ** sum(a > b for a, b in itertools.combinations(o, 2)) for o in orders]
+    choose = itertools.combinations_with_replacement if exchange_sign > 0 else itertools.combinations
+    labels = np.array(list(choose(range(n), N)), dtype=np.intp).reshape(-1, N)
+    flat = labels[:, orders] @ n ** np.arange(N - 1, -1, -1)
+    S = np.zeros((n ** N, len(labels)))
+    np.add.at(S, (flat, np.arange(len(labels))[:, None]), weights)
+    return S / np.linalg.norm(S, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sector_basis_matches_the_ordering_sum(n):
+    """The basis built from the n^N label rows is the N!-ordering sum, bit for bit."""
+    for N in range(1, 7):
+        for sign in (1, -1):
+            assert np.array_equal(_sector_basis(n, N, sign), ordering_sector_basis(n, N, sign))
+
+
 def complex_coupling_with_bound_sector(rng, lam):
     """Dense complex n=3 coupling F = lam + R (1 - Q x Q), Q the orthogonal
     projector onto a random complex plane U in C^3.  F v = lam v on U x U but
@@ -393,6 +416,54 @@ def test_bound_search_stays_in_the_sector():
     assert [s.epsilon.values() for s in states] == [(1,) * 10]
     assert states[0].parity_residual() <= 1e-12
     assert peak < 2_000_000
+
+
+def dense_parity_stack(epsilon: SignPattern, stats: Statistics, dims: SpinDims) -> np.ndarray:
+    """Reference: blocks P_kl - sign(statistics) * epsilon_kl * I, n^N wide,
+    stacked in `epsilon.pairs` order."""
+    eye = np.eye(dims.total_dim, dtype=np.complex128)
+    return np.vstack([exchange_operator(l, k, dims) - stats.sign * epsilon[(k, l)] * eye
+                      for (k, l) in epsilon.pairs])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_parity_residual_matches_dense_reference(rng, n, N):
+    """Slot swaps give the dense stack's residual, on vectors outside every
+    sector (non-zero residual) and on sector vectors (zero residual)."""
+    dims = SpinDims(n, N)
+    pairs = SignPattern.uniform(N).pairs
+    patterns = [SignPattern.uniform(N, 1), SignPattern.uniform(N, -1)]
+    if N > 2:
+        patterns.append(SignPattern(N, {p: (-1 if p == pairs[0] else 1) for p in pairs}))
+        patterns += [SignPattern(N, dict(zip(pairs, rng.choice((-1, 1), len(pairs)).tolist())))
+                     for _ in range(2)]
+    for stats in ("boson", "fermion"):
+        for pattern in patterns:
+            v = rng.normal(size=dims.total_dim) + 1j * rng.normal(size=dims.total_dim)
+            state = BoundState(N, -1.0, v, pattern, bound_energy(-1.0, N), stats)
+            want = max_abs(dense_parity_stack(pattern, state.statistics, dims) @ state.v)
+            assert want > 0.1
+            assert abs(state.parity_residual() - want) <= 1e-15
+        for eps in (-1, 1):
+            sector = _sector_basis(n, N, Statistics(stats).sign * eps)
+            for v in sector.T:
+                state = BoundState(N, -1.0, v, SignPattern.uniform(N, eps), bound_energy(-1.0, N), stats)
+                assert state.parity_residual() == 0.0
+                assert max_abs(dense_parity_stack(state.epsilon, state.statistics, dims) @ v) == 0.0
+
+
+def test_parity_residual_builds_no_dense_exchange():
+    """n=3, N=6: 15 slot swaps of a 729-vector, not fifteen 729 x 729 blocks."""
+    state = bound_states(SeparatedBC(3, -np.eye(9)), 6, "boson")[0]
+    tracemalloc.start()
+    try:
+        residual = state.parity_residual()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak < 5_000_000
 
 
 def test_nondegenerate_eigenvalue_fails_on_eigenvalue_stage():
