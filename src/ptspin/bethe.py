@@ -31,7 +31,6 @@ Both produce the same floating-point operations as replaying each word alone.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -189,75 +188,98 @@ class _WordTree(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-def _steps(word: tuple[int, ...], N: int) -> list[tuple[int, tuple[int, int]]]:
-    """(slot, (alpha, beta)) of each swap of word, replayed from the identity."""
-    labels, steps = list(range(1, N + 1)), []
-    for slot in word:
-        alpha, beta = labels[slot - 1], labels[slot]
-        steps.append((slot, (alpha, beta)))
-        labels[slot - 1], labels[slot] = beta, alpha
-    return steps
-
-
-def _is_braid(prefix: tuple[int, ...]) -> bool:
-    """Whether prefix ends in a braid (a, b, a) with |a - b| = 1."""
-    return len(prefix) >= 3 and prefix[-3] == prefix[-1] and abs(prefix[-1] - prefix[-2]) == 1
+def _swap(labels: tuple[int, ...], slot: int) -> tuple[tuple[int, tuple[int, int]], tuple[int, ...]]:
+    """The step (slot, (alpha, beta)) of one swap at slot, and the labels after it."""
+    alpha, beta = labels[slot - 1], labels[slot]
+    return (slot, (alpha, beta)), labels[:slot - 1] + (beta, alpha) + labels[slot + 1:]
 
 
 @functools.cache
 def _word_tree(N: int) -> _WordTree:
     """Trie of the canonical words for N particles, with its walk bookkeeping.
 
-    Children are visited lightest subtree first, so the arrays a node keeps
-    for its children are released before its heaviest subtree is entered.
+    Each node's slot labels come from its parent's by one swap, so no prefix
+    is replayed from the identity.  Children are visited lightest subtree
+    first, so the arrays a node keeps for its children are released before
+    its heaviest subtree is entered.
     """
     words = tuple((perm, _canonical_word(perm))
                   for perm in itertools.permutations(range(1, N + 1)))
+    # Nodes by id in creation order, parents first and the root 0: parent,
+    # depth, slot labels after the prefix, step (slot, pair) and children by slot.
+    parent, depth = [0], [0]
+    labels, steps, children = [tuple(range(1, N + 1))], [None], [{}]
+    perm_at: dict[int, tuple[int, ...]] = {}
+    # A momentum pair is first used where its first node is created.
     pairs: dict[tuple[int, int], None] = {}
-    perm_at: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for perm, word in words:
-        for _, pair in _steps(word, N):
-            pairs.setdefault(pair)
-        for m in range(len(word)):
-            perm_at.setdefault(word[:m], None)
-        perm_at[word] = perm
-    children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for prefix in perm_at:
-        if prefix:
-            children.setdefault(prefix[:-1], []).append(prefix)
-    weight = collections.Counter(prefix[:m] for prefix in perm_at for m in range(len(prefix)))
-    order, stack = [], [()]
+        node = 0
+        for slot in word:
+            child = children[node].get(slot)
+            if child is None:
+                child = children[node][slot] = len(parent)
+                step, after = _swap(labels[node], slot)
+                parent.append(node)
+                depth.append(depth[node] + 1)
+                labels.append(after)
+                steps.append(step)
+                children.append({})
+                pairs.setdefault(step[1])
+            node = child
+        perm_at[node] = perm
+    weight = [0] * len(parent)
+    for node in range(len(parent) - 1, 0, -1):
+        weight[parent[node]] += weight[node] + 1
+    order, stack = [], [0]
     while stack:
-        prefix = stack.pop()
-        order.append(prefix)
-        stack.extend(sorted(children.get(prefix, ()), key=lambda c: (weight[c], c[-1]),
+        node = stack.pop()
+        order.append(node)
+        stack.extend(sorted(children[node].values(), key=lambda c: (weight[c], steps[c][0]),
                             reverse=True))
     del order[0]
+
+    def braid_base(node: int) -> int | None:
+        """The node three levels up if node's last three swaps are a braid, else None."""
+        if depth[node] < 3:
+            return None
+        p1 = parent[node]
+        p2 = parent[p1]
+        a, b = steps[p2][0], steps[p1][0]
+        return parent[p2] if steps[node][0] == a and abs(a - b) == 1 else None
+
+    base = {node: braid_base(node) for node in order}
     # A node's transport is needed where a braid node lies below it.  It is
     # dead after its last use: by a child's transport, by a braid node three
     # levels down, or by the node itself.  A node's differences are dead
     # after its last child.
-    transport = {b[:m] for b in order if _is_braid(b) for m in range(len(b) + 1)}
-    last_child: dict[tuple[int, ...], int] = {}
-    last_use: dict[tuple[int, ...], int] = {}
-    for i, prefix in enumerate(order):
-        last_child[prefix[:-1]] = i
-        if prefix in transport:
-            last_use[prefix] = last_use[prefix[:-1]] = i
-        if _is_braid(prefix):
-            last_use[prefix[:-3]] = i
+    transport = set()
+    for node in reversed(order):
+        if node in transport or base[node] is not None:
+            transport.update((node, parent[node]))
+    last_child: dict[int, int] = {}
+    last_use: dict[int, int] = {}
+    for i, node in enumerate(order):
+        last_child[parent[node]] = i
+        if node in transport:
+            last_use[node] = last_use[parent[node]] = i
+        if base[node] is not None:
+            last_use[base[node]] = i
     free: dict[int, list[int]] = {}
-    for prefix, i in last_use.items():
-        free.setdefault(i, []).append(len(prefix))
+    for node, i in last_use.items():
+        free.setdefault(i, []).append(depth[node])
     rows = []
-    for i, prefix in enumerate(order):
+    for i, node in enumerate(order):
         braid = None
-        if _is_braid(prefix):
-            a, b = prefix[-2:]
-            braid = tuple(_steps(prefix[:-3] + (a, b, a), N)[-3:])
-        rows.append(_TrieNode(depth=len(prefix), step=_steps(prefix, N)[-1],
-                              perm=perm_at[prefix], braid=braid, transport=prefix in transport,
-                              last=last_child[prefix[:-1]] == i,
+        if base[node] is not None:
+            a, b = steps[node][0], steps[parent[node]][0]
+            seq, braid = labels[base[node]], []
+            for slot in (b, a, b):
+                step, seq = _swap(seq, slot)
+                braid.append(step)
+            braid = tuple(braid)
+        rows.append(_TrieNode(depth=depth[node], step=steps[node], perm=perm_at.get(node),
+                              braid=braid, transport=node in transport,
+                              last=last_child[parent[node]] == i,
                               free=tuple(sorted(free.get(i, ())))))
     return _WordTree(rows=tuple(rows), words=words, pairs=tuple(pairs))
 

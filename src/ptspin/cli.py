@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -260,7 +261,10 @@ def _tol_flag(parser):
                              "PTSPIN_TOL overrides the default, this flag overrides both)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh Namespace, and PTSPIN_TOL is read per call."""
     parser = argparse.ArgumentParser(
         prog="ptspin",
         description="Validators, exchange operators, and bound states for "

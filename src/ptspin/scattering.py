@@ -107,16 +107,12 @@ def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
     kij = (ki - kj)/2, returns the entrywise max-abs of
 
         Y^1(k12) Y^2(k13) Y^1(k23) - Y^2(k23) Y^1(k13) Y^2(k12).
+
+    The factory is called once per momentum pair.
     """
     if dims.N != 3:
         raise ValueError(f"the consistency check is a three-particle identity, got N={dims.N}")
-    k12 = 0.5 * (k1 - k2)
-    k13 = 0.5 * (k1 - k3)
-    k23 = 0.5 * (k2 - k3)
-
-    def y_at(slot: int, k: float) -> np.ndarray:
-        return embed_pair(yfactory(k), slot, dims)
-
-    left = y_at(1, k12) @ y_at(2, k13) @ y_at(1, k23)
-    right = y_at(2, k23) @ y_at(1, k13) @ y_at(2, k12)
+    y12, y13, y23 = (yfactory(0.5 * (a - b)) for a, b in ((k1, k2), (k1, k3), (k2, k3)))
+    left = embed_pair(y12, 1, dims) @ embed_pair(y13, 2, dims) @ embed_pair(y23, 1, dims)
+    right = embed_pair(y23, 2, dims) @ embed_pair(y13, 1, dims) @ embed_pair(y12, 2, dims)
     return max_abs(left - right)

@@ -17,9 +17,14 @@ applies each pair exchange as a slot swap (`linalg.permute_slots`).
 `verify_bound_state_fd` is an independent check: it differentiates nothing
 analytically, it just applies a second-order grid Laplacian to the decay
 profile inside one ordering region and compares against the stored energy.
+The profile is evaluated once on the whole stacked (2N+1)-point stencil.
+
+Cached per process, as read-only arrays in bounded caches: the sector basis
+per (n, N, sign) and the FD stencil centers per (N, grid half-width).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +159,7 @@ def _nullspace(constraints: np.ndarray, tol: float) -> np.ndarray:
     return vh[len(sv) - int(np.sum(sv <= tol)):].conj().T
 
 
+@functools.lru_cache(maxsize=32)
 def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     """Orthonormal occupation-number basis of Sym^N(C^n) (sign +1) or Λ^N(C^n) (sign -1).
 
@@ -161,7 +167,9 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     for Λ^N) in lexicographic order: the normalized sum of e_{a_1} x ... x
     e_{a_N} over every ordering of the labels, signed by the ordering's parity
     for Λ^N.  Each label row a adds its stabiliser size prod_b m_b! (Sym^N)
-    or, for distinct labels, its parity (Λ^N) to column sort(a).
+    or, for distinct labels, its parity (Λ^N) to column sort(a).  Built once
+    per process for each (n, N, sign) and returned read-only, since every
+    caller shares it; an entry holds n^N rows, so the cache is bounded.
     """
     labels = np.indices((n,) * N).reshape(N, -1).T
     keys = np.sort(labels, axis=1)
@@ -172,7 +180,9 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     columns, inverse = np.unique(keys[rows], axis=0, return_inverse=True)
     S = np.zeros((n ** N, len(columns)))
     S[rows, inverse.reshape(-1)] = weights[rows]
-    return S / np.linalg.norm(S, axis=0)
+    S /= np.linalg.norm(S, axis=0)
+    S.flags.writeable = False
+    return S
 
 
 def _sector_solutions(F: np.ndarray, lam: float, S: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -356,13 +366,21 @@ _AXIS_SAMPLES = {2: 48, 3: 17}
 _MIN_INDEX_GAP = 3
 
 
+@functools.lru_cache(maxsize=64)
 def _stencil_centers(N: int, m_max: int) -> np.ndarray:
+    """Ordered lattice centers, at least _MIN_INDEX_GAP apart, read-only.
+
+    m_max follows the decay rate, so only recent grids are kept (64 grids of
+    at most 48^2 rows hold about 1 MB).
+    """
     per_axis = _AXIS_SAMPLES[N]
     cand = np.unique(np.round(np.linspace(-m_max, m_max, per_axis)).astype(np.int64))
     grids = np.meshgrid(*([cand] * N), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     gaps = np.diff(pts, axis=1)
-    return pts[(gaps >= _MIN_INDEX_GAP).all(axis=1)]
+    centers = pts[(gaps >= _MIN_INDEX_GAP).all(axis=1)]
+    centers.flags.writeable = False
+    return centers
 
 
 def _decay_profile(points: np.ndarray, lam: np.longdouble) -> np.ndarray:
@@ -408,11 +426,14 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
     m_max = int(np.floor(half_width / spacing)) - 1
     centers = _stencil_centers(N, m_max)
     x0 = centers.astype(np.longdouble) * h
-    f0 = _decay_profile(x0, lam)
+    # One profile evaluation on the stacked stencil: the centers, then x0 + h e_a
+    # and x0 - h e_a for every axis a.
+    steps = np.eye(N, dtype=np.longdouble) * h
+    offsets = np.concatenate([np.zeros((1, N), dtype=np.longdouble), steps, -steps])
+    f = _decay_profile((x0 + offsets[:, None, :]).reshape(-1, N), lam).reshape(2 * N + 1, -1)
+    f0 = f[0]
     lap = np.zeros_like(f0)
     for axis in range(N):
-        step = np.zeros(N, dtype=np.longdouble)
-        step[axis] = h
-        lap += (_decay_profile(x0 + step, lam) - 2.0 * f0 + _decay_profile(x0 - step, lam)) / (h * h)
+        lap += (f[1 + axis] - 2.0 * f0 + f[1 + N + axis]) / (h * h)
     residual = np.abs((-lap - energy * f0) / f0)
     return float(np.max(residual))

@@ -1,4 +1,5 @@
 """Coefficient propagation, wavefunction assembly, and interface defects."""
+import collections
 import itertools
 import tracemalloc
 
@@ -8,6 +9,8 @@ import pytest
 from conftest import random_hspin, separated_momenta
 from ptspin.bethe import (
     SignPattern,
+    _TrieNode,
+    _WordTree,
     _word_tree,
     bethe_coefficients,
     boundary_jump_residual,
@@ -347,6 +350,65 @@ def label_steps(word, N):
         steps.append((slot, (seq[slot - 1], seq[slot])))
         seq[slot - 1], seq[slot] = seq[slot], seq[slot - 1]
     return steps, tuple(seq)
+
+
+def is_braid(prefix):
+    return len(prefix) >= 3 and prefix[-3] == prefix[-1] and abs(prefix[-1] - prefix[-2]) == 1
+
+
+def reference_word_tree(N):
+    """The trie planner that replays every prefix from the identity.
+
+    `_word_tree` carries the slot labels down the trie instead; its plan must
+    be equal to this one row for row.
+    """
+    words = tuple((perm, reference_word(perm)) for perm in itertools.permutations(range(1, N + 1)))
+    pairs, perm_at = {}, {}
+    for perm, word in words:
+        for _, pair in label_steps(word, N)[0]:
+            pairs.setdefault(pair)
+        for m in range(len(word)):
+            perm_at.setdefault(word[:m], None)
+        perm_at[word] = perm
+    children = {}
+    for prefix in perm_at:
+        if prefix:
+            children.setdefault(prefix[:-1], []).append(prefix)
+    weight = collections.Counter(prefix[:m] for prefix in perm_at for m in range(len(prefix)))
+    order, stack = [], [()]
+    while stack:
+        prefix = stack.pop()
+        order.append(prefix)
+        stack.extend(sorted(children.get(prefix, ()), key=lambda c: (weight[c], c[-1]),
+                            reverse=True))
+    del order[0]
+    transport = {b[:m] for b in order if is_braid(b) for m in range(len(b) + 1)}
+    last_child, last_use = {}, {}
+    for i, prefix in enumerate(order):
+        last_child[prefix[:-1]] = i
+        if prefix in transport:
+            last_use[prefix] = last_use[prefix[:-1]] = i
+        if is_braid(prefix):
+            last_use[prefix[:-3]] = i
+    free = {}
+    for prefix, i in last_use.items():
+        free.setdefault(i, []).append(len(prefix))
+    rows = []
+    for i, prefix in enumerate(order):
+        braid = None
+        if is_braid(prefix):
+            a, b = prefix[-2:]
+            braid = tuple(label_steps(prefix[:-3] + (a, b, a), N)[0][-3:])
+        rows.append(_TrieNode(depth=len(prefix), step=label_steps(prefix, N)[0][-1],
+                              perm=perm_at[prefix], braid=braid, transport=prefix in transport,
+                              last=last_child[prefix[:-1]] == i,
+                              free=tuple(sorted(free.get(i, ())))))
+    return _WordTree(rows=tuple(rows), words=words, pairs=tuple(pairs))
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_word_tree_equals_the_replaying_planner(N):
+    assert _word_tree(N) == reference_word_tree(N)
 
 
 @pytest.mark.parametrize("N", range(2, 8))

@@ -351,6 +351,41 @@ def test_output_flag_redirects_stdout(capsys, tmp_path):
     assert target.read_text() == direct
 
 
+# One process may call main many times and the parser is built once; no call
+# may leak into the next.
+
+def test_output_flag_does_not_stick_to_the_next_call(capsys, tmp_path):
+    target = tmp_path / "bound.json"
+    argv = ("bound", fx("hspin_diag.json"), "--particles", "2")
+    rc, out, _ = run_cli(capsys, "--output", target, *argv)
+    assert rc == 0 and out == ""
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out == target.read_text() and json.loads(out)
+
+
+def test_usage_error_does_not_affect_the_next_call(capsys):
+    argv = ("bound", fx("hspin_minus_identity.json"), "--particles", "3")
+    _, before, _ = run_cli(capsys, *argv)
+    rc, out, err = run_cli(capsys, "bound", fx("hspin_minus_identity.json"), "--statistics", "x")
+    assert rc == 2 and out == "" and "--statistics" in err
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and out == before and err == ""
+
+
+def test_tolerance_environment_is_read_on_every_call(capsys, monkeypatch):
+    argv = ("classify", fx("hspin_diag.json"))
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and json.loads(out)["tol"] == 1e-10 * (1 + 3.0)
+    monkeypatch.setenv("PTSPIN_TOL", "0.5")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and json.loads(out)["tol"] == 0.5
+    rc, out, _ = run_cli(capsys, *argv, "--tol", "0.25")
+    assert rc == 0 and json.loads(out)["tol"] == 0.25
+    monkeypatch.delenv("PTSPIN_TOL")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and json.loads(out)["tol"] == 1e-10 * (1 + 3.0)
+
+
 _ZERO = [0.0, 0.0]
 
 # (argv, PTSPIN_TOL or None, stderr fragment); "{doc}" in argv is replaced by

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_hspin, separated_momenta
 from ptspin.boundary import SeparatedBC, delta_type, hspin
-from ptspin.linalg import SingularMatrixError, SpinDims, max_abs, swap_pair
+from ptspin.linalg import SingularMatrixError, SpinDims, embed_pair, max_abs, swap_pair
 from ptspin.scattering import (
     Statistics,
     as_statistics,
@@ -127,6 +127,35 @@ def test_ybe_residual_symmetric_under_momentum_reversal(rng):
         forward = ybe_residual(fac, *ks, SpinDims(2, 3))
         backward = ybe_residual(fac, ks[2], ks[1], ks[0], SpinDims(2, 3))
         assert forward == pytest.approx(backward, rel=1e-12, abs=1e-14)
+
+
+def six_call_ybe_residual(yfactory, k1, k2, k3, dims):
+    """The factorization residual with the factory called once per factor."""
+    def y_at(slot, k):
+        return embed_pair(yfactory(k), slot, dims)
+
+    k12, k13, k23 = 0.5 * (k1 - k2), 0.5 * (k1 - k3), 0.5 * (k2 - k3)
+    left = y_at(1, k12) @ y_at(2, k13) @ y_at(1, k23)
+    right = y_at(2, k23) @ y_at(1, k13) @ y_at(2, k12)
+    return max_abs(left - right)
+
+
+def test_ybe_residual_calls_the_factory_once_per_pair(rng):
+    draws = [make_y_factory(random_hspin(rng)) for _ in range(4)]
+    for _ in range(4):
+        C = rng.normal(size=(4, 4))
+        draws.append(make_y_factory(delta_type(C + C.T, 2), rng.choice(["boson", "fermion"])))
+    for factory in draws:
+        calls = []
+
+        def counting(k12, factory=factory):
+            calls.append(k12)
+            return factory(k12)
+
+        ks = separated_momenta(rng, 3)
+        residual = ybe_residual(counting, *ks, SpinDims(2, 3))
+        assert len(calls) == 3
+        assert residual == six_call_ybe_residual(factory, *ks, SpinDims(2, 3))
 
 
 def test_ybe_residual_requires_three_particles():

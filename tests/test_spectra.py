@@ -13,6 +13,7 @@ from ptspin.linalg import SpinDims, Statistics, embed_pair, exchange_operator, m
 from ptspin.spectra import (
     _sector_basis,
     _sector_solutions,
+    _stencil_centers,
     BoundState,
     BoundStateNotFound,
     bound_energy,
@@ -327,6 +328,20 @@ def test_sector_basis_matches_the_ordering_sum(n):
             assert np.array_equal(_sector_basis(n, N, sign), ordering_sector_basis(n, N, sign))
 
 
+def test_cached_sector_bases_and_stencils_are_shared_read_only():
+    """Both are built once per process; a caller writing into one must fail."""
+    for build, args in ((_sector_basis, (2, 3, 1)), (_sector_basis, (3, 3, -1)),
+                        (_stencil_centers, (2, 999)), (_stencil_centers, (3, 999))):
+        cached = build(*args)
+        assert build(*args) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1
+        build.cache_clear()
+        fresh = build(*args)
+        assert fresh is not cached and np.array_equal(fresh, cached)
+
+
 def complex_coupling_with_bound_sector(rng, lam):
     """Dense complex n=3 coupling F = lam + R (1 - Q x Q), Q the orthogonal
     projector onto a random complex plane U in C^3.  F v = lam v on U x U but
@@ -507,6 +522,47 @@ def test_fd_residual_three_particles():
     assert r <= 1e-4
     r_coarse = verify_bound_state_fd(state, half_width=5.0, spacing=2e-3)
     assert 3.5 <= r_coarse / r <= 4.5
+
+
+def per_axis_fd_residual(state, half_width, spacing):
+    """The grid-Laplacian check with the profile evaluated once per stencil arm."""
+    N = state.n_particles
+    per_axis = {2: 48, 3: 17}[N]
+    h, lam = np.longdouble(spacing), np.longdouble(state.lam)
+    m_max = int(np.floor(half_width / spacing)) - 1
+    cand = np.unique(np.round(np.linspace(-m_max, m_max, per_axis)).astype(np.int64))
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([cand] * N), indexing="ij")], axis=1)
+    x0 = pts[(np.diff(pts, axis=1) >= 3).all(axis=1)].astype(np.longdouble) * h
+
+    def profile(points):
+        total = np.zeros(points.shape[0], dtype=np.longdouble)
+        for i in range(1, N):
+            for j in range(i):
+                total += np.abs(points[:, i] - points[:, j])
+        return np.exp(lam * total)
+
+    f0 = profile(x0)
+    lap = np.zeros_like(f0)
+    for axis in range(N):
+        step = np.zeros(N, dtype=np.longdouble)
+        step[axis] = h
+        lap += (profile(x0 + step) - 2.0 * f0 + profile(x0 - step)) / (h * h)
+    return float(np.max(np.abs((-lap - np.longdouble(state.energy) * f0) / f0)))
+
+
+def test_stacked_fd_check_equals_the_per_axis_reference():
+    couplings = (diag_hspin(), SeparatedBC(2, -1.3 * np.eye(4)), SeparatedBC(3, -0.7 * np.eye(9)))
+    checked = 0
+    for bc in couplings:
+        for N in (2, 3):
+            for stats in ("boson", "fermion"):
+                for state in bound_states(bc, N, stats):
+                    for spacing in (1e-3, 4e-3):
+                        half_width = 8.0001 / abs(state.lam)
+                        assert verify_bound_state_fd(state, half_width, spacing) == \
+                            per_axis_fd_residual(state, half_width, spacing)
+                        checked += 1
+    assert checked >= 80
 
 
 def test_fd_degenerate_flat_profile_is_exact():
