@@ -471,35 +471,18 @@ def evaluate_wavefunction(state: BetheState, x, statistics) -> np.ndarray:
     return _wavefunction(state, x, np.complex128).astype(np.complex128)
 
 
-def _fd_weights(nodes: np.ndarray, max_order: int) -> np.ndarray:
-    """Finite-difference weights at 0 for given nodes (Fornberg recursion).
+def _one_sided_weights(nodes: np.ndarray) -> np.ndarray:
+    """Weights at 0 of the interpolant through nonzero nodes, in long double.
 
-    Returns an array w of shape (max_order+1, len(nodes)) with
-    f^(m)(0) ~ sum_i w[m, i] f(nodes[i]).
+    Row 0 holds the Lagrange basis values l_i(0) = prod_{j!=i} x_j / (x_j - x_i)
+    and row 1 the slopes l_i'(0) = -l_i(0) sum_{j!=i} 1 / x_j, so that
+    f(0) ~ w[0] @ f(nodes) and f'(0) ~ w[1] @ f(nodes).
     """
     x = np.asarray(nodes, dtype=np.longdouble)
-    n = len(x)
-    w = np.zeros((max_order + 1, n), dtype=np.longdouble)
-    c1 = np.longdouble(1.0)
-    c4 = x[0]
-    w[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, max_order)
-        c2 = np.longdouble(1.0)
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for m in range(mn, 0, -1):
-                    w[m, i] = c1 * (m * w[m - 1, i - 1] - c5 * w[m, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for m in range(mn, 0, -1):
-                w[m, j] = (c4 * w[m, j] - m * w[m - 1, j]) / c3
-            w[0, j] = c4 * w[0, j] / c3
-        c1 = c2
-    return w
+    others = [np.delete(x, i) for i in range(len(x))]
+    value = np.array([np.prod(o / (o - xi)) for xi, o in zip(x, others)])
+    slope = -value * np.array([np.sum(1 / o) for o in others])
+    return np.stack((value, slope))
 
 
 _JUMP_NODES = 8
@@ -525,7 +508,7 @@ def boundary_jump_residual(state: BetheState, bc: SeparatedBC, j: int, probe: fl
     scale = max(1.0, max(abs(k) for k in state.momenta))
     delta = np.longdouble(0.01) / scale
     nodes = delta * np.arange(1, _JUMP_NODES + 1, dtype=np.longdouble)
-    weights = _fd_weights(nodes, 1)
+    weights = _one_sided_weights(nodes)
 
     def side(sign: float):
         samples = []

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    SpinDims,
     as_operator,
     as_tolerance,
     cayley,
@@ -102,17 +104,9 @@ class NonseparatedBC:
     D: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"spin dimension must be positive, got n={self.n}")
-        d = self.n * self.n
         for name in "ABCD":
-            m = as_operator(getattr(self, name), f"connection matrix {name}")
-            if m.shape != (d, d):
-                raise ValueError(
-                    f"connection matrix {name} must be {d}x{d} for n={self.n}, "
-                    f"got {m.shape}"
-                )
-            object.__setattr__(self, name, m)
+            object.__setattr__(
+                self, name, _block(getattr(self, name), f"connection matrix {name}", self.n))
 
 
 @dataclass(frozen=True)
@@ -127,16 +121,10 @@ class SeparatedBC:
     F: np.ndarray | None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"spin dimension must be positive, got n={self.n}")
-        if self.F is not None:
-            d = self.n * self.n
-            m = as_operator(self.F, "coupling matrix F")
-            if m.shape != (d, d):
-                raise ValueError(
-                    f"coupling matrix F must be {d}x{d} for n={self.n}, got {m.shape}"
-                )
-            object.__setattr__(self, "F", m)
+        if self.F is None:
+            SpinDims(self.n, 1)  # the Dirichlet member still needs n >= 1
+        else:
+            object.__setattr__(self, "F", _block(self.F, "coupling matrix F", self.n))
 
     @property
     def dirichlet(self) -> bool:
@@ -238,35 +226,41 @@ def scalar_pt_type2(theta: float, h0: float, h1: float) -> SeparatedBC:
     return SeparatedBC(n=1, F=np.array([[f]]))
 
 
-def _real_block(values, name: str, n: int) -> np.ndarray:
-    m = as_operator(values, name)
-    if m.shape != (n * n, n * n):
-        raise ValueError(f"{name} must be {n * n}x{n * n} for n={n}, got {m.shape}")
-    if max_abs(m.imag) != 0.0:
-        raise ValueError(f"{name} must be real for this family")
+def _block(values, role: str, n: int) -> np.ndarray:
+    """The one shape rule of every family: values as a finite n^2 x n^2 matrix, n >= 1."""
+    d = SpinDims(n, 1).pair_dim
+    m = as_operator(values, role)
+    if m.shape != (d, d):
+        raise ValueError(f"{role} must be {d}x{d} for n={n}, got {m.shape}")
     return m
 
 
-def _contact(n: int, B=None, C=None) -> NonseparatedBC:
-    """Connection with A = D = identity; an omitted B or C block is zero."""
-    d = n * n
-    eye = np.eye(d, dtype=np.complex128)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    return NonseparatedBC(n=n, A=eye, B=zero if B is None else B,
-                          C=zero if C is None else C, D=eye)
+def _real_block(values, role: str, n: int) -> np.ndarray:
+    m = _block(values, role, n)
+    if max_abs(m.imag) != 0.0:
+        raise ValueError(f"{role} must be real for this family")
+    return m
+
+
+def _contact(n: int, **coupling) -> NonseparatedBC:
+    """Connection with A = D = identity and one coupling block, B or C; the other is zero.
+
+    The block is shape-checked before the n^2 x n^2 identity is allocated.
+    """
+    ((name, values),) = coupling.items()
+    m = _block(values, f"connection matrix {name}", n)
+    eye = np.eye(n * n, dtype=np.complex128)
+    blocks = {"B": np.zeros_like(eye), "C": np.zeros_like(eye), name: m}
+    return NonseparatedBC(n=n, A=eye, D=eye, **blocks)
 
 
 def delta_type(C, n: int) -> NonseparatedBC:
     """Delta-type connection: continuous psi, derivative jump C psi with C real."""
-    if n < 1:
-        raise ValueError(f"spin dimension must be positive, got n={n}")
     return _contact(n, C=_real_block(C, "coupling strength C", n))
 
 
 def delta_prime_type(B, n: int) -> NonseparatedBC:
     """Derivative-continuous connection: psi jump B psi' with B real."""
-    if n < 1:
-        raise ValueError(f"spin dimension must be positive, got n={n}")
     return _contact(n, B=_real_block(B, "coupling strength B", n))
 
 
@@ -299,8 +293,6 @@ def lift_scalar(s, n: int) -> NonseparatedBC:
     s = as_operator(s, "scalar connection matrix")
     if s.shape != (2, 2):
         raise ValueError(f"scalar connection matrix must be 2x2, got {s.shape}")
-    if n < 1:
-        raise ValueError(f"spin dimension must be positive, got n={n}")
     eye = np.eye(n * n, dtype=np.complex128)
     return NonseparatedBC(n=n, A=s[0, 0] * eye, B=s[0, 1] * eye, C=s[1, 0] * eye, D=s[1, 1] * eye)
 
@@ -439,7 +431,15 @@ _SCALAR_KIND_FIELDS = {
     "scalar_pt_type1": ("theta", "phi", "b", "c"),
     "scalar_pt_type2": ("theta", "h0", "h1"),
 }
-_CONTACT_KIND_FIELD = {"delta": "C", "delta_prime": "B"}
+# Matrix document kinds: the matrix fields next to `n` and the constructor that
+# takes them as keywords.  The encoder writes the kinds whose constructor is a
+# class; delta and delta_prime documents come back as nonseparated.
+_MATRIX_KINDS = {
+    "nonseparated": ("ABCD", NonseparatedBC),
+    "separated": ("F", SeparatedBC),
+    "delta": ("C", _contact),
+    "delta_prime": ("B", _contact),
+}
 
 
 def _require_number(doc: dict, key: str) -> float:
@@ -448,6 +448,8 @@ def _require_number(doc: dict, key: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"field {key!r} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ParseError(f"field {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -456,7 +458,7 @@ def _require_matrix(doc: dict, key: str) -> np.ndarray:
         raise ParseError(f"missing field {key!r}")
     try:
         return matrix_from_json(doc[key])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"field {key!r}: {exc}") from exc
 
 
@@ -471,38 +473,26 @@ def parse_boundary_condition(doc):
     """Build a boundary condition from a decoded JSON document.
 
     Structural problems raise ParseError.  Family parameter inequalities are
-    not enforced here; validators and constructors report them instead.  The
-    delta and delta_prime kinds are lowered to their connection-matrix form
-    without a realness gate so that validation can flag complex couplings.
+    not enforced here; validators and constructors report them instead, and
+    a matrix kind's constructor error (shape, non-finite entries) becomes a
+    ParseError.  The delta and delta_prime kinds are lowered to their
+    connection-matrix form without a realness gate so that validation can
+    flag complex couplings.
     """
     if not isinstance(doc, dict):
         raise ParseError(f"boundary-condition document must be an object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "nonseparated":
+    if kind in _MATRIX_KINDS:
+        keys, build = _MATRIX_KINDS[kind]
         n = _require_dim(doc)
-        mats = {key: _require_matrix(doc, key) for key in "ABCD"}
+        mats = {key: _require_matrix(doc, key) for key in keys}
         try:
-            return NonseparatedBC(n=n, **mats)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    if kind == "separated":
-        n = _require_dim(doc)
-        F = _require_matrix(doc, "F")
-        try:
-            return SeparatedBC(n=n, F=F)
+            return build(n=n, **mats)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     if kind in _SCALAR_KIND_FIELDS:
         params = {key: _require_number(doc, key) for key in _SCALAR_KIND_FIELDS[kind]}
         return ScalarBC(kind=kind.removeprefix("scalar_"), params=params)
-    if kind in _CONTACT_KIND_FIELD:
-        key = _CONTACT_KIND_FIELD[kind]
-        n = _require_dim(doc)
-        m = _require_matrix(doc, key)
-        d = n * n
-        if m.shape != (d, d):
-            raise ParseError(f"field {key!r} must be {d}x{d} for n={n}, got {m.shape}")
-        return _contact(n, **{key: m})
     if kind == "hspin":
         params = doc.get("params")
         if not isinstance(params, dict):
@@ -522,13 +512,16 @@ def _reject_constant(name: str):
 def read_document(path):
     """Decode a JSON file.
 
-    Bytes that are not UTF-8, invalid JSON and the non-finite constants
-    NaN/Infinity/-Infinity raise ParseError.
+    Bytes that are not UTF-8, invalid JSON, nesting deeper than the decoder's
+    recursion limit, integer literals beyond Python's digit limit and the
+    non-finite constants NaN/Infinity/-Infinity raise ParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.loads(handle.read(), parse_constant=_reject_constant)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -543,19 +536,12 @@ def boundary_condition_to_json(bc) -> dict:
     Objects with no document kind, among them the self-adjoint scalar
     families, raise TypeError.
     """
-    if isinstance(bc, NonseparatedBC):
-        return {
-            "kind": "nonseparated",
-            "n": bc.n,
-            "A": matrix_to_json(bc.A),
-            "B": matrix_to_json(bc.B),
-            "C": matrix_to_json(bc.C),
-            "D": matrix_to_json(bc.D),
-        }
-    if isinstance(bc, SeparatedBC):
-        if bc.dirichlet:
-            return {"kind": "scalar_pt_type2", "theta": 0.0, "h0": 0.0, "h1": 1.0}
-        return {"kind": "separated", "n": bc.n, "F": matrix_to_json(bc.F)}
+    if isinstance(bc, SeparatedBC) and bc.dirichlet:
+        return {"kind": "scalar_pt_type2", "theta": 0.0, "h0": 0.0, "h1": 1.0}
+    for kind, (keys, build) in _MATRIX_KINDS.items():
+        if type(bc) is build:
+            return {"kind": kind, "n": bc.n,
+                    **{key: matrix_to_json(getattr(bc, key)) for key in keys}}
     if isinstance(bc, ScalarBC) and f"scalar_{bc.kind}" in _SCALAR_KIND_FIELDS:
         return {"kind": f"scalar_{bc.kind}", **{k: float(v) for k, v in bc.params.items()}}
     raise TypeError(f"cannot encode {type(bc).__name__} as a boundary-condition document")

@@ -13,7 +13,6 @@ environment variable overrides the default, and a --tol flag overrides both.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import functools
 import io
@@ -203,9 +202,8 @@ def cmd_sweep(args, tol) -> tuple[int, str]:
         raise _UsageError(f"template has no scalar parameter {name!r}")
     rows = []
     for value in grid:
-        doc = copy.deepcopy(template)
-        target = doc["params"] if doc.get("kind") == "hspin" else doc
-        target[name] = value
+        point = {**container, name: value}
+        doc = point if container is template else {**template, "params": point}
         bc = parse_boundary_condition(doc)
         rows.append([name, repr(value)] + _sweep_point(args.run, bc, args, tol))
     buffer = io.StringIO()

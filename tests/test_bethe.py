@@ -11,6 +11,7 @@ from ptspin.bethe import (
     SignPattern,
     _TrieNode,
     _WordTree,
+    _one_sided_weights,
     _word_tree,
     bethe_coefficients,
     boundary_jump_residual,
@@ -615,3 +616,46 @@ def test_jump_residual_input_validation(rng):
     other = SeparatedBC(3, np.zeros((9, 9)))
     with pytest.raises(ValueError):
         boundary_jump_residual(state2, other, 1, 0.3)
+
+
+def reference_fd_weights(nodes, max_order):
+    """Finite-difference weights at 0 for any derivative order (Fornberg recursion).
+
+    Returns w of shape (max_order+1, len(nodes)) with
+    f^(m)(0) ~ sum_i w[m, i] f(nodes[i]).
+    """
+    x = np.asarray(nodes, dtype=np.longdouble)
+    n = len(x)
+    w = np.zeros((max_order + 1, n), dtype=np.longdouble)
+    c1 = np.longdouble(1.0)
+    c4 = x[0]
+    w[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, max_order)
+        c2 = np.longdouble(1.0)
+        c5 = c4
+        c4 = x[i]
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for m in range(mn, 0, -1):
+                    w[m, i] = c1 * (m * w[m - 1, i - 1] - c5 * w[m, i - 1]) / c2
+                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+            for m in range(mn, 0, -1):
+                w[m, j] = (c4 * w[m, j] - m * w[m - 1, j]) / c3
+            w[0, j] = c4 * w[0, j] / c3
+        c1 = c2
+    return w
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7, 3.0, 12.5])
+def test_one_sided_weights_match_the_fornberg_recursion(scale):
+    """The closed Lagrange weights agree with the recursion to a few ulp of long double."""
+    delta = np.longdouble(0.01) / scale
+    for sign in (1.0, -1.0):
+        nodes = sign * delta * np.arange(1, 9, dtype=np.longdouble)
+        weights = _one_sided_weights(nodes)
+        reference = reference_fd_weights(nodes, 1)
+        assert weights.dtype == np.longdouble and weights.shape == (2, 8)
+        assert np.all(np.abs(weights - reference) <= 1e-17 * np.abs(reference))

@@ -60,6 +60,18 @@ def test_validation_report_flag_tracks_tolerance():
 def test_nonseparated_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         NonseparatedBC(n=2, A=np.eye(3), B=np.zeros((4, 4)), C=np.zeros((4, 4)), D=np.eye(4))
+    ones = np.ones((1, 1))
+    for build in (lambda n: NonseparatedBC(n, ones, ones, ones, ones),
+                  lambda n: SeparatedBC(n, ones), lambda n: SeparatedBC(n, None),
+                  lambda n: delta_type(ones, n), lambda n: delta_prime_type(ones, n),
+                  lambda n: lift_scalar(np.eye(2), n)):
+        with pytest.raises(ValueError, match=r"^spin dimension must be positive, got n=0$"):
+            build(0)
+    for build in (lambda m: NonseparatedBC(2, np.eye(4), m, np.zeros((4, 4)), np.eye(4)),
+                  lambda m: SeparatedBC(2, m), lambda m: delta_type(m, 2),
+                  lambda m: delta_prime_type(m, 2)):
+        with pytest.raises(ValueError, match=r"must be 4x4 for n=2, got \(3, 3\)$"):
+            build(np.eye(3))
 
 
 @given(theta=angles, phi=angles, b=st.floats(min_value=0.0, max_value=3.0),
@@ -262,6 +274,22 @@ def test_parse_rejects_unknown_kind_and_missing_fields():
         parse_boundary_condition({"kind": "scalar_pt_type2", "theta": 0.0, "h0": True, "h1": 1.0})
     with pytest.raises(ParseError):
         parse_boundary_condition([1, 2, 3])
+    wrong = [[[1.0, 0.0]]]
+    for doc in ({"kind": "nonseparated", "n": 2, "A": wrong, "B": wrong, "C": wrong, "D": wrong},
+                {"kind": "separated", "n": 2, "F": wrong},
+                {"kind": "delta", "n": 2, "C": wrong},
+                {"kind": "delta_prime", "n": 2, "B": wrong}):
+        with pytest.raises(ParseError, match=r"must be 4x4 for n=2, got \(1, 1\)$"):
+            parse_boundary_condition(doc)
+    for value in (math.inf, -math.inf, math.nan, 10**400):
+        with pytest.raises(ParseError, match="'theta' must be a finite number"):
+            parse_boundary_condition({"kind": "scalar_pt_type2", "theta": value,
+                                      "h0": 1.0, "h1": 1.0})
+    for kind, key in (("separated", "F"), ("delta", "C")):
+        with pytest.raises(ParseError, match="non-finite entries"):
+            parse_boundary_condition({"kind": kind, "n": 1, key: [[[math.inf, 0.0]]]})
+        with pytest.raises(ParseError, match=f"field '{key}': int too large"):
+            parse_boundary_condition({"kind": kind, "n": 1, key: [[[10**400, 0.0]]]})
 
 
 def test_parse_hspin_rejects_stray_parameters():
@@ -298,6 +326,9 @@ def test_load_reports_invalid_json(tmp_path):
         read_document(path)
     with pytest.raises(ParseError, match="utf-8"):
         load_boundary_condition(path)
+    path.write_text("[" * 100000)
+    with pytest.raises(ParseError, match="recursion"):
+        read_document(path)
 
 
 def test_validate_dispatches_on_family():

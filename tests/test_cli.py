@@ -324,11 +324,19 @@ def test_sweep_validate_csv(capsys):
     assert float(lines[2].rsplit(",", 1)[1]) <= 1e-12
 
 
-def test_sweep_single_step_uses_lower_bound(capsys):
+def test_sweep_single_step_uses_lower_bound(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "sweep", fx("hspin_diag.json"), "--run", "classify",
                          "--param", "b=-2.0:7.0:1")
     assert rc == 0
     assert out == "param,value,n_real,n_complex\r\nb,-2.0,4,0\r\n"
+    # A field the template carries along, nested deep but within the decoder's
+    # limit, is not copied per grid point.
+    template = json.loads(FIXTURES.joinpath("hspin_diag.json").read_text())
+    template["note"] = json.loads("[" * 600 + "]" * 600)
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(template))
+    assert run_cli(capsys, "sweep", str(nested), "--run", "classify",
+                   "--param", "b=-2.0:7.0:1")[:2] == (0, out)
 
 
 def test_sweep_unknown_parameter_is_usage_error(capsys):
@@ -416,6 +424,28 @@ _USAGE_ERRORS = [
      {"kind": "separated", "n": 1, "F": [[["a", 0]]]}),
 ]
 
+_HSPIN_ZEROS = ", ".join(f'"{k}": 0' for k in ("b", "c", "d", "f", "g", "e1", "e2", "e3", "e4"))
+# Raw document text that no JSON encoder writes: overflowing number literals
+# and nesting deeper than the decoder's recursion limit.
+_UNREADABLE_DOCS = [
+    ('{"kind": "hspin", "params": {"a": 1e999, %s}}' % _HSPIN_ZEROS,
+     "field 'a' must be a finite number"),
+    ('{"kind": "hspin", "params": {"a": 1%s, %s}}' % ("0" * 400, _HSPIN_ZEROS),
+     "field 'a' must be a finite number"),
+    ('{"kind": "hspin", "params": {"a": 1%s, %s}}' % ("0" * 5000, _HSPIN_ZEROS), "ptspin: error: "),
+    ('{"kind": "scalar_pt_type1", "theta": 1e999, "phi": 0.0, "b": 1.0, "c": 3.0}',
+     "field 'theta' must be a finite number"),
+    ('{"kind": "separated", "n": 1, "F": [[[-1e999, 0.0]]]}', "non-finite entries"),
+    ('{"kind": "separated", "n": 1, "F": [[[1%s, 0.0]]]}' % ("0" * 400), "int too large"),
+    ('{"kind": "delta", "n": 1, "C": [[[0.0, 1e999]]]}', "non-finite entries"),
+    ("[" * 100000, "maximum recursion depth"),
+    ('{"kind": "hspin", "note": %s}' % ("{\"x\": " * 100000), "maximum recursion depth"),
+]
+_USAGE_ERRORS += [((command, "{doc}", *flags), None, fragment, text)
+                  for text, fragment in _UNREADABLE_DOCS
+                  for command, *flags in (("validate",), ("yop", "--k1", "1.0", "--k2", "-1.0"),
+                                          ("bound", "--particles", "2"))]
+
 
 def test_structural_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
     rc, out, err = run_cli(capsys, "validate", fx("truncated.json"))
@@ -438,14 +468,15 @@ def test_structural_errors_are_usage_errors(capsys, tmp_path, monkeypatch):
     failures = []
     for argv, env_tol, fragment, *doc in _USAGE_ERRORS:
         if doc:
-            (tmp_path / "doc.json").write_text(json.dumps(doc[0]))
+            text = doc[0] if isinstance(doc[0], str) else json.dumps(doc[0])
+            (tmp_path / "doc.json").write_text(text)
         if env_tol is None:
             monkeypatch.delenv("PTSPIN_TOL", raising=False)
         else:
             monkeypatch.setenv("PTSPIN_TOL", env_tol)
         argv = [str(tmp_path / "doc.json") if a == "{doc}" else a for a in argv]
         rc, out, err = run_cli(capsys, *argv)
-        if rc != 2 or out != "" or fragment not in err:
+        if rc != 2 or out != "" or fragment not in err or err.count("\n") != 1:
             failures.append((argv, rc, out, err))
     assert failures == []
 
