@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     SpinDims,
     as_operator,
+    as_pair_operator,
     as_tolerance,
     cayley,
     matrix_from_json,
@@ -106,7 +107,7 @@ class NonseparatedBC:
     def __post_init__(self):
         for name in "ABCD":
             object.__setattr__(
-                self, name, _block(getattr(self, name), f"connection matrix {name}", self.n))
+                self, name, as_pair_operator(getattr(self, name), f"connection matrix {name}", self.n))
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class SeparatedBC:
         if self.F is None:
             SpinDims(self.n, 1)  # the Dirichlet member still needs n >= 1
         else:
-            object.__setattr__(self, "F", _block(self.F, "coupling matrix F", self.n))
+            object.__setattr__(self, "F", as_pair_operator(self.F, "coupling matrix F", self.n))
 
     @property
     def dirichlet(self) -> bool:
@@ -158,7 +159,9 @@ def _require_finite_real(value, name: str) -> float:
 
 
 def _require_one_plus_bc(b: float, c: float) -> float:
-    """1 + bc, which the pt_type1 family needs non-negative for its square root."""
+    """1 + bc, which the pt_type1 family needs finite and non-negative for its square root."""
+    if not math.isfinite(b * c):
+        raise ValueError(f"parameter product bc must be finite, got {b * c!r}")
     if 1.0 + b * c < 0.0:
         raise ValueError(f"parameter constraint 1 + bc >= 0 violated: got {1.0 + b * c!r}")
     return 1.0 + b * c
@@ -222,21 +225,13 @@ def scalar_pt_type2(theta: float, h0: float, h1: float) -> SeparatedBC:
         raise ValueError("projective parameters (h0, h1) must not both vanish")
     if h0 == 0.0:
         return SeparatedBC(n=1, F=None)
-    f = (h1 / h0) * np.exp(1j * theta)
-    return SeparatedBC(n=1, F=np.array([[f]]))
-
-
-def _block(values, role: str, n: int) -> np.ndarray:
-    """The one shape rule of every family: values as a finite n^2 x n^2 matrix, n >= 1."""
-    d = SpinDims(n, 1).pair_dim
-    m = as_operator(values, role)
-    if m.shape != (d, d):
-        raise ValueError(f"{role} must be {d}x{d} for n={n}, got {m.shape}")
-    return m
+    if not math.isfinite(h1 / h0):
+        raise ValueError(f"parameter ratio h1/h0 must be finite, got {h1 / h0!r}")
+    return SeparatedBC(n=1, F=np.array([[(h1 / h0) * np.exp(1j * theta)]]))
 
 
 def _real_block(values, role: str, n: int) -> np.ndarray:
-    m = _block(values, role, n)
+    m = as_pair_operator(values, role, n)
     if max_abs(m.imag) != 0.0:
         raise ValueError(f"{role} must be real for this family")
     return m
@@ -248,7 +243,7 @@ def _contact(n: int, **coupling) -> NonseparatedBC:
     The block is shape-checked before the n^2 x n^2 identity is allocated.
     """
     ((name, values),) = coupling.items()
-    m = _block(values, f"connection matrix {name}", n)
+    m = as_pair_operator(values, f"connection matrix {name}", n)
     eye = np.eye(n * n, dtype=np.complex128)
     blocks = {"B": np.zeros_like(eye), "C": np.zeros_like(eye), name: m}
     return NonseparatedBC(n=n, A=eye, D=eye, **blocks)
@@ -373,7 +368,7 @@ def validate(bc, tol: float | None = None) -> ValidationReport:
             degenerate = bc.params["h0"] == 0.0 and bc.params["h1"] == 0.0
             residuals = {"h_nonzero": 1.0 if degenerate else 0.0}
             if not degenerate:
-                residuals["G+conj(F)"] = 0.0
+                residuals.update(validate(scalar_pt_type2(**bc.params), tol).residuals)
             return ValidationReport.from_residuals(residuals, tol)
         if bc.kind == "sa_separated":
             return ValidationReport.from_residuals(

@@ -25,6 +25,7 @@ __all__ = [
     "as_statistics",
     "statistics_swap",
     "as_operator",
+    "as_pair_operator",
     "as_tolerance",
     "max_abs",
     "swap_pair",
@@ -32,7 +33,6 @@ __all__ = [
     "permute_slots",
     "permutation_sign",
     "exchange_operator",
-    "embed_pair",
     "inverse",
     "cayley",
     "complex_to_json",
@@ -81,6 +81,15 @@ def as_operator(values, role: str = "matrix") -> np.ndarray:
         raise ValueError(f"{role} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{role} has non-finite entries")
+    return m
+
+
+def as_pair_operator(values, role: str, n: int) -> np.ndarray:
+    """The one rule for a pair operator: values as a finite n^2 x n^2 matrix, n >= 1."""
+    d = SpinDims(n, 1).pair_dim
+    m = as_operator(values, role)
+    if m.shape != (d, d):
+        raise ValueError(f"{role} must be {d}x{d} for n={n}, got {m.shape}")
     return m
 
 
@@ -158,25 +167,6 @@ def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:
         raise ValueError("exchange requires two distinct factors")
     order = [{i - 1: j - 1, j - 1: i - 1}.get(a, a) for a in range(dims.N)]
     return permute_slots(np.eye(dims.total_dim, dtype=np.complex128), order, dims.n)
-
-
-def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
-    """Embed a pair operator m into factors (j, j+1) of an N-fold product.
-
-    m acts on C^n x C^n; the result acts on (C^n)^N as identity elsewhere.
-    j is 1-based with 1 <= j <= N-1.
-    """
-    m = as_operator(m, "pair operator")
-    if m.shape[0] != dims.pair_dim:
-        raise ValueError(
-            f"pair operator must be {dims.pair_dim}x{dims.pair_dim} for n={dims.n}, "
-            f"got shape {m.shape}"
-        )
-    if not (1 <= j <= dims.N - 1):
-        raise IndexError(f"pair slot j={j} out of range for N={dims.N}")
-    left = np.eye(dims.n ** (j - 1), dtype=np.complex128)
-    right = np.eye(dims.n ** (dims.N - j - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, m), right)
 
 
 def inverse(m, role: str = "matrix") -> np.ndarray:

@@ -17,20 +17,20 @@ import numpy as np
 
 from .boundary import NonseparatedBC, SeparatedBC
 from .linalg import (
+    DEFAULT_TOL,
     SingularMatrixError,
     SpinDims,
     Statistics,
+    apply_pair,
+    as_pair_operator,
     as_statistics,
     cayley,
-    embed_pair,
     inverse,
     max_abs,
     statistics_swap,
 )
 
 __all__ = [
-    "Statistics",
-    "statistics_swap",
     "y_separated",
     "y_nonseparated",
     "y_inverse_residual",
@@ -43,7 +43,8 @@ def y_separated(bc: SeparatedBC, k12: float) -> np.ndarray:
     """Exchange operator (ik - F)^-1 (ik + F) at relative momentum k12.
 
     The Dirichlet member has no finite coupling matrix and yields the constant
-    limit Y = -identity.
+    limit Y = -identity.  A singular ik - F names a collision with the nearest
+    eigenvalue only within DEFAULT_TOL * (1 + |eigenvalue|); else the inverse's message stands.
     """
     if bc.dirichlet:
         return -np.eye(bc.n * bc.n, dtype=np.complex128)
@@ -51,7 +52,10 @@ def y_separated(bc: SeparatedBC, k12: float) -> np.ndarray:
         return cayley(bc.F, k12)
     except SingularMatrixError:
         eigenvalues = np.linalg.eigvals(bc.F)
-        nearest = complex(eigenvalues[int(np.argmin(np.abs(eigenvalues - 1j * float(k12))))])
+        ik = 1j * float(k12)
+        nearest = complex(eigenvalues[int(np.argmin(np.abs(eigenvalues - ik)))])
+        if abs(ik - nearest) > DEFAULT_TOL * (1.0 + abs(nearest)):
+            raise
         raise SingularMatrixError(
             f"relative momentum k12={k12!r} makes ik collide with coupling "
             f"eigenvalue {nearest!r}",
@@ -103,16 +107,25 @@ def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
                  k3: float, dims: SpinDims) -> float:
     """Yang-Baxter defect of a pair-exchange factory on three particles.
 
-    With Y^m(k) the factory output embedded at adjacent slot m and
-    kij = (ki - kj)/2, returns the entrywise max-abs of
+    With Y^m(k) the factory output applied at adjacent slot m of (C^n)^3
+    (`apply_pair` on the n^3 identity) and kij = (ki - kj)/2, returns the
+    entrywise max-abs of
 
         Y^1(k12) Y^2(k13) Y^1(k23) - Y^2(k23) Y^1(k13) Y^2(k12).
 
-    The factory is called once per momentum pair.
+    The factory is called once per momentum pair, and each output must be a
+    finite n^2 x n^2 matrix (`as_pair_operator`).
     """
     if dims.N != 3:
         raise ValueError(f"the consistency check is a three-particle identity, got N={dims.N}")
-    y12, y13, y23 = (yfactory(0.5 * (a - b)) for a, b in ((k1, k2), (k1, k3), (k2, k3)))
-    left = embed_pair(y12, 1, dims) @ embed_pair(y13, 2, dims) @ embed_pair(y23, 1, dims)
-    right = embed_pair(y23, 2, dims) @ embed_pair(y13, 1, dims) @ embed_pair(y12, 2, dims)
+    n = dims.n
+    eye = np.eye(dims.total_dim, dtype=np.complex128)
+    outputs = [yfactory(0.5 * (a - b)) for a, b in ((k1, k2), (k1, k3), (k2, k3))]
+    y12, y13, y23 = (as_pair_operator(y, "pair operator", n) for y in outputs)
+
+    def at(y, j):
+        return apply_pair(y, j, eye, n)
+
+    left = at(y12, 1) @ at(y13, 2) @ at(y23, 1)
+    right = at(y23, 2) @ at(y13, 1) @ at(y12, 2)
     return max_abs(left - right)

@@ -185,7 +185,7 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     return S
 
 
-def _sector_solutions(F: np.ndarray, lam: float, S: np.ndarray, tol: float) -> list[np.ndarray]:
+def _sector_solutions(F: np.ndarray, n: int, lam: float, S: np.ndarray, tol: float) -> list[np.ndarray]:
     """Canonical basis of {v in range(S) : F_12 v = conj(F)_12 v = lam v}.
 
     F and conj(F) act on slots 1-2 of S's columns (`apply_pair`); inside the
@@ -197,9 +197,13 @@ def _sector_solutions(F: np.ndarray, lam: float, S: np.ndarray, tol: float) -> l
     norms of all d projections sum to dim K, this cut-off always keeps dim K
     vectors, and the result depends on the nullspace only, not on which K the
     SVD returns.  Each vector is mapped back through S and phase-normalized.
+    A stack that overflows raises ValueError before the SVD.
     """
-    n = round(len(F) ** 0.5)
-    K = _nullspace(np.vstack([apply_pair(M, 1, S, n) - lam * S for M in (F, F.conj())]), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = np.vstack([apply_pair(M, 1, S, n) - lam * S for M in (F, F.conj())])
+    if not np.isfinite(stack).all():
+        raise ValueError(f"bound-state constraints at lam={lam} overflow")
+    K = _nullspace(stack, tol)
     basis: list[np.ndarray] = []
     for w in K.conj():
         if len(basis) == K.shape[1]:
@@ -276,7 +280,7 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
             "limits must vanish)",
             reason="eigenvalue",
         )
-    vectors = _sector_solutions(F, lam, sector, tol)
+    vectors = _sector_solutions(F, n, lam, sector, tol)
     if not vectors:
         raise BoundStateNotFound(
             f"the parity sector is non-empty but no vector in it satisfies the "
@@ -309,7 +313,7 @@ def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) 
     states = []
     for lam in clusters:
         for eps, sector in sectors.items():
-            vectors = _sector_solutions(bc.F, lam, sector, tol)
+            vectors = _sector_solutions(bc.F, bc.n, lam, sector, tol)
             states += [BoundState(N, lam, v, SignPattern.uniform(N, eps), bound_energy(lam, N), stats)
                        for v in (vectors if N == 2 else vectors[:1])]
     return states

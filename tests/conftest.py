@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ptspin.boundary import HSPIN_PARAM_NAMES, hspin
+from ptspin.linalg import SpinDims
 
 
 @pytest.fixture
@@ -30,3 +31,11 @@ def separated_momenta(rng, count, low=-2.0, high=2.0, gap=0.1):
         diffs = np.abs(ks[:, None] - ks[None, :])[np.triu_indices(count, 1)]
         if diffs.min() >= gap:
             return tuple(float(k) for k in ks)
+
+
+def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
+    """Dense reference: m on factors (j, j+1) of (C^n)^N (1-based j), the
+    identity elsewhere, as a Kronecker product."""
+    left = np.eye(dims.n ** (j - 1), dtype=np.complex128)
+    right = np.eye(dims.n ** (dims.N - j - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, np.asarray(m, dtype=np.complex128)), right)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_hspin, separated_momenta
+from conftest import embed_pair, random_hspin, separated_momenta
 from ptspin.bethe import (
     SignPattern,
     _TrieNode,
@@ -19,7 +19,7 @@ from ptspin.bethe import (
     path_consistency,
 )
 from ptspin.boundary import SeparatedBC, delta_type, hspin
-from ptspin.linalg import SingularMatrixError, SpinDims, embed_pair, exchange_operator, max_abs
+from ptspin.linalg import SingularMatrixError, SpinDims, exchange_operator, max_abs
 from ptspin.scattering import make_y_factory, y_separated, ybe_residual
 
 
@@ -165,7 +165,8 @@ def test_path_consistency_scalar_coupling(rng):
 
 
 def test_path_consistency_equals_factorization_residual(rng):
-    """Word independence and the factorization identity are the same number."""
+    """Word independence and the factorization identity are the same number:
+    for hspin, of Y itself; for a dense complex F, of k -> Y(k).T."""
     u = np.zeros(8, complex)
     u[0] = 1.0
     for _ in range(5):
@@ -174,6 +175,16 @@ def test_path_consistency_equals_factorization_residual(rng):
         pc = path_consistency(bc, (k1, k2, k3), u, "boson")
         yb = ybe_residual(make_y_factory(bc), k1, k2, k3, SpinDims(2, 3))
         assert pc == pytest.approx(yb, rel=1e-10, abs=1e-10)
+    for n in (2, 3):
+        u = np.zeros(n ** 3, complex)
+        u[0] = 1.0
+        for statistics in ("boson", "fermion"):
+            F = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+            bc = SeparatedBC(n, F)
+            ks = separated_momenta(rng, 3)
+            pc = path_consistency(bc, ks, u, statistics)
+            yb = ybe_residual(lambda k12: y_separated(bc, k12).T, *ks, SpinDims(n, 3))
+            assert pc == pytest.approx(yb, rel=1e-10)
 
 
 def test_path_consistency_needs_three_particles():

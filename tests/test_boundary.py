@@ -33,7 +33,8 @@ from ptspin.boundary import (
     validate,
     validate_separated_selfadjoint,
 )
-from ptspin.linalg import max_abs, swap_pair
+from ptspin.linalg import SpinDims, max_abs, swap_pair
+from ptspin.scattering import ybe_residual
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -58,6 +59,7 @@ def test_validation_report_flag_tracks_tolerance():
 
 
 def test_nonseparated_shape_mismatch_rejected():
+    """One n^2 x n^2 rule for every family constructor and every YBE factor."""
     with pytest.raises(ValueError):
         NonseparatedBC(n=2, A=np.eye(3), B=np.zeros((4, 4)), C=np.zeros((4, 4)), D=np.eye(4))
     ones = np.ones((1, 1))
@@ -69,9 +71,12 @@ def test_nonseparated_shape_mismatch_rejected():
             build(0)
     for build in (lambda m: NonseparatedBC(2, np.eye(4), m, np.zeros((4, 4)), np.eye(4)),
                   lambda m: SeparatedBC(2, m), lambda m: delta_type(m, 2),
-                  lambda m: delta_prime_type(m, 2)):
+                  lambda m: delta_prime_type(m, 2),
+                  lambda m: ybe_residual(lambda k12: m, 1.0, 0.3, -0.7, SpinDims(2, 3))):
         with pytest.raises(ValueError, match=r"must be 4x4 for n=2, got \(3, 3\)$"):
             build(np.eye(3))
+        with pytest.raises(ValueError, match=r"has non-finite entries$"):
+            build(np.full((4, 4), np.nan))
 
 
 @given(theta=angles, phi=angles, b=st.floats(min_value=0.0, max_value=3.0),

@@ -511,3 +511,49 @@ def test_module_entrypoint_singular_exit():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"] == "singular"
+
+
+_SIX_COMMANDS = {
+    "validate": (), "classify": (), "yop": ("--k1", "1.0", "--k2", "-1.0"),
+    "ybe": ("--k", "1.0,0.3,-0.7"), "bethe": ("--k", "1.0,0.3,-0.7"), "bound": ("--particles", "2"),
+}
+# Finite documents whose products overflow, each with {command: (exit code,
+# fragment of the JSON detail or None)}.
+_OVERFLOW_DOCS = [
+    ({"kind": "hspin", "params": {"a": 1e308, "b": -1e308, **{k: 0.0 for k in
+                                                               ("c", "d", "f", "g", "e1", "e2", "e3", "e4")}}},
+     {"validate": (0, None), "classify": (0, None), "bound": (1, "lam=-1e+308 overflow"),
+      **{command: (1, "smallest/largest singular value") for command in ("yop", "ybe", "bethe")}}),
+    ({"kind": "scalar_pt_type1", "theta": 0.0, "phi": 0.0, "b": 1e200, "c": 1e200},
+     {command: (1, "parameter product bc must be finite, got inf") for command in _SIX_COMMANDS}),
+    ({"kind": "scalar_pt_type2", "theta": 0.0, "h0": 1e-320, "h1": 1e300},
+     {command: (1, "parameter ratio h1/h0 must be finite, got inf") for command in _SIX_COMMANDS}),
+]
+# Runs each argv of the JSON list in argv[1] through cli.main in one process
+# and prints [exit code, stdout, stderr] per argv.
+_RUN_ARGVS = """
+import contextlib, io, json, sys
+from ptspin.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([main(argv), out, err])
+print(json.dumps([[rc, out.getvalue(), err.getvalue()] for rc, out, err in results]))
+"""
+
+
+@pytest.mark.parametrize("doc,expected", _OVERFLOW_DOCS)
+def test_overflowing_documents_fail_with_their_cause_on_every_command(tmp_path, doc, expected):
+    """No hang, traceback or RuntimeWarning; a hang fails the timeout."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argvs = [[command, str(path), *_SIX_COMMANDS[command]] for command in expected]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _RUN_ARGVS,
+                           json.dumps(argvs)], capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for (command, (rc, fragment)), (got, out, err) in zip(expected.items(), json.loads(proc.stdout)):
+        assert (command, got, err) == (command, rc, "")
+        if fragment is not None:
+            detail = json.loads(out)["detail"]
+            assert fragment in detail and "collide" not in detail, (command, detail)

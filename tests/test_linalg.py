@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import embed_pair
 from ptspin.linalg import (
     SingularMatrixError,
     SpinDims,
@@ -13,7 +14,6 @@ from ptspin.linalg import (
     as_operator,
     complex_from_json,
     complex_to_json,
-    embed_pair,
     exchange_operator,
     inverse,
     matrix_from_json,
@@ -121,24 +121,19 @@ def test_embed_pair_of_identity_is_identity():
     assert max_abs(embed_pair(np.eye(4), 2, dims) - np.eye(16)) == 0.0
 
 
-def test_embed_pair_rejects_out_of_range_slot():
-    dims = SpinDims(2, 3)
-    with pytest.raises(IndexError):
-        embed_pair(np.eye(4), 3, dims)
-    with pytest.raises(IndexError):
-        embed_pair(np.eye(4), 0, dims)
-
-
 @pytest.mark.parametrize("n,N", [(2, 2), (2, 4), (3, 3)])
 def test_apply_pair_matches_embedded_operator(rng, n, N):
     """The slot-local product equals the dense embedded operator on every slot,
-    for a vector and for a matrix acted on along axis 0."""
+    for a vector and for a matrix acted on along axis 0; on the identity it
+    equals the embedded operator entry for entry."""
     dims = SpinDims(n, N)
     m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
     vector = rng.normal(size=dims.total_dim) + 1j * rng.normal(size=dims.total_dim)
     matrix = rng.normal(size=(dims.total_dim, 5)) + 1j * rng.normal(size=(dims.total_dim, 5))
+    eye = np.eye(dims.total_dim, dtype=np.complex128)
     for j in range(1, N):
         dense = embed_pair(m, j, dims)
+        assert (apply_pair(m, j, eye, n) == dense).all()
         for t in (vector, matrix):
             got = apply_pair(m, j, t, n)
             assert got.shape == t.shape

@@ -2,14 +2,19 @@
 import numpy as np
 import pytest
 
-from conftest import random_hspin, separated_momenta
+from conftest import embed_pair, random_hspin, separated_momenta
 from ptspin.boundary import SeparatedBC, delta_type, hspin
-from ptspin.linalg import SingularMatrixError, SpinDims, embed_pair, max_abs, swap_pair
-from ptspin.scattering import (
+from ptspin.linalg import (
+    SingularMatrixError,
+    SpinDims,
     Statistics,
     as_statistics,
-    make_y_factory,
+    max_abs,
     statistics_swap,
+    swap_pair,
+)
+from ptspin.scattering import (
+    make_y_factory,
     y_inverse_residual,
     y_nonseparated,
     y_separated,
@@ -141,11 +146,15 @@ def six_call_ybe_residual(yfactory, k1, k2, k3, dims):
 
 
 def test_ybe_residual_calls_the_factory_once_per_pair(rng):
-    draws = [make_y_factory(random_hspin(rng)) for _ in range(4)]
+    """One factory call per pair, and the number of the Kronecker reference."""
+    draws = [(2, make_y_factory(random_hspin(rng))) for _ in range(4)]
     for _ in range(4):
         C = rng.normal(size=(4, 4))
-        draws.append(make_y_factory(delta_type(C + C.T, 2), rng.choice(["boson", "fermion"])))
-    for factory in draws:
+        draws.append((2, make_y_factory(delta_type(C + C.T, 2), rng.choice(["boson", "fermion"]))))
+    for _ in range(4):
+        F = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        draws.append((3, make_y_factory(SeparatedBC(3, F))))
+    for n, factory in draws:
         calls = []
 
         def counting(k12, factory=factory):
@@ -153,9 +162,9 @@ def test_ybe_residual_calls_the_factory_once_per_pair(rng):
             return factory(k12)
 
         ks = separated_momenta(rng, 3)
-        residual = ybe_residual(counting, *ks, SpinDims(2, 3))
+        residual = ybe_residual(counting, *ks, SpinDims(n, 3))
         assert len(calls) == 3
-        assert residual == six_call_ybe_residual(factory, *ks, SpinDims(2, 3))
+        assert residual == six_call_ybe_residual(factory, *ks, SpinDims(n, 3))
 
 
 def test_ybe_residual_requires_three_particles():

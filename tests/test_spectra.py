@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_hspin
+from conftest import embed_pair, random_hspin
 from ptspin.bethe import SignPattern
 from ptspin.boundary import SeparatedBC, hspin, validate
-from ptspin.linalg import SpinDims, Statistics, embed_pair, exchange_operator, max_abs
+from ptspin.linalg import SpinDims, Statistics, exchange_operator, max_abs
 from ptspin.spectra import (
     _sector_basis,
     _sector_solutions,
@@ -391,7 +391,7 @@ def test_sector_solver_matches_dense_reference(rng, n, N):
             for lam in clusters:
                 for eps in (-1, 1):
                     ref = dense_bound_space(bc, N, lam, sign * eps, tol)
-                    full = _sector_solutions(bc.F, lam, _sector_basis(n, N, sign * eps), tol)
+                    full = _sector_solutions(bc.F, n, lam, _sector_basis(n, N, sign * eps), tol)
                     emitted = [s.v for s in states if (s.lam, s.epsilon[(2, 1)]) == (lam, eps)]
                     assert len(full) == ref.shape[1]
                     assert max_abs(projector(full) - ref @ ref.conj().T) <= 1e-12

@@ -1,5 +1,6 @@
-"""Structure guard over src/ptspin: where the dense tensor operators may be used
-and which private names may cross module boundaries."""
+"""Structure guard over src/ptspin: where the dense tensor operators may be used,
+which private names may cross module boundaries, and where each public name
+is defined."""
 import ast
 from pathlib import Path
 
@@ -7,9 +8,6 @@ import ptspin
 
 PACKAGE = Path(ptspin.__file__).parent
 DENSE = {"exchange_operator", "embed_pair"}
-# (module, name) pairs allowed to use a dense operator outside linalg: the
-# documented three-particle Yang-Baxter reference.
-DENSE_USERS = {("scattering", "ybe_residual")}
 PRIVATE_SOURCES = {"bethe", "spectra"}
 PRIVATE_IMPORTS = {("cli", "bethe", "_bethe")}
 
@@ -19,21 +17,53 @@ def modules():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def dense_uses(tree):
-    """(enclosing top-level function or None, name) of every expression that
-    names a dense operator; imports and __all__ strings are not uses."""
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            name = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
-            if name in DENSE:
-                yield owner, name
+def names_used(tree):
+    """Every name or attribute an expression names; imports and __all__
+    strings are not uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
-def test_dense_operators_stay_in_linalg_and_the_ybe_reference():
-    found = [(module, owner, name) for module, tree in modules() if module != "linalg"
-             for owner, name in dense_uses(tree) if (module, owner) not in DENSE_USERS]
+def definitions(tree):
+    """Names a module binds at top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def listed(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            yield from (element.value for element in node.value.elts)
+
+
+def test_dense_operators_stay_in_linalg():
+    found = [(module, name) for module, tree in modules() if module != "linalg"
+             for name in names_used(tree) if name in DENSE]
+    assert found == []
+
+
+def test_no_module_calls_kron():
+    assert [module for module, tree in modules() if "kron" in set(names_used(tree))] == []
+
+
+def test_public_names_come_from_their_defining_module():
+    """Each module's __all__ lists only its own definitions, and the package
+    imports every name from the module that defines it."""
+    trees = dict(modules())
+    defined = {module: set(definitions(tree)) for module, tree in trees.items()}
+    found = [(module, name) for module, tree in trees.items() if module != "__init__"
+             for name in listed(tree) if name not in defined[module]]
+    found += [("__init__", node.module, alias.name) for node in trees["__init__"].body
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name not in defined[node.module]]
     assert found == []
 
 
