@@ -16,23 +16,29 @@ permutation are produced by propagating along a canonical reduced word
 depend on the word chosen.
 
 Y^{j,j+1} is never built as an n^N x n^N matrix.  A pair operator touches two
-of the N tensor slots, so `linalg.apply_pair` applies it as one n^2 x n^2
-product on the (n^(j-1), n^2, rest) view of a coefficient vector or transport
-matrix, and Y is computed once per momentum pair.  The canonical words of N
-particles form a trie (27, 155, 1045, 8029 nodes for N = 4, 5, 6, 7; from
-N = 4 on, some interior nodes are not words).  Its shape, the slot labels of
-every edge and its braid sites depend only on N, so they are planned once per
-N, and each call walks the trie depth-first once, holding only the arrays of
-the current path.  `bethe_coefficients` makes one pair application per node.
-`path_consistency` reuses the walk's transport as the canonical braid of each
-braid site, applies only the flipped braid, and moves the difference down the
-site's subtree, which every word through the site shares, one swap at a time.
-Both produce the same floating-point operations as replaying each word alone.
+of the N tensor slots, so it is applied as one n^2 x n^2 product on the
+(n^(j-1), n^2, rest) view of a coefficient vector or transport matrix, and
+the C(N,2) exchange operators are built by one stacked Cayley solve.  The
+canonical words of N particles form a trie (27, 155, 1045, 8029 nodes for
+N = 4, 5, 6, 7; from N = 4 on, some interior nodes are not words).  Its
+shape, the slot labels of every edge and its braid sites depend only on N,
+so they are planned once per N.  A node's depth is its word length, so
+`bethe_coefficients` propagates the trie one depth at a time: the nodes of a
+depth that swap at one slot are one stacked np.matmul on their parents' rows
+(15, 34, 65, 111 products for N = 4..7), each making the per-node n^2 x n^2
+products, and word rows land in one (N!, n^N) array.
+`path_consistency` walks, depth-first, only the trie rows that carry a
+transport or a braid difference, holding the arrays of the current path.  It
+reuses the transport as the canonical braid of each braid site, applies only
+the flipped braid, and moves the difference down the site's subtree, which
+every word through the site shares, one swap at a time.  Both produce the
+same floating-point operations as replaying each word alone.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -284,21 +290,100 @@ def _word_tree(N: int) -> _WordTree:
     return _WordTree(rows=tuple(rows), words=words, pairs=tuple(pairs))
 
 
+class _Group(NamedTuple):
+    """The nodes of one depth that swap at one slot: one stacked product.
+
+    parents are their parents' positions in the depth above, pairs their
+    momentum pairs' positions in the tree's pairs, and stop the end of their
+    rows in the depth, which lists its groups one after another.
+    """
+
+    slot: int
+    parents: np.ndarray
+    pairs: np.ndarray
+    stop: int
+
+
+class _Level(NamedTuple):
+    """One depth: its groups, the positions of its word nodes (rows) and of
+    their permutations in itertools.permutations order (words)."""
+
+    groups: tuple[_Group, ...]
+    rows: np.ndarray
+    words: np.ndarray
+
+
+class _LevelPlan(NamedTuple):
+    """The trie by depth for propagation, and the rows path consistency visits.
+
+    consistency keeps, in depth-first order, the rows that carry a transport,
+    start a braid difference or inherit one; every other row does no
+    consistency work, and neither does its subtree.
+    """
+
+    levels: tuple[_Level, ...]
+    consistency: tuple[_TrieNode, ...]
+
+
+def _indices(values) -> np.ndarray:
+    """A read-only index array, safe to share from a cache."""
+    out = np.fromiter(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _level_plan(N: int) -> _LevelPlan:
+    """Group `_word_tree(N)` by depth, then by slot, keeping depth-first order within a slot."""
+    tree = _word_tree(N)
+    pair_id = {pair: i for i, pair in enumerate(tree.pairs)}
+    word_id = {perm: i for i, (perm, _) in enumerate(tree.words)}
+    # Each row's parent row (-1 is the root), its depth's rows, and whether a
+    # braid node lies on its path (it then holds differences).
+    parent, by_depth, path = [], [], [-1]
+    braided, consistency = [False], []
+    for i, row in enumerate(tree.rows):
+        del path[row.depth:], braided[row.depth:]
+        parent.append(path[-1])
+        path.append(i)
+        if row.depth > len(by_depth):
+            by_depth.append([])
+        by_depth[row.depth - 1].append(i)
+        if row.transport or row.braid or braided[-1]:
+            consistency.append(row)
+        braided.append(braided[-1] or row.braid is not None)
+    position = {-1: 0}
+    levels = []
+    for members in by_depth:
+        members.sort(key=lambda i: tree.rows[i].step[0])
+        position.update((i, pos) for pos, i in enumerate(members))
+        groups = []
+        for slot, group in itertools.groupby(members, key=lambda i: tree.rows[i].step[0]):
+            group = list(group)
+            groups.append(_Group(slot=slot,
+                                 parents=_indices(position[parent[i]] for i in group),
+                                 pairs=_indices(pair_id[tree.rows[i].step[1]] for i in group),
+                                 stop=position[group[-1]] + 1))
+        words = [i for i in members if tree.rows[i].perm]
+        levels.append(_Level(groups=tuple(groups),
+                             rows=_indices(position[i] for i in words),
+                             words=_indices(word_id[tree.rows[i].perm] for i in words)))
+    return _LevelPlan(levels=tuple(levels), consistency=tuple(consistency))
+
+
 def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
-                        pairs: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], np.ndarray]:
-    """Y((k_alpha - k_beta)/2) for each momentum pair, built in the order given."""
-    operators = {}
-    for alpha, beta in pairs:
-        k_ab = 0.5 * (momenta[alpha - 1] - momenta[beta - 1])
-        try:
-            operators[alpha, beta] = y_separated(bc, k_ab)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"momentum pair ({alpha},{beta}) gives a singular exchange "
-                f"operator: {exc}",
-                role=exc.role,
-            ) from None
-    return operators
+                        pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The (P, n^2, n^2) stack of Y((k_alpha - k_beta)/2), one per momentum pair given."""
+    k = np.array([0.5 * (momenta[alpha - 1] - momenta[beta - 1]) for alpha, beta in pairs])
+    try:
+        return y_separated(bc, k)
+    except SingularMatrixError as exc:
+        alpha, beta = pairs[exc.index]
+        raise SingularMatrixError(
+            f"momentum pair ({alpha},{beta}) gives a singular exchange "
+            f"operator: {exc}",
+            role=exc.role,
+        ) from None
 
 
 def _check_momenta(momenta) -> tuple[float, ...]:
@@ -325,39 +410,52 @@ def _check_state_inputs(bc, momenta, u_init):
     return momenta, dims, u
 
 
-def _walk(bc: SeparatedBC, momenta: tuple[float, ...], dims: SpinDims,
-          u: np.ndarray | None, consistency: bool):
-    """One depth-first pass over the canonical-word trie.
+def _propagate(N: int, operators: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """The (N!, n^N) coefficients in itertools.permutations order, one trie depth at a time.
 
-    With u, every node applies its swap to its parent's coefficient; the
-    coefficients of the word nodes are returned by permutation.  With
-    consistency, every node with a braid node below it carries its transport
-    (the identity at the root), every braid node starts the difference of its
-    two braids, and each difference is moved down the braid node's subtree
-    one swap at a time, with the max-abs taken at every word node; the worst
-    is returned (else None).  Only arrays on the current path are held, and
-    each is dropped after its last use.
+    Each group of a level is one np.matmul of its nodes' stacked Y on the
+    (n^(j-1), n^2, rest) views of their parents' rows, which makes the same
+    n^2 x n^2 products as one `apply_pair` per node.  Only two levels are held.
     """
-    tree = _word_tree(dims.N)
-    operators = _exchange_operators(bc, momenta, tree.pairs)
+    plan = _level_plan(N)
+    coefficients = np.empty((math.factorial(N), u.size), dtype=np.complex128)
+    coefficients[0] = u
+    above = u[None]
+    for level in plan.levels:
+        nodes = np.empty((level.groups[-1].stop, u.size), dtype=np.complex128)
+        start = 0
+        for group in level.groups:
+            shape = (-1, n ** (group.slot - 1), n * n, n ** (N - group.slot - 1))
+            np.matmul(operators[group.pairs][:, None], above[group.parents].reshape(shape),
+                      out=nodes[start:group.stop].reshape(shape))
+            start = group.stop
+        coefficients[level.words] = nodes[level.rows]
+        above = nodes
+    return coefficients
+
+
+def _walk(N: int, operators: np.ndarray, n: int) -> float:
+    """Path consistency: one depth-first pass over the trie rows that do consistency work.
+
+    Every row with a braid node below it carries its transport (the identity
+    at the root), every braid node starts the difference of its two braids,
+    and each difference is moved down the braid node's subtree one swap at a
+    time, with the max-abs taken at every word node; the worst is returned.
+    Only arrays on the current path are held, and the rows' free and last
+    fields drop each one after its last use.
+    """
+    tree = _word_tree(N)
+    by_pair = dict(zip(tree.pairs, operators))
 
     def apply(step, t):
         slot, pair = step
-        return apply_pair(operators[pair], slot, t, dims.n)
+        return apply_pair(by_pair[pair], slot, t, n)
 
-    found = {tree.words[0][0]: u}
-    vectors, diffs = [u], [()]
-    transports = [np.eye(dims.total_dim, dtype=np.complex128) if consistency else None]
+    diffs = [()]
+    transports = [np.eye(n ** N, dtype=np.complex128)]
     worst = 0.0
-    for row in tree.rows:
+    for row in _level_plan(N).consistency:
         d = row.depth
-        if u is not None:
-            del vectors[d:]
-            vectors.append(apply(row.step, vectors[-1]))
-            if row.perm:
-                found[row.perm] = vectors[-1]
-        if not consistency:
-            continue
         del transports[d:], diffs[d:]
         moved = [apply(row.step, diff) for diff in diffs[-1]]
         if row.last:
@@ -379,29 +477,32 @@ def _walk(bc: SeparatedBC, momenta: tuple[float, ...], dims: SpinDims,
             for diff in moved:
                 worst = max(worst, max_abs(diff))
         diffs.append(moved)
-    return found, (worst if consistency else None)
+    return worst
 
 
 def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
     """The BetheState and, if asked and N >= 3, the path consistency (else None).
 
-    Both come from one walk over the trie, with each exchange operator built once.
+    Both use one stack of exchange operators, built once.
     """
     momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
     stats = as_statistics(statistics)
-    found, worst = _walk(bc, momenta, dims, u, consistency and dims.N >= 3)
-    words = dict(_word_tree(dims.N).words)
+    tree = _word_tree(dims.N)
+    operators = _exchange_operators(bc, momenta, tree.pairs)
+    rows = _propagate(dims.N, operators, u, dims.n)
     state = BetheState(dims=dims, momenta=momenta,
-                       coefficients={perm: found[perm] for perm in words},
-                       words=words, statistics=stats)
+                       coefficients={perm: row for (perm, _), row in zip(tree.words, rows)},
+                       words=dict(tree.words), statistics=stats)
+    worst = _walk(dims.N, operators, dims.n) if consistency and dims.N >= 3 else None
     return state, worst
 
 
 def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheState:
     """Propagate the identity-permutation coefficient to all N! permutations.
 
-    Each coefficient is its canonical word applied to u_init, with one pair
-    application per node of the trie of canonical words.
+    Each coefficient is its canonical word applied to u_init.  The trie of
+    canonical words is propagated one depth at a time, with one stacked
+    product per slot of each depth (`_propagate`).
     """
     return _bethe(bc, momenta, u_init, statistics, consistency=False)[0]
 
@@ -427,7 +528,8 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    return _walk(bc, momenta, dims, None, True)[1]
+    operators = _exchange_operators(bc, momenta, _word_tree(dims.N).pairs)
+    return _walk(dims.N, operators, dims.n)
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:

@@ -158,13 +158,19 @@ def _require_finite_real(value, name: str) -> float:
     return value
 
 
-def _require_one_plus_bc(b: float, c: float) -> float:
-    """1 + bc, which the pt_type1 family needs finite and non-negative for its square root."""
+def _one_plus_bc(b: float, c: float) -> float:
+    """1 + bc of the pt_type1 family; the product bc must be finite."""
     if not math.isfinite(b * c):
         raise ValueError(f"parameter product bc must be finite, got {b * c!r}")
-    if 1.0 + b * c < 0.0:
-        raise ValueError(f"parameter constraint 1 + bc >= 0 violated: got {1.0 + b * c!r}")
     return 1.0 + b * c
+
+
+def _require_one_plus_bc(b: float, c: float) -> float:
+    """1 + bc, which the pt_type1 family needs finite and non-negative for its square root."""
+    one_plus_bc = _one_plus_bc(b, c)
+    if one_plus_bc < 0.0:
+        raise ValueError(f"parameter constraint 1 + bc >= 0 violated: got {one_plus_bc!r}")
+    return one_plus_bc
 
 
 def scalar_sa_nonseparated(theta: float, a: float, b: float, c: float, d: float) -> ScalarBC:
@@ -355,12 +361,12 @@ def validate(bc, tol: float | None = None) -> ValidationReport:
         if bc.kind == "sa_nonseparated":
             return validate_selfadjoint(lift_scalar(bc.connection_matrix(), 1), tol)
         if bc.kind == "pt_type1":
-            b, c = bc.params["b"], bc.params["c"]
+            b, one_plus_bc = bc.params["b"], _one_plus_bc(bc.params["b"], bc.params["c"])
             residuals = {
                 "b_nonnegative": max(0.0, -b),
-                "one_plus_bc_nonnegative": max(0.0, -(1.0 + b * c)),
+                "one_plus_bc_nonnegative": max(0.0, -one_plus_bc),
             }
-            if 1.0 + b * c >= 0.0:
+            if one_plus_bc >= 0.0:
                 inner = validate_nonseparated_pt(lift_scalar(bc.connection_matrix(), 1), tol)
                 residuals.update(inner.residuals)
             return ValidationReport.from_residuals(residuals, tol)

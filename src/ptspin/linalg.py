@@ -45,11 +45,15 @@ __all__ = [
 
 
 class SingularMatrixError(ValueError):
-    """Inversion refused: smallest singular value below SINGULARITY_RTOL times the largest."""
+    """Inversion refused: smallest singular value below SINGULARITY_RTOL times the largest.
 
-    def __init__(self, message: str, role: str = "matrix"):
+    index is the position of the refused matrix in a stacked inversion, else None.
+    """
+
+    def __init__(self, message: str, role: str = "matrix", index: int | None = None):
         super().__init__(message)
         self.role = role
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,10 @@ class SpinDims:
         return self.n**self.N
 
 
-def as_operator(values, role: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 matrix with finite entries."""
+def as_operator(values, role: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex128 matrix with finite entries (with stack, a (P, d, d) stack)."""
     m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{role} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{role} has non-finite entries")
@@ -170,24 +174,39 @@ def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:
 
 
 def inverse(m, role: str = "matrix") -> np.ndarray:
-    """Matrix inverse guarded by a singular-value ratio check."""
-    m = as_operator(m, role)
+    """Matrix inverse guarded by a singular-value ratio check.
+
+    m is one matrix or a (P, d, d) stack.  Each matrix of a stack is checked
+    and inverted on its own (LAPACK runs once per matrix), so the result
+    equals one call per matrix; the first singular one is refused, with its
+    position as the error's index.
+    """
+    stack = np.ndim(m) == 3
+    m = as_operator(m, role, stack)
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULARITY_RTOL * sv[0]:
-        raise SingularMatrixError(
-            f"{role} is singular or near-singular "
-            f"(smallest/largest singular value {sv[-1]:.3e}/{sv[0]:.3e})",
-            role=role,
-        )
+    for index, values in enumerate(sv.reshape(-1, m.shape[-1]).tolist()):
+        largest, smallest = values[0], values[-1]
+        if largest == 0.0 or smallest < SINGULARITY_RTOL * largest:
+            raise SingularMatrixError(
+                f"{role} is singular or near-singular "
+                f"(smallest/largest singular value {smallest:.3e}/{largest:.3e})",
+                role=role,
+                index=index if stack else None,
+            )
     return np.linalg.inv(m)
 
 
-def cayley(F, k12: float, role: str = "ik-F") -> np.ndarray:
+def cayley(F, k12, role: str = "ik-F") -> np.ndarray:
     """Cayley form (ik - F)^-1 (ik + F) of a square matrix F at k = k12.
 
-    role names the inverted matrix ik - F in a SingularMatrixError.
+    A 1-D array k12 gives the (P, d, d) stack of the forms at its entries
+    from one stacked `inverse`.  role names the inverted matrix ik - F in a
+    SingularMatrixError.
     """
-    ik = 1j * float(k12)
+    if isinstance(k12, np.ndarray):
+        ik = 1j * k12.astype(np.float64)[..., None, None]
+    else:
+        ik = 1j * float(k12)
     eye = np.eye(F.shape[0], dtype=np.complex128)
     return inverse(ik * eye - F, role=role) @ (ik * eye + F)
 

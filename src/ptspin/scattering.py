@@ -39,18 +39,25 @@ __all__ = [
 ]
 
 
-def y_separated(bc: SeparatedBC, k12: float) -> np.ndarray:
+def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
     """Exchange operator (ik - F)^-1 (ik + F) at relative momentum k12.
 
     The Dirichlet member has no finite coupling matrix and yields the constant
     limit Y = -identity.  A singular ik - F names a collision with the nearest
     eigenvalue only within DEFAULT_TOL * (1 + |eigenvalue|); else the inverse's message stands.
+    A 1-D array k12 gives the (P, n^2, n^2) stack of the operators at its
+    entries from one stacked inverse, equal to one call per entry; the first
+    singular entry raises what its own call raises, with its position as the
+    error's index.
     """
     if bc.dirichlet:
-        return -np.eye(bc.n * bc.n, dtype=np.complex128)
+        d = bc.n * bc.n
+        return np.broadcast_to(-np.eye(d, dtype=np.complex128), np.shape(k12) + (d, d)).copy()
     try:
         return cayley(bc.F, k12)
-    except SingularMatrixError:
+    except SingularMatrixError as exc:
+        if exc.index is not None:
+            k12 = float(k12[exc.index])
         eigenvalues = np.linalg.eigvals(bc.F)
         ik = 1j * float(k12)
         nearest = complex(eigenvalues[int(np.argmin(np.abs(eigenvalues - ik)))])
@@ -60,6 +67,7 @@ def y_separated(bc: SeparatedBC, k12: float) -> np.ndarray:
             f"relative momentum k12={k12!r} makes ik collide with coupling "
             f"eigenvalue {nearest!r}",
             role="ik-F",
+            index=exc.index,
         ) from None
 
 

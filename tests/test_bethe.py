@@ -1,6 +1,7 @@
 """Coefficient propagation, wavefunction assembly, and interface defects."""
 import collections
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from ptspin.bethe import (
     SignPattern,
     _TrieNode,
     _WordTree,
+    _exchange_operators,
+    _level_plan,
     _one_sided_weights,
     _word_tree,
     bethe_coefficients,
@@ -450,6 +453,101 @@ def test_word_tree_holds_every_canonical_word_once(N):
     assert sorted(seen) == perms
     prefixes = {word[:m] for _, word in tree.words for m in range(1, len(word) + 1)}
     assert len(nodes) == len(prefixes) and set(nodes) == prefixes
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
+    tree, plan = _word_tree(N), _level_plan(N)
+    perms = list(itertools.permutations(range(1, N + 1)))
+    # Each row's prefix from the depth-first listing, and whether a braid
+    # node lies above it (its parent then holds differences).
+    path, rows, consistency = [()], {}, []
+    for row in tree.rows:
+        del path[row.depth:]
+        prefix = path[-1] + (row.step[0],)
+        path.append(prefix)
+        rows[prefix] = row
+        inherited = any(is_braid(prefix[:m]) for m in range(3, len(prefix)))
+        if row.transport or row.braid or inherited:
+            consistency.append(row)
+    assert plan.consistency == tuple(consistency)
+    above, filled = [()], [0]
+    for depth, level in enumerate(plan.levels, start=1):
+        prefixes, start = [], 0
+        for group in level.groups:
+            assert group.stop - start == len(group.parents) == len(group.pairs) > 0
+            for parent, pair in zip(group.parents, group.pairs):
+                prefix = above[parent] + (group.slot,)
+                assert rows[prefix].step == (group.slot, tree.pairs[pair])
+                prefixes.append(prefix)
+            start = group.stop
+        assert sorted(prefixes) == sorted(p for p in rows if len(p) == depth)
+        words = {pos for pos, prefix in enumerate(prefixes) if rows[prefix].perm}
+        assert sorted(level.rows) == sorted(words)
+        for pos, word in zip(level.rows, level.words):
+            assert perms[word] == rows[prefixes[pos]].perm
+        filled.extend(level.words)
+        above = prefixes
+    assert sorted(filled) == list(range(len(perms)))
+
+
+def test_stacked_exchange_operators_equal_one_call_per_pair(rng):
+    for bc in [dense_complex_coupling(rng, n) for n in (1, 2, 3)] + [SeparatedBC(2, None)]:
+        momenta = separated_momenta(rng, 5)
+        pairs = _word_tree(5).pairs
+        stack = _exchange_operators(bc, momenta, pairs)
+        assert stack.shape == (len(pairs), bc.n ** 2, bc.n ** 2)
+        for y, (alpha, beta) in zip(stack, pairs):
+            want = y_separated(bc, 0.5 * (momenta[alpha - 1] - momenta[beta - 1]))
+            assert y.tobytes() == want.tobytes()
+
+
+def jordan_coupling():
+    """F with a 2x2 Jordan block at 0: ik - F is near-singular for |k| << 1e3
+    without ik colliding with the eigenvalue."""
+    F = np.diag([0.0, 0.0, -5.0, -5.0]).astype(complex)
+    F[0, 1] = 1e7
+    return SeparatedBC(2, F)
+
+
+@pytest.mark.parametrize("bc,momenta", [
+    (hspin(a=0.0, b=0.0, c=1.0, d=-1.0, f=0.0, g=0.0, e1=0.0, e2=0.0, e3=0.0, e4=0.0),
+     (4.0, 2.0, -0.5, 0.0)),
+    (jordan_coupling(), (2.0, 0.5, -500.0, 1.5)),
+], ids=["collision", "near-singular"])
+def test_stacked_operators_name_the_first_singular_pair(bc, momenta):
+    pairs = _word_tree(4).pairs
+    errors = []
+    for alpha, beta in pairs:
+        try:
+            y_separated(bc, 0.5 * (momenta[alpha - 1] - momenta[beta - 1]))
+        except SingularMatrixError as exc:
+            errors.append(((alpha, beta), exc))
+    assert len(errors) >= 2 and errors[0][0] != pairs[0]
+    (alpha, beta), first = errors[0]
+    with pytest.raises(SingularMatrixError) as info:
+        _exchange_operators(bc, momenta, pairs)
+    assert str(info.value) == (f"momentum pair ({alpha},{beta}) gives a singular "
+                               f"exchange operator: {first}")
+    assert info.value.role == first.role == "ik-F"
+
+
+def test_coefficients_memory_is_the_output_and_its_copy(rng):
+    """Each level is released once the next is built; the (N!, n^N) array
+    and the state's stacked copy of it are the peak."""
+    n, N = 2, 7
+    bc = random_hspin(rng)
+    momenta = separated_momenta(rng, N)
+    u = rng.normal(size=n ** N) + 1j * rng.normal(size=n ** N)
+    bethe_coefficients(bc, momenta, u, "boson")
+    output = math.factorial(N) * n ** N * 16
+    tracemalloc.start()
+    try:
+        bethe_coefficients(bc, momenta, u, "boson")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * output
 
 
 def test_path_consistency_memory_stays_local(rng):

@@ -526,6 +526,8 @@ _OVERFLOW_DOCS = [
       **{command: (1, "smallest/largest singular value") for command in ("yop", "ybe", "bethe")}}),
     ({"kind": "scalar_pt_type1", "theta": 0.0, "phi": 0.0, "b": 1e200, "c": 1e200},
      {command: (1, "parameter product bc must be finite, got inf") for command in _SIX_COMMANDS}),
+    ({"kind": "scalar_pt_type1", "theta": 0.0, "phi": 0.0, "b": 1e200, "c": -1e200},
+     {command: (1, "parameter product bc must be finite, got -inf") for command in _SIX_COMMANDS}),
     ({"kind": "scalar_pt_type2", "theta": 0.0, "h0": 1e-320, "h1": 1e300},
      {command: (1, "parameter ratio h1/h0 must be finite, got inf") for command in _SIX_COMMANDS}),
 ]
@@ -543,9 +545,16 @@ print(json.dumps([[rc, out.getvalue(), err.getvalue()] for rc, out, err in resul
 """
 
 
+def strict_json(text):
+    """Parse JSON as the standard defines it: NaN and Infinity are not numbers."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("doc,expected", _OVERFLOW_DOCS)
 def test_overflowing_documents_fail_with_their_cause_on_every_command(tmp_path, doc, expected):
-    """No hang, traceback or RuntimeWarning; a hang fails the timeout."""
+    """No hang, traceback, RuntimeWarning or non-JSON stdout; a hang fails the timeout."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     argvs = [[command, str(path), *_SIX_COMMANDS[command]] for command in expected]
@@ -554,6 +563,7 @@ def test_overflowing_documents_fail_with_their_cause_on_every_command(tmp_path, 
     assert (proc.returncode, proc.stderr) == (0, "")
     for (command, (rc, fragment)), (got, out, err) in zip(expected.items(), json.loads(proc.stdout)):
         assert (command, got, err) == (command, rc, "")
+        printed = strict_json(out)
         if fragment is not None:
-            detail = json.loads(out)["detail"]
+            detail = printed["detail"]
             assert fragment in detail and "collide" not in detail, (command, detail)

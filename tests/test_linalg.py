@@ -12,6 +12,7 @@ from ptspin.linalg import (
     SpinDims,
     apply_pair,
     as_operator,
+    cayley,
     complex_from_json,
     complex_to_json,
     exchange_operator,
@@ -184,6 +185,24 @@ def test_inverse_flags_singular_input_with_role():
     with pytest.raises(SingularMatrixError) as excinfo:
         inverse(m, role="outer bracket")
     assert excinfo.value.role == "outer bracket"
+
+
+def test_stacked_inverse_and_cayley_equal_one_call_per_matrix(rng):
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    assert all(a.tobytes() == inverse(m).tobytes() for a, m in zip(inverse(stack), stack))
+    k = rng.normal(size=6)
+    F = stack[0]
+    assert all(a.tobytes() == cayley(F, float(kk)).tobytes() for a, kk in zip(cayley(F, k), k))
+    stack[2] = stack[4] = [[1.0, 2.0, 0, 0], [2.0, 4.0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(SingularMatrixError) as excinfo:
+        inverse(stack, role="test")
+    with pytest.raises(SingularMatrixError) as alone:
+        inverse(stack[2], role="test")
+    assert (str(excinfo.value), excinfo.value.role, excinfo.value.index) == \
+        (str(alone.value), "test", 2)
+    assert alone.value.index is None
+    with pytest.raises(ValueError, match="non-finite"):
+        inverse(np.full((2, 3, 3), np.nan))
 
 
 @given(re=finite_floats, im=finite_floats)
