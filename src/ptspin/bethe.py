@@ -22,24 +22,28 @@ the C(N,2) exchange operators are built by one stacked Cayley solve.  The
 canonical words of N particles form a trie (27, 155, 1045, 8029 nodes for
 N = 4, 5, 6, 7; from N = 4 on, some interior nodes are not words).  Its
 shape, the slot labels of every edge and its braid sites depend only on N,
-so they are planned once per N.  A node's depth is its word length, so
-`bethe_coefficients` propagates the trie one depth at a time: the nodes of a
-depth that swap at one slot are one stacked np.matmul on their parents' rows
-(15, 34, 65, 111 products for N = 4..7), each making the per-node n^2 x n^2
-products, and word rows land in one (N!, n^N) array.
+so one plan per N (`_plan`) builds the trie once and keeps what both passes
+need.  A node's depth is its word length, so `bethe_coefficients` propagates
+the trie one depth at a time: the nodes of a depth that swap at one slot are
+one stacked np.matmul on their parents' rows (15, 34, 65, 111 products for
+N = 4..7), each making the per-node n^2 x n^2 products, and word rows land in
+one (N!, n^N) array, which the BetheState holds read-only.
 `path_consistency` walks, depth-first, only the trie rows that carry a
 transport or a braid difference, holding the arrays of the current path.  It
-reuses the transport as the canonical braid of each braid site, applies only
-the flipped braid, and moves the difference down the site's subtree, which
-every word through the site shares, one swap at a time.  Both produce the
-same floating-point operations as replaying each word alone.
+reuses the transport as the canonical braid of each braid site (a node whose
+last three swaps form a braid), applies only the flipped braid to the
+transport three levels up, and moves the difference down the site's subtree
+one swap at a time: both braids leave the same slot labels, so every word
+through the site shares the suffix.  Both passes produce the same
+floating-point operations as replaying each word alone.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -47,7 +51,7 @@ import numpy as np
 from .boundary import SeparatedBC, require_separated
 from .linalg import (SingularMatrixError, SpinDims, Statistics, apply_pair, as_statistics,
                      max_abs, permutation_sign, permute_slots)
-from .scattering import y_separated
+from .scattering import relative_momentum, y_separated
 
 __all__ = [
     "BetheState",
@@ -113,31 +117,50 @@ class SignPattern:
         return tuple(self.eps[p] for p in self.pairs)
 
 
+class _ByPerm(Mapping):
+    """Read-only perm -> values[i], where i is the perm's position in index."""
+
+    def __init__(self, index: Mapping[tuple[int, ...], int], values):
+        self._index, self._values = index, values
+
+    def __getitem__(self, perm):
+        return self._values[self._index[perm]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+
 @dataclass(frozen=True)
 class BetheState:
     """Propagated spin coefficients for all momentum assignments.
 
-    coefficients maps each permutation (a 1-based tuple listing which momentum
-    sits at each coordinate slot) to its coefficient vector; words records the
-    adjacent-swap sequence used to reach it from the identity.
+    array holds the read-only (N!, n^N) coefficients, one row per permutation
+    (a 1-based tuple listing which momentum sits at each coordinate slot) in
+    itertools.permutations order.  coefficients maps each permutation to its
+    row; words maps it to the adjacent-swap sequence used to reach it from the
+    identity.
     """
 
     dims: SpinDims
     momenta: tuple[float, ...]
-    coefficients: Mapping[tuple[int, ...], np.ndarray]
-    words: Mapping[tuple[int, ...], tuple[int, ...]]
     statistics: Statistics
-    # The plane-wave sum's operands, built once: the momentum at each slot of
-    # every permutation (N!, N) and the coefficients stacked (N!, n^N).
-    _slot_momenta: np.ndarray = field(init=False, repr=False, compare=False)
-    _coefficient_array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray
 
-    def __post_init__(self):
-        slots = np.array(list(self.coefficients), dtype=np.intp) - 1
-        object.__setattr__(self, "_slot_momenta",
-                           np.asarray(self.momenta, dtype=np.longdouble)[slots])
-        object.__setattr__(self, "_coefficient_array",
-                           np.array(list(self.coefficients.values()), dtype=np.complex128))
+    @property
+    def coefficients(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        return _ByPerm(_plan(self.dims.N).index, self.array)
+
+    @property
+    def words(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+        return _plan(self.dims.N).words
+
+    @functools.cached_property
+    def _slot_momenta(self) -> np.ndarray:
+        """The (N!, N) momentum at each slot of every permutation, in long double."""
+        return np.asarray(self.momenta, dtype=np.longdouble)[_plan(self.dims.N).slots]
 
 
 def _canonical_word(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -182,16 +205,45 @@ class _TrieNode(NamedTuple):
     free: tuple[int, ...]
 
 
-class _WordTree(NamedTuple):
-    """The trie's rows (root excluded), its words and their momentum pairs.
+class _Group(NamedTuple):
+    """The nodes of one depth that swap at one slot: one stacked product.
 
-    words lists (perm, word) in itertools.permutations order; pairs lists the
-    momentum pairs in the order the words first use them.
+    parents are their parents' positions in the depth above, pairs their
+    momentum pairs' positions in the plan's pairs, and stop the end of their
+    rows in the depth, which lists its groups one after another.
     """
 
+    slot: int
+    parents: np.ndarray
+    pairs: np.ndarray
+    stop: int
+
+
+class _Level(NamedTuple):
+    """One depth: its groups, and the positions of its word nodes (rows) and their perms (words)."""
+
+    groups: tuple[_Group, ...]
+    rows: np.ndarray
+    words: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """The canonical-word trie of N particles, planned for both passes.
+
+    levels is the trie by depth, for `_propagate`; rows lists depth-first the
+    nodes that carry a transport, start a braid difference or inherit one,
+    for `_walk` (no other node does consistency work); pairs lists the
+    momentum pairs in order of first use.  index maps each permutation to its
+    position in itertools.permutations order, words to its canonical word,
+    and slots holds the 0-based momentum at each slot of every permutation.
+    """
+
+    levels: tuple[_Level, ...]
     rows: tuple[_TrieNode, ...]
-    words: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pairs: tuple[tuple[int, int], ...]
+    index: Mapping[tuple[int, ...], int]
+    words: Mapping[tuple[int, ...], tuple[int, ...]]
+    slots: np.ndarray
 
 
 def _swap(labels: tuple[int, ...], slot: int) -> tuple[tuple[int, tuple[int, int]], tuple[int, ...]]:
@@ -200,25 +252,33 @@ def _swap(labels: tuple[int, ...], slot: int) -> tuple[tuple[int, tuple[int, int
     return (slot, (alpha, beta)), labels[:slot - 1] + (beta, alpha) + labels[slot + 1:]
 
 
+def _indices(values) -> np.ndarray:
+    """A read-only index array, safe to share from a cache."""
+    out = np.array(list(values), dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 @functools.cache
-def _word_tree(N: int) -> _WordTree:
-    """Trie of the canonical words for N particles, with its walk bookkeeping.
+def _plan(N: int) -> _Plan:
+    """Build the trie of the canonical words for N particles once, and plan both passes on it.
 
     Each node's slot labels come from its parent's by one swap, so no prefix
     is replayed from the identity.  Children are visited lightest subtree
     first, so the arrays a node keeps for its children are released before
-    its heaviest subtree is entered.
+    its heaviest subtree is entered.  Within a depth, the nodes are grouped
+    by slot in depth-first order.
     """
-    words = tuple((perm, _canonical_word(perm))
-                  for perm in itertools.permutations(range(1, N + 1)))
+    perms = list(itertools.permutations(range(1, N + 1)))
+    words = tuple(_canonical_word(perm) for perm in perms)
     # Nodes by id in creation order, parents first and the root 0: parent,
     # depth, slot labels after the prefix, step (slot, pair) and children by slot.
     parent, depth = [0], [0]
-    labels, steps, children = [tuple(range(1, N + 1))], [None], [{}]
-    perm_at: dict[int, tuple[int, ...]] = {}
-    # A momentum pair is first used where its first node is created.
-    pairs: dict[tuple[int, int], None] = {}
-    for perm, word in words:
+    labels, steps, children = [perms[0]], [None], [{}]
+    word_at: dict[int, int] = {}
+    # A momentum pair's id is its order of first use, where its first node is created.
+    pairs: dict[tuple[int, int], int] = {}
+    for i, word in enumerate(words):
         node = 0
         for slot in word:
             child = children[node].get(slot)
@@ -230,9 +290,9 @@ def _word_tree(N: int) -> _WordTree:
                 labels.append(after)
                 steps.append(step)
                 children.append({})
-                pairs.setdefault(step[1])
+                pairs.setdefault(step[1], len(pairs))
             node = child
-        perm_at[node] = perm
+        word_at[node] = i
     weight = [0] * len(parent)
     for node in range(len(parent) - 1, 0, -1):
         weight[parent[node]] += weight[node] + 1
@@ -243,17 +303,17 @@ def _word_tree(N: int) -> _WordTree:
         stack.extend(sorted(children[node].values(), key=lambda c: (weight[c], steps[c][0]),
                             reverse=True))
     del order[0]
-
-    def braid_base(node: int) -> int | None:
-        """The node three levels up if node's last three swaps are a braid, else None."""
-        if depth[node] < 3:
-            return None
+    # A braid node's base is the node three levels up, where its last three
+    # swaps (a, b, a) with |a - b| = 1 start.  A node inherits differences if
+    # a braid node lies above it.
+    base, inherits = [None] * len(parent), [False] * len(parent)
+    for node in range(1, len(parent)):
         p1 = parent[node]
         p2 = parent[p1]
-        a, b = steps[p2][0], steps[p1][0]
-        return parent[p2] if steps[node][0] == a and abs(a - b) == 1 else None
-
-    base = {node: braid_base(node) for node in order}
+        inherits[node] = inherits[p1] or base[p1] is not None
+        slot = steps[node][0]
+        if depth[node] >= 3 and slot == steps[p2][0] and abs(slot - steps[p1][0]) == 1:
+            base[node] = parent[p2]
     # A node's transport is needed where a braid node lies below it.  It is
     # dead after its last use: by a child's transport, by a braid node three
     # levels down, or by the node itself.  A node's differences are dead
@@ -275,6 +335,8 @@ def _word_tree(N: int) -> _WordTree:
         free.setdefault(i, []).append(depth[node])
     rows = []
     for i, node in enumerate(order):
+        if node not in transport and not inherits[node]:
+            continue
         braid = None
         if base[node] is not None:
             a, b = steps[node][0], steps[parent[node]][0]
@@ -283,98 +345,37 @@ def _word_tree(N: int) -> _WordTree:
                 step, seq = _swap(seq, slot)
                 braid.append(step)
             braid = tuple(braid)
-        rows.append(_TrieNode(depth=depth[node], step=steps[node], perm=perm_at.get(node),
+        rows.append(_TrieNode(depth=depth[node], step=steps[node],
+                              perm=perms[word_at[node]] if node in word_at else None,
                               braid=braid, transport=node in transport,
                               last=last_child[parent[node]] == i,
                               free=tuple(sorted(free.get(i, ())))))
-    return _WordTree(rows=tuple(rows), words=words, pairs=tuple(pairs))
-
-
-class _Group(NamedTuple):
-    """The nodes of one depth that swap at one slot: one stacked product.
-
-    parents are their parents' positions in the depth above, pairs their
-    momentum pairs' positions in the tree's pairs, and stop the end of their
-    rows in the depth, which lists its groups one after another.
-    """
-
-    slot: int
-    parents: np.ndarray
-    pairs: np.ndarray
-    stop: int
-
-
-class _Level(NamedTuple):
-    """One depth: its groups, the positions of its word nodes (rows) and of
-    their permutations in itertools.permutations order (words)."""
-
-    groups: tuple[_Group, ...]
-    rows: np.ndarray
-    words: np.ndarray
-
-
-class _LevelPlan(NamedTuple):
-    """The trie by depth for propagation, and the rows path consistency visits.
-
-    consistency keeps, in depth-first order, the rows that carry a transport,
-    start a braid difference or inherit one; every other row does no
-    consistency work, and neither does its subtree.
-    """
-
-    levels: tuple[_Level, ...]
-    consistency: tuple[_TrieNode, ...]
-
-
-def _indices(values) -> np.ndarray:
-    """A read-only index array, safe to share from a cache."""
-    out = np.fromiter(values, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-@functools.cache
-def _level_plan(N: int) -> _LevelPlan:
-    """Group `_word_tree(N)` by depth, then by slot, keeping depth-first order within a slot."""
-    tree = _word_tree(N)
-    pair_id = {pair: i for i, pair in enumerate(tree.pairs)}
-    word_id = {perm: i for i, (perm, _) in enumerate(tree.words)}
-    # Each row's parent row (-1 is the root), its depth's rows, and whether a
-    # braid node lies on its path (it then holds differences).
-    parent, by_depth, path = [], [], [-1]
-    braided, consistency = [False], []
-    for i, row in enumerate(tree.rows):
-        del path[row.depth:], braided[row.depth:]
-        parent.append(path[-1])
-        path.append(i)
-        if row.depth > len(by_depth):
-            by_depth.append([])
-        by_depth[row.depth - 1].append(i)
-        if row.transport or row.braid or braided[-1]:
-            consistency.append(row)
-        braided.append(braided[-1] or row.braid is not None)
-    position = {-1: 0}
+    position = {0: 0}
     levels = []
-    for members in by_depth:
-        members.sort(key=lambda i: tree.rows[i].step[0])
-        position.update((i, pos) for pos, i in enumerate(members))
+    by_depth = sorted(order, key=lambda node: (depth[node], steps[node][0]))
+    for _, members in itertools.groupby(by_depth, key=depth.__getitem__):
+        members = list(members)
+        position.update((node, pos) for pos, node in enumerate(members))
         groups = []
-        for slot, group in itertools.groupby(members, key=lambda i: tree.rows[i].step[0]):
+        for slot, group in itertools.groupby(members, key=lambda node: steps[node][0]):
             group = list(group)
             groups.append(_Group(slot=slot,
-                                 parents=_indices(position[parent[i]] for i in group),
-                                 pairs=_indices(pair_id[tree.rows[i].step[1]] for i in group),
+                                 parents=_indices(position[parent[node]] for node in group),
+                                 pairs=_indices(pairs[steps[node][1]] for node in group),
                                  stop=position[group[-1]] + 1))
-        words = [i for i in members if tree.rows[i].perm]
+        found = [node for node in members if node in word_at]
         levels.append(_Level(groups=tuple(groups),
-                             rows=_indices(position[i] for i in words),
-                             words=_indices(word_id[tree.rows[i].perm] for i in words)))
-    return _LevelPlan(levels=tuple(levels), consistency=tuple(consistency))
+                             rows=_indices(position[node] for node in found),
+                             words=_indices(word_at[node] for node in found)))
+    index = MappingProxyType({perm: i for i, perm in enumerate(perms)})
+    return _Plan(levels=tuple(levels), rows=tuple(rows), pairs=tuple(pairs), index=index,
+                 words=_ByPerm(index, words), slots=_indices(itertools.permutations(range(N))))
 
 
 def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
                         pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """The (P, n^2, n^2) stack of Y((k_alpha - k_beta)/2), one per momentum pair given."""
-    k = np.array([0.5 * (momenta[alpha - 1] - momenta[beta - 1]) for alpha, beta in pairs])
+    k = np.array([relative_momentum(momenta[alpha - 1], momenta[beta - 1]) for alpha, beta in pairs])
     try:
         return y_separated(bc, k)
     except SingularMatrixError as exc:
@@ -386,18 +387,13 @@ def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
         ) from None
 
 
-def _check_momenta(momenta) -> tuple[float, ...]:
+def _check_state_inputs(bc, momenta, u_init):
+    require_separated(bc, "coefficient propagation")
     momenta = tuple(float(k) for k in momenta)
     if len(momenta) < 2:
         raise ValueError(f"need at least two momenta, got {len(momenta)}")
     if not all(np.isfinite(momenta)):
         raise ValueError("momenta must be finite")
-    return momenta
-
-
-def _check_state_inputs(bc, momenta, u_init):
-    require_separated(bc, "coefficient propagation")
-    momenta = _check_momenta(momenta)
     dims = SpinDims(bc.n, len(momenta))
     u = np.asarray(u_init, dtype=np.complex128).reshape(-1)
     if u.shape[0] != dims.total_dim:
@@ -411,13 +407,13 @@ def _check_state_inputs(bc, momenta, u_init):
 
 
 def _propagate(N: int, operators: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
-    """The (N!, n^N) coefficients in itertools.permutations order, one trie depth at a time.
+    """The read-only (N!, n^N) coefficients in permutations order, one trie depth at a time.
 
     Each group of a level is one np.matmul of its nodes' stacked Y on the
     (n^(j-1), n^2, rest) views of their parents' rows, which makes the same
     n^2 x n^2 products as one `apply_pair` per node.  Only two levels are held.
     """
-    plan = _level_plan(N)
+    plan = _plan(N)
     coefficients = np.empty((math.factorial(N), u.size), dtype=np.complex128)
     coefficients[0] = u
     above = u[None]
@@ -431,6 +427,7 @@ def _propagate(N: int, operators: np.ndarray, u: np.ndarray, n: int) -> np.ndarr
             start = group.stop
         coefficients[level.words] = nodes[level.rows]
         above = nodes
+    coefficients.flags.writeable = False
     return coefficients
 
 
@@ -444,8 +441,8 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
     Only arrays on the current path are held, and the rows' free and last
     fields drop each one after its last use.
     """
-    tree = _word_tree(N)
-    by_pair = dict(zip(tree.pairs, operators))
+    plan = _plan(N)
+    by_pair = dict(zip(plan.pairs, operators))
 
     def apply(step, t):
         slot, pair = step
@@ -454,7 +451,7 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
     diffs = [()]
     transports = [np.eye(n ** N, dtype=np.complex128)]
     worst = 0.0
-    for row in _level_plan(N).consistency:
+    for row in plan.rows:
         d = row.depth
         del transports[d:], diffs[d:]
         moved = [apply(row.step, diff) for diff in diffs[-1]]
@@ -487,12 +484,9 @@ def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
     """
     momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
     stats = as_statistics(statistics)
-    tree = _word_tree(dims.N)
-    operators = _exchange_operators(bc, momenta, tree.pairs)
-    rows = _propagate(dims.N, operators, u, dims.n)
-    state = BetheState(dims=dims, momenta=momenta,
-                       coefficients={perm: row for (perm, _), row in zip(tree.words, rows)},
-                       words=dict(tree.words), statistics=stats)
+    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
+    state = BetheState(dims=dims, momenta=momenta, statistics=stats,
+                       array=_propagate(dims.N, operators, u, dims.n))
     worst = _walk(dims.N, operators, dims.n) if consistency and dims.N >= 3 else None
     return state, worst
 
@@ -517,25 +511,19 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     (every initial coefficient at once), so it vanishes exactly when the
     Yang-Baxter identity holds on the visited relative momenta; u_init is
     validated but the returned number does not depend on it.
-
-    A braid site is a trie node whose last three swaps form a braid.  Its
-    canonical braid is the node's own transport; only the flipped braid is
-    applied to the transport three levels up.  Both braids leave the same
-    slot labels, so every word through the node shares the suffix operators,
-    and the difference is moved down the node's subtree once.
     """
     momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    operators = _exchange_operators(bc, momenta, _word_tree(dims.N).pairs)
+    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
     return _walk(dims.N, operators, dims.n)
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:
     """Plane-wave sum at a point y of the fundamental region, all N! terms at once."""
     phases = np.exp(1j * (state._slot_momenta @ y).astype(dtype))
-    return phases @ state._coefficient_array.astype(dtype, copy=False)
+    return phases @ state.array.astype(dtype, copy=False)
 
 
 def _wavefunction(state: BetheState, x, dtype) -> np.ndarray:

@@ -45,7 +45,7 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .scattering import make_y_factory, ybe_residual
+from .scattering import make_y_factory, relative_momentum, ybe_residual
 from .spectra import SpectrumReport, bound_states, classify_spectrum
 
 EXIT_OK = 0
@@ -95,8 +95,8 @@ def cmd_validate(args, tol) -> tuple[int, str]:
 
 
 def cmd_yop(args, tol) -> tuple[int, str]:
+    k12 = relative_momentum(*_require_finite("--k1 and --k2", (args.k1, args.k2)))
     bc = lower(load_boundary_condition(args.input))
-    k12 = 0.5 * (args.k1 - args.k2)
     y = make_y_factory(bc, args.statistics)(k12)
     return EXIT_OK, _dumps({"k12": k12, "Y": matrix_to_json(y)})
 
@@ -125,14 +125,12 @@ def cmd_bethe(args, tol) -> tuple[int, str]:
         except (json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"--u-init: {exc}") from None
     state, consistency = _bethe(bc, momenta, u_init, args.statistics, consistency=True)
-    perms = sorted(state.coefficients)
-    vectors = matrix_to_json([state.coefficients[perm] for perm in perms])
     doc = {
         "momenta": [float(k) for k in momenta],
         "statistics": state.statistics.value,
         "path_consistency": consistency,
-        "coefficients": [{"perm": list(perm), "word": list(state.words[perm]), "u": u}
-                         for perm, u in zip(perms, vectors)],
+        "coefficients": [{"perm": list(perm), "word": list(word), "u": u}
+                         for (perm, word), u in zip(state.words.items(), matrix_to_json(state.array))],
     }
     return EXIT_OK, _dumps(doc)
 
@@ -227,6 +225,8 @@ def _parse_param_grid(text: str) -> tuple[str, list[float]]:
         raise _UsageError(f"--param needs finite bounds and steps >= 1, got {text!r}")
     if steps == 1:
         return name, [lo]
+    if not math.isfinite(hi - lo):
+        raise _UsageError(f"--param span hi - lo must be finite, got {text!r}")
     return name, [float(v) for v in np.linspace(lo, hi, steps)]
 
 
@@ -242,8 +242,12 @@ def _momenta(args, exactly: int | None = None, minimum: int | None = None) -> li
         raise _UsageError(f"--k needs exactly {exactly} momenta, got {len(momenta)}")
     if minimum is not None and len(momenta) < minimum:
         raise _UsageError(f"--k needs at least {minimum} momenta, got {len(momenta)}")
+    return _require_finite("--k entries", momenta)
+
+
+def _require_finite(what: str, momenta):
     if not all(math.isfinite(k) for k in momenta):
-        raise _UsageError("--k entries must be finite")
+        raise _UsageError(f"{what} must be finite")
     return momenta
 
 
@@ -345,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SingularMatrixError as exc:
         _emit(args, _dumps({"error": "singular", "detail": str(exc)}))
         return EXIT_MATH
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         _emit(args, _dumps({"error": "invalid", "detail": str(exc)}))
         return EXIT_MATH
     _emit(args, text)

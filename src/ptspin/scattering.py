@@ -31,12 +31,19 @@ from .linalg import (
 )
 
 __all__ = [
+    "relative_momentum",
     "y_separated",
     "y_nonseparated",
     "y_inverse_residual",
     "make_y_factory",
     "ybe_residual",
 ]
+
+
+def relative_momentum(k_a: float, k_b: float) -> float:
+    """Relative momentum (k_a - k_b)/2 as 0.5*k_a - 0.5*k_b: finite for every finite pair,
+    and 0.5*(k_a - k_b) bit for bit wherever that is finite and no half is subnormal."""
+    return 0.5 * k_a - 0.5 * k_b
 
 
 def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
@@ -128,7 +135,7 @@ def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
         raise ValueError(f"the consistency check is a three-particle identity, got N={dims.N}")
     n = dims.n
     eye = np.eye(dims.total_dim, dtype=np.complex128)
-    outputs = [yfactory(0.5 * (a - b)) for a, b in ((k1, k2), (k1, k3), (k2, k3))]
+    outputs = [yfactory(relative_momentum(a, b)) for a, b in ((k1, k2), (k1, k3), (k2, k3))]
     y12, y13, y23 = (as_pair_operator(y, "pair operator", n) for y in outputs)
 
     def at(y, j):

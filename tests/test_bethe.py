@@ -11,11 +11,9 @@ from conftest import embed_pair, random_hspin, separated_momenta
 from ptspin.bethe import (
     SignPattern,
     _TrieNode,
-    _WordTree,
     _exchange_operators,
-    _level_plan,
     _one_sided_weights,
-    _word_tree,
+    _plan,
     bethe_coefficients,
     boundary_jump_residual,
     evaluate_wavefunction,
@@ -374,8 +372,10 @@ def is_braid(prefix):
 def reference_word_tree(N):
     """The trie planner that replays every prefix from the identity.
 
-    `_word_tree` carries the slot labels down the trie instead; its plan must
-    be equal to this one row for row.
+    Returns every trie row depth-first, the (perm, word) pairs in
+    itertools.permutations order and the momentum pairs in order of first
+    use.  `_plan` carries the slot labels down the trie instead; its rows
+    must be the consistency rows of this planner, row for row.
     """
     words = tuple((perm, reference_word(perm)) for perm in itertools.permutations(range(1, N + 1)))
     pairs, perm_at = {}, {}
@@ -418,59 +418,67 @@ def reference_word_tree(N):
                               perm=perm_at[prefix], braid=braid, transport=prefix in transport,
                               last=last_child[prefix[:-1]] == i,
                               free=tuple(sorted(free.get(i, ())))))
-    return _WordTree(rows=tuple(rows), words=words, pairs=tuple(pairs))
+    return tuple(rows), words, tuple(pairs)
+
+
+def row_prefixes(rows):
+    """The word prefix of each row of a depth-first listing, whose parent is
+    the last row one level up."""
+    path, prefixes = [()], []
+    for row in rows:
+        assert 1 <= row.depth <= len(path)
+        del path[row.depth:]
+        path.append(path[-1] + (row.step[0],))
+        prefixes.append(path[-1])
+    return prefixes
 
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_word_tree_equals_the_replaying_planner(N):
-    assert _word_tree(N) == reference_word_tree(N)
+    """The plan's rows are the reference rows that carry a transport, start a
+    braid difference or have a braid node above them (they inherit one)."""
+    rows, words, pairs = reference_word_tree(N)
+    consistency = tuple(row for row, prefix in zip(rows, row_prefixes(rows))
+                        if row.transport or row.braid
+                        or any(is_braid(prefix[:m]) for m in range(3, len(prefix))))
+    plan = _plan(N)
+    assert plan.rows == consistency
+    assert list(plan.words.items()) == list(words)
+    assert plan.pairs == pairs
 
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_word_tree_holds_every_canonical_word_once(N):
-    tree = _word_tree(N)
+    plan = _plan(N)
     perms = list(itertools.permutations(range(1, N + 1)))
-    assert [perm for perm, _ in tree.words] == perms
-    assert all(word == reference_word(perm) for perm, word in tree.words)
-    path, nodes, seen = [()], [], [perms[0]]
-    for row in tree.rows:
-        # Depth-first order: the parent is the last row one level up.
-        assert 1 <= row.depth <= len(path)
-        del path[row.depth:]
-        word = path[-1] + (row.step[0],)
-        path.append(word)
-        nodes.append(word)
-        steps, seq = label_steps(word, N)
+    assert list(plan.index.items()) == [(perm, i) for i, perm in enumerate(perms)]
+    assert list(plan.words) == perms
+    assert all(plan.words[perm] == reference_word(perm) for perm in perms)
+    assert plan.slots.tolist() == [[p - 1 for p in perm] for perm in perms]
+    prefixes = row_prefixes(plan.rows)
+    for row, prefix in zip(plan.rows, prefixes):
+        steps, seq = label_steps(prefix, N)
         assert row.step == steps[-1]
         if row.perm is not None:
-            assert row.perm == seq and reference_word(seq) == word
-            seen.append(row.perm)
-        if len(word) >= 3 and word[-3] == word[-1] and abs(word[-1] - word[-2]) == 1:
-            a, b = word[-2:]
-            assert row.braid == tuple(label_steps(word[:-3] + (a, b, a), N)[0][-3:])
+            assert row.perm == seq and reference_word(seq) == prefix
+        else:
+            assert reference_word(seq) != prefix
+        if is_braid(prefix):
+            a, b = prefix[-2:]
+            assert row.braid == tuple(label_steps(prefix[:-3] + (a, b, a), N)[0][-3:])
         else:
             assert row.braid is None
-    assert sorted(seen) == perms
-    prefixes = {word[:m] for _, word in tree.words for m in range(1, len(word) + 1)}
-    assert len(nodes) == len(prefixes) and set(nodes) == prefixes
+    # Each row once, and the path to every row is listed: the walk may skip
+    # a subtree but never a parent.
+    assert len(set(prefixes)) == len(prefixes)
+    assert all(prefix[:m] in set(prefixes) for prefix in prefixes for m in range(1, len(prefix)))
 
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
-    tree, plan = _word_tree(N), _level_plan(N)
+    plan = _plan(N)
     perms = list(itertools.permutations(range(1, N + 1)))
-    # Each row's prefix from the depth-first listing, and whether a braid
-    # node lies above it (its parent then holds differences).
-    path, rows, consistency = [()], {}, []
-    for row in tree.rows:
-        del path[row.depth:]
-        prefix = path[-1] + (row.step[0],)
-        path.append(prefix)
-        rows[prefix] = row
-        inherited = any(is_braid(prefix[:m]) for m in range(3, len(prefix)))
-        if row.transport or row.braid or inherited:
-            consistency.append(row)
-    assert plan.consistency == tuple(consistency)
+    nodes = {word[:m] for word in map(reference_word, perms) for m in range(1, len(word) + 1)}
     above, filled = [()], [0]
     for depth, level in enumerate(plan.levels, start=1):
         prefixes, start = [], 0
@@ -478,14 +486,15 @@ def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
             assert group.stop - start == len(group.parents) == len(group.pairs) > 0
             for parent, pair in zip(group.parents, group.pairs):
                 prefix = above[parent] + (group.slot,)
-                assert rows[prefix].step == (group.slot, tree.pairs[pair])
+                assert label_steps(prefix, N)[0][-1] == (group.slot, plan.pairs[pair])
                 prefixes.append(prefix)
             start = group.stop
-        assert sorted(prefixes) == sorted(p for p in rows if len(p) == depth)
-        words = {pos for pos, prefix in enumerate(prefixes) if rows[prefix].perm}
+        assert sorted(prefixes) == sorted(p for p in nodes if len(p) == depth)
+        words = {pos for pos, prefix in enumerate(prefixes)
+                 if reference_word(label_steps(prefix, N)[1]) == prefix}
         assert sorted(level.rows) == sorted(words)
         for pos, word in zip(level.rows, level.words):
-            assert perms[word] == rows[prefixes[pos]].perm
+            assert reference_word(perms[word]) == prefixes[pos]
         filled.extend(level.words)
         above = prefixes
     assert sorted(filled) == list(range(len(perms)))
@@ -494,7 +503,7 @@ def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
 def test_stacked_exchange_operators_equal_one_call_per_pair(rng):
     for bc in [dense_complex_coupling(rng, n) for n in (1, 2, 3)] + [SeparatedBC(2, None)]:
         momenta = separated_momenta(rng, 5)
-        pairs = _word_tree(5).pairs
+        pairs = _plan(5).pairs
         stack = _exchange_operators(bc, momenta, pairs)
         assert stack.shape == (len(pairs), bc.n ** 2, bc.n ** 2)
         for y, (alpha, beta) in zip(stack, pairs):
@@ -516,7 +525,7 @@ def jordan_coupling():
     (jordan_coupling(), (2.0, 0.5, -500.0, 1.5)),
 ], ids=["collision", "near-singular"])
 def test_stacked_operators_name_the_first_singular_pair(bc, momenta):
-    pairs = _word_tree(4).pairs
+    pairs = _plan(4).pairs
     errors = []
     for alpha, beta in pairs:
         try:
@@ -532,9 +541,10 @@ def test_stacked_operators_name_the_first_singular_pair(bc, momenta):
     assert info.value.role == first.role == "ik-F"
 
 
-def test_coefficients_memory_is_the_output_and_its_copy(rng):
-    """Each level is released once the next is built; the (N!, n^N) array
-    and the state's stacked copy of it are the peak."""
+def test_coefficients_memory_is_the_output(rng):
+    """Each level is released once the next is built, and the state holds the
+    (N!, n^N) array that propagation writes, so that array and the last two
+    levels are the peak."""
     n, N = 2, 7
     bc = random_hspin(rng)
     momenta = separated_momenta(rng, N)
@@ -547,7 +557,29 @@ def test_coefficients_memory_is_the_output_and_its_copy(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * output
+    assert peak < 1.6 * output
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_coefficient_rows_are_read_only_views_of_one_array(rng, N):
+    n = 2
+    u = rng.normal(size=n ** N) + 1j * rng.normal(size=n ** N)
+    state = bethe_coefficients(random_hspin(rng), separated_momenta(rng, N), u, "boson")
+    perms = list(itertools.permutations(range(1, N + 1)))
+    assert state.array.shape == (len(perms), n ** N) and not state.array.flags.writeable
+    assert list(state.coefficients) == list(state.words) == perms
+    assert len(state.coefficients) == len(perms)
+    for i, perm in enumerate(perms):
+        row = state.coefficients[perm]
+        assert row.base is state.array and np.shares_memory(row, state.array[i])
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+    with pytest.raises(TypeError):
+        state.coefficients[perms[0]] = u
+    with pytest.raises(TypeError):
+        state.words[perms[0]] = ()
+    with pytest.raises(KeyError):
+        state.coefficients[tuple(range(N + 1))]
 
 
 def test_path_consistency_memory_stays_local(rng):

@@ -545,6 +545,28 @@ print(json.dumps([[rc, out.getvalue(), err.getvalue()] for rc, out, err in resul
 """
 
 
+# Flags at the edge of the double range, and requests beyond any address
+# space: (argv, exit code, fragment of the JSON detail or of stderr).
+_EDGE_ARGVS = [
+    (["yop", fx("scalar_pt2_dirichlet.json"), "--k1", "nan", "--k2", "0"], 2,
+     "--k1 and --k2 must be finite"),
+    (["yop", fx("hspin_diag.json"), "--k1", "nan", "--k2", "0"], 2, "--k1 and --k2 must be finite"),
+    (["yop", fx("hspin_diag.json"), "--k1", "1", "--k2=-inf"], 2, "--k1 and --k2 must be finite"),
+    (["ybe", fx("hspin_diag.json"), "--k", "nan,0,1"], 2, "--k entries must be finite"),
+    (["yop", fx("hspin_diag.json"), "--k1=1e308", "--k2=-1e308"], 0, None),
+    (["ybe", fx("hspin_diag.json"), "--k", "1e308,-1e308,0"], 0, None),
+    (["bethe", fx("hspin_diag.json"), "--k=1e308,-1e308"], 0, None),
+    (["bethe", fx("hspin_diag.json"), "--k=1e308,-1e308,0"], 0, None),
+    (["sweep", fx("hspin_diag.json"), "--run", "ybe", "--param", "g=0:1:3", "--k=1e308,-1e308,0"],
+     0, None),
+    (["sweep", fx("hspin_diag.json"), "--run", "classify", "--param", "g=-1e308:1e308:3"], 2,
+     "--param span hi - lo must be finite"),
+    (["bound", fx("hspin_diag.json"), "--particles", "40"], 1, "Unable to allocate"),
+    (["sweep", fx("hspin_diag.json"), "--run", "classify", "--param", "g=0:1:100000000000000"], 1,
+     "Unable to allocate"),
+]
+
+
 def strict_json(text):
     """Parse JSON as the standard defines it: NaN and Infinity are not numbers."""
     def refuse(constant):
@@ -567,3 +589,25 @@ def test_overflowing_documents_fail_with_their_cause_on_every_command(tmp_path, 
         if fragment is not None:
             detail = printed["detail"]
             assert fragment in detail and "collide" not in detail, (command, detail)
+
+
+def test_edge_flags_and_oversized_requests_fail_cleanly():
+    """Non-finite momenta and spans are usage errors, finite momenta whose
+    difference overflows still give finite operators, and an allocation
+    beyond the address space is a JSON error line; all under a 1 GiB address
+    space limit, with no traceback, RuntimeWarning or non-JSON stdout."""
+    limited = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))" + _RUN_ARGVS
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", limited,
+                           json.dumps([argv for argv, _, _ in _EDGE_ARGVS])],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for (argv, rc, fragment), (got, out, err) in zip(_EDGE_ARGVS, json.loads(proc.stdout)):
+        assert got == rc, (argv, got, out, err)
+        if rc == 2:
+            assert out == "" and err.startswith(f"ptspin: error: {fragment}"), (argv, err)
+        elif argv[0] == "sweep" and rc == 0:
+            assert err == "" and all(np.isfinite(float(row.split(",")[-1]))
+                                     for row in out.splitlines()[1:]), (argv, out)
+        else:
+            printed = strict_json(out)
+            assert err == "" and (fragment is None or fragment in printed["detail"]), (argv, out)

@@ -56,3 +56,16 @@ def test_bench_summary_records_medians_wins_and_verdicts(tmp_path, capsys):
     share = record["workloads"]["w"]["bethe.share"]
     assert (share["pair_wins"], share["verdict"], share["ratio"]) == (0, "same", 1.0)
     assert f"wrote {target}" in capsys.readouterr().out
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    (tmp_path / "mod.py").write_text('"""Module\ndocstring."""\n\n# comment\n'
+                                     'def f(x):\n    """Doc."""\n    return (x +\n            1)\n')
+    (tmp_path / "empty.py").write_text("")
+    assert load_script("code_lines").main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "code"], ["empty.py", "0", "0"], ["mod.py", "8", "3"],
+                    ["total", "8", "3"]]
+    assert load_script("code_lines").main([]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert "bethe.py" in names and names[-1] == "total"
