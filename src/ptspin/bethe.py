@@ -34,8 +34,13 @@ reuses the transport as the canonical braid of each braid site (a node whose
 last three swaps form a braid), applies only the flipped braid to the
 transport three levels up, and moves the difference down the site's subtree
 one swap at a time: both braids leave the same slot labels, so every word
-through the site shares the suffix.  Both passes produce the same
-floating-point operations as replaying each word alone.
+through the site shares the suffix.  The plan holds this walk as a buffer
+program (`_program`): the rows' liveness fields decide, once per N, which
+of a few numbered n^N x n^N buffers each product writes (5, 7, 8 buffers
+for N = 5, 6, 7), so a call allocates one workspace and runs np.matmul,
+np.subtract and np.abs into it with out=, allocating nothing per row.  Both
+passes produce the same floating-point operations as replaying each word
+alone.
 """
 from __future__ import annotations
 
@@ -49,8 +54,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .boundary import SeparatedBC, require_separated
-from .linalg import (SingularMatrixError, SpinDims, Statistics, apply_pair, as_statistics,
-                     max_abs, permutation_sign, permute_slots)
+from .linalg import (SingularMatrixError, SpinDims, Statistics, as_statistics, max_abs,
+                     permutation_sign, permute_slots)
 from .scattering import relative_momentum, y_separated
 
 __all__ = [
@@ -163,24 +168,26 @@ class BetheState:
         return np.asarray(self.momenta, dtype=np.longdouble)[_plan(self.dims.N).slots]
 
 
-def _canonical_word(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduced word of adjacent swaps taking the identity to perm.
+def _canonical_words(perms: np.ndarray) -> list[tuple[int, ...]]:
+    """Reduced words of adjacent swaps taking the identity to each row of perms.
 
-    Bubble sort perm back to the identity (largest displaced labels drift
-    rightward), then reverse the recorded swap slots.  The word length equals
-    the inversion count, so the word is reduced.
+    Bubble sort every row back to the identity at once (largest displaced
+    labels drift rightward; N - 1 passes sort any row), recording which rows
+    swap at each slot, then read each row's swaps in reverse.  The word
+    length equals the inversion count, so the word is reduced.
     """
-    seq = list(perm)
-    word: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(seq) - 1):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                word.append(j + 1)
-                changed = True
-    return tuple(reversed(word))
+    seq = perms.T.copy()
+    N = len(seq)
+    swapped, slots = [], []
+    for _ in range(N - 1):
+        for j in range(N - 1):
+            swapped.append(seq[j] > seq[j + 1])
+            slots.append(j + 1)
+            seq[j:j + 2] = np.minimum(seq[j], seq[j + 1]), np.maximum(seq[j], seq[j + 1])
+    mask = np.stack(swapped[::-1], axis=1)
+    flat = np.array(slots[::-1])[np.nonzero(mask)[1]].tolist()
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
 
 
 class _TrieNode(NamedTuple):
@@ -231,9 +238,10 @@ class _Plan(NamedTuple):
     """The canonical-word trie of N particles, planned for both passes.
 
     levels is the trie by depth, for `_propagate`; rows lists depth-first the
-    nodes that carry a transport, start a braid difference or inherit one,
-    for `_walk` (no other node does consistency work); pairs lists the
-    momentum pairs in order of first use.  index maps each permutation to its
+    nodes that carry a transport, start a braid difference or inherit one (no
+    other node does consistency work), and ops is their walk as a program on
+    numbered buffers, for `_walk` (`_program`); pairs lists the momentum pairs
+    in order of first use.  index maps each permutation to its
     position in itertools.permutations order, words to its canonical word,
     and slots holds the 0-based momentum at each slot of every permutation.
     """
@@ -241,6 +249,8 @@ class _Plan(NamedTuple):
     levels: tuple[_Level, ...]
     rows: tuple[_TrieNode, ...]
     pairs: tuple[tuple[int, int], ...]
+    ops: tuple[tuple[int, int, int, int, int], ...]
+    buffers: int
     index: Mapping[tuple[int, ...], int]
     words: Mapping[tuple[int, ...], tuple[int, ...]]
     slots: np.ndarray
@@ -270,7 +280,8 @@ def _plan(N: int) -> _Plan:
     by slot in depth-first order.
     """
     perms = list(itertools.permutations(range(1, N + 1)))
-    words = tuple(_canonical_word(perm) for perm in perms)
+    slots = _indices(itertools.permutations(range(N)))
+    words = tuple(_canonical_words(slots))
     # Nodes by id in creation order, parents first and the root 0: parent,
     # depth, slot labels after the prefix, step (slot, pair) and children by slot.
     parent, depth = [0], [0]
@@ -368,8 +379,77 @@ def _plan(N: int) -> _Plan:
                              rows=_indices(position[node] for node in found),
                              words=_indices(word_at[node] for node in found)))
     index = MappingProxyType({perm: i for i, perm in enumerate(perms)})
-    return _Plan(levels=tuple(levels), rows=tuple(rows), pairs=tuple(pairs), index=index,
-                 words=_ByPerm(index, words), slots=_indices(itertools.permutations(range(N))))
+    rows, pairs = tuple(rows), tuple(pairs)
+    ops, buffers = _program(rows, pairs)
+    return _Plan(levels=tuple(levels), rows=rows, pairs=pairs, ops=ops, buffers=buffers,
+                 index=index, words=_ByPerm(index, words), slots=slots)
+
+
+_APPLY, _SUBTRACT, _MAX = range(3)
+
+
+def _program(rows: tuple[_TrieNode, ...],
+             pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The consistency walk over rows as ops on numbered n^N x n^N buffers, and their count.
+
+    Each op is (kind, pair, slot, src, dst): _APPLY writes the pair's Y at
+    slot applied to buffer src into dst, _SUBTRACT writes src - dst into dst,
+    and _MAX takes the max-abs of src.  Buffer 0 holds the identity.  The
+    rows are replayed depth-first, holding the transports and differences of
+    the current path: each result's buffer is taken from a free list before
+    its source is released, so no op writes what it reads, and the rows' free
+    and last fields release each array after its last use, so the count is
+    the most arrays the walk holds at once.
+    """
+    pair_id = {pair: i for i, pair in enumerate(pairs)}
+    idle, ops, count = [], [], 1
+
+    def take():
+        nonlocal count
+        if idle:
+            return idle.pop()
+        count += 1
+        return count - 1
+
+    def apply(step, src):
+        dst = take()
+        ops.append((_APPLY, pair_id[step[1]], step[0], src, dst))
+        return dst
+
+    def release(depth):
+        idle.append(transports[depth])
+        transports[depth] = None
+
+    transports, diffs = [0], [[]]
+    for row in rows:
+        d = row.depth
+        while len(transports) > d:
+            idle.extend(diffs.pop())
+            if transports[-1] is not None:
+                idle.append(transports[-1])
+            del transports[-1]
+        moved = [apply(row.step, diff) for diff in diffs[-1]]
+        if row.last:
+            idle.extend(diffs[d - 1])
+            diffs[d - 1] = []
+        transports.append(apply(row.step, transports[-1]) if row.transport else None)
+        if d - 1 in row.free:
+            release(d - 1)
+        if row.braid:
+            flipped = apply(row.braid[0], transports[d - 3])
+            if d - 3 in row.free:
+                release(d - 3)
+            for step in row.braid[1:]:
+                src, flipped = flipped, apply(step, flipped)
+                idle.append(src)
+            ops.append((_SUBTRACT, 0, 0, transports[d], flipped))
+            moved.append(flipped)
+        if d in row.free:
+            release(d)
+        if row.perm:
+            ops.extend((_MAX, 0, 0, diff, 0) for diff in moved)
+        diffs.append(moved)
+    return tuple(ops), count
 
 
 def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
@@ -432,48 +512,33 @@ def _propagate(N: int, operators: np.ndarray, u: np.ndarray, n: int) -> np.ndarr
 
 
 def _walk(N: int, operators: np.ndarray, n: int) -> float:
-    """Path consistency: one depth-first pass over the trie rows that do consistency work.
+    """Path consistency: the plan's buffer program, run on one workspace.
 
-    Every row with a braid node below it carries its transport (the identity
-    at the root), every braid node starts the difference of its two braids,
-    and each difference is moved down the braid node's subtree one swap at a
-    time, with the max-abs taken at every word node; the worst is returned.
-    Only arrays on the current path are held, and the rows' free and last
-    fields drop each one after its last use.
+    The program (`_program`) replays, depth-first, the trie rows that do
+    consistency work: every row with a braid node below it carries its
+    transport (the identity at the root), every braid node subtracts its
+    flipped braid from its transport in place, and each difference is moved down
+    the braid node's subtree one swap at a time, with the max-abs taken at
+    every word node; the worst is returned.  Each pair application is one
+    np.matmul on the (n^(j-1), n^2, rest) views of two buffers of the
+    (buffers, n^N, n^N) workspace, the same product as `apply_pair`.
     """
     plan = _plan(N)
-    by_pair = dict(zip(plan.pairs, operators))
-
-    def apply(step, t):
-        slot, pair = step
-        return apply_pair(by_pair[pair], slot, t, n)
-
-    diffs = [()]
-    transports = [np.eye(n ** N, dtype=np.complex128)]
+    size = n ** N
+    workspace = np.empty((plan.buffers, size, size), dtype=np.complex128)
+    magnitude = np.empty((size, size))
+    views = [[buffer.reshape(n ** (slot - 1), n * n, -1) for slot in range(1, N)]
+             for buffer in workspace]
+    workspace[0] = 0.0
+    np.fill_diagonal(workspace[0], 1.0)
     worst = 0.0
-    for row in plan.rows:
-        d = row.depth
-        del transports[d:], diffs[d:]
-        moved = [apply(row.step, diff) for diff in diffs[-1]]
-        if row.last:
-            diffs[d - 1] = ()
-        transports.append(apply(row.step, transports[-1]) if row.transport else None)
-        if d - 1 in row.free:
-            transports[d - 1] = None
-        if row.braid:
-            flipped = transports[d - 3]
-            if d - 3 in row.free:
-                transports[d - 3] = None
-            for step in row.braid:
-                flipped = apply(step, flipped)
-            moved.append(transports[d] - flipped)
-            del flipped
-        if d in row.free:
-            transports[d] = None
-        if row.perm:
-            for diff in moved:
-                worst = max(worst, max_abs(diff))
-        diffs.append(moved)
+    for kind, pair, slot, src, dst in plan.ops:
+        if kind == _APPLY:
+            np.matmul(operators[pair], views[src][slot - 1], out=views[dst][slot - 1])
+        elif kind == _SUBTRACT:
+            np.subtract(workspace[src], workspace[dst], out=workspace[dst])
+        else:
+            worst = max(worst, float(np.abs(workspace[src], out=magnitude).max()))
     return worst
 
 
@@ -510,7 +575,8 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     max-abs discrepancy is taken.  The discrepancy is measured on transports
     (every initial coefficient at once), so it vanishes exactly when the
     Yang-Baxter identity holds on the visited relative momenta; u_init is
-    validated but the returned number does not depend on it.
+    validated but the returned number does not depend on it.  The walk is the
+    plan's buffer program, run on one (buffers, n^N, n^N) workspace (`_walk`).
     """
     momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
     as_statistics(statistics)

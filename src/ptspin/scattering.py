@@ -102,10 +102,16 @@ def y_nonseparated(bc: NonseparatedBC, k12: float, statistics) -> np.ndarray:
 
 
 def y_inverse_residual(bc: SeparatedBC, k12: float) -> float:
-    """Defect of the exchange inversion identity Y(k) Y(-k) = identity."""
-    d = bc.n * bc.n
-    product = y_separated(bc, k12) @ y_separated(bc, -k12)
-    return max_abs(product - np.eye(d))
+    """Defect of the exchange inversion identity Y(k) Y(-k) = identity.
+
+    Y(k) and Y(-k) come from one stacked call, equal to one call each; a
+    singular ik - F raises what the first failing call would raise.
+    """
+    try:
+        y_plus, y_minus = y_separated(bc, np.array([k12, -k12]))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(str(exc), role=exc.role) from None
+    return max_abs(y_plus @ y_minus - np.eye(bc.n * bc.n))
 
 
 def make_y_factory(bc, statistics=Statistics.BOSON) -> Callable[[float], np.ndarray]:

@@ -10,6 +10,9 @@ import pytest
 from conftest import embed_pair, random_hspin, separated_momenta
 from ptspin.bethe import (
     SignPattern,
+    _APPLY,
+    _MAX,
+    _SUBTRACT,
     _TrieNode,
     _exchange_operators,
     _one_sided_weights,
@@ -342,10 +345,8 @@ class PrefixMemoEngine:
         return worst
 
 
-@pytest.mark.parametrize("stats", ["boson", "fermion"])
-@pytest.mark.parametrize("n,N", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5)])
-def test_trie_walk_matches_prefix_memo_reference_exactly(rng, n, N, stats):
-    bc = random_hspin(rng) if n == 2 else dense_complex_coupling(rng, n)
+def assert_matches_prefix_memo(rng, bc, N, stats):
+    n = bc.n
     momenta = separated_momenta(rng, N)
     u = rng.normal(size=n ** N) + 1j * rng.normal(size=n ** N)
     reference = PrefixMemoEngine(bc, momenta)
@@ -354,6 +355,19 @@ def test_trie_walk_matches_prefix_memo_reference_exactly(rng, n, N, stats):
     assert list(state.coefficients) == list(want)
     assert all(np.array_equal(state.coefficients[perm], want[perm]) for perm in want)
     assert path_consistency(bc, momenta, u, stats) == reference.path_consistency()
+
+
+@pytest.mark.parametrize("stats", ["boson", "fermion"])
+@pytest.mark.parametrize("n,N", [(1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4),
+                                 (3, 5)])
+def test_trie_walk_matches_prefix_memo_reference_exactly(rng, n, N, stats):
+    bc = random_hspin(rng) if n == 2 else dense_complex_coupling(rng, n)
+    assert_matches_prefix_memo(rng, bc, N, stats)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_trie_walk_matches_prefix_memo_reference_on_dirichlet(rng, N):
+    assert_matches_prefix_memo(rng, SeparatedBC(2, None), N, "boson")
 
 
 def label_steps(word, N):
@@ -474,6 +488,89 @@ def test_word_tree_holds_every_canonical_word_once(N):
     assert all(prefix[:m] in set(prefixes) for prefix in prefixes for m in range(1, len(prefix)))
 
 
+def live_maximum(rows):
+    """Most n^N x n^N arrays a depth-first walk over rows holds at once.
+
+    The walk holds the transports and differences of the current path.  Each
+    product is allocated while its source is held, the braid difference is
+    taken in place of the flipped braid, and the rows' free and last fields
+    drop each array after its last use.
+    """
+    transports, diffs, held, most = [1], [0], 1, 1
+    for row in rows:
+        d = row.depth
+        held -= sum(transports[d:]) + sum(diffs[d:])
+        del transports[d:], diffs[d:]
+        moved = diffs[-1]
+        held += moved
+        most = max(most, held)
+        if row.last:
+            held -= diffs[-1]
+            diffs[-1] = 0
+        transports.append(int(row.transport))
+        held += transports[-1]
+        most = max(most, held)
+        if d - 1 in row.free:
+            held -= transports[d - 1]
+            transports[d - 1] = 0
+        if row.braid:
+            most = max(most, held + 1)
+            if d - 3 in row.free:
+                held -= transports[d - 3]
+                transports[d - 3] = 0
+            most = max(most, held + 2)
+            held += 1
+            moved += 1
+        if d in row.free:
+            held -= transports[d]
+            transports[d] = 0
+        diffs.append(moved)
+    return most
+
+
+def run_on_labels(plan, N):
+    """Run plan.ops on labels in place of arrays; return the max ops' (word, braid site).
+
+    A buffer holds ("T", word) for a transport along word or ("D", site, word)
+    for the braid difference of site moved along word.  Each op checks the
+    labels it reads, so an op that overwrote a buffer still to be read would
+    leave a later op reading the wrong label.
+    """
+    content = {0: ("T", ())}
+    maxed = []
+    for kind, pair, slot, src, dst in plan.ops:
+        if kind == _APPLY:
+            assert src != dst
+            *head, word = content[src]
+            word += (slot,)
+            assert label_steps(word, N)[0][-1] == (slot, plan.pairs[pair])
+            content[dst] = (*head, word)
+        elif kind == _SUBTRACT:
+            (canonical, site), (flipped, word) = content[src], content[dst]
+            assert canonical == flipped == "T" and is_braid(site)
+            assert word == site[:-3] + (site[-2], site[-1], site[-2])
+            content[dst] = ("D", site, site)
+        else:
+            assert kind == _MAX
+            what, site, word = content[src]
+            assert what == "D"
+            maxed.append((word, site))
+    return maxed
+
+
+@pytest.mark.parametrize("N", range(3, 8))
+def test_walk_program_reuses_buffers_within_the_live_maximum(N):
+    """The program needs no more buffers than the walk holds arrays, computes
+    every braid difference of every word, and takes each one max-abs once."""
+    plan = _plan(N)
+    assert plan.buffers == live_maximum(plan.rows)
+    assert {src for _, _, _, src, _ in plan.ops} | {dst for *_, dst in plan.ops} == set(
+        range(plan.buffers))
+    want = [(word, word[:m]) for word in map(reference_word, itertools.permutations(range(1, N + 1)))
+            for m in range(3, len(word) + 1) if is_braid(word[:m])]
+    assert collections.Counter(run_on_labels(plan, N)) == collections.Counter(want)
+
+
 @pytest.mark.parametrize("N", range(2, 8))
 def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
     plan = _plan(N)
@@ -583,11 +680,16 @@ def test_coefficient_rows_are_read_only_views_of_one_array(rng, N):
 
 
 def test_path_consistency_memory_stays_local(rng):
-    """n=3, N=5 transports are 243x243 (0.9 MB); embedded operators cost ~40 MB."""
-    bc = dense_complex_coupling(rng, 3)
-    momenta = separated_momenta(rng, 5)
-    u = np.zeros(3 ** 5, complex)
+    """n=3, N=5 transports are 243x243 (0.9 MB); embedded operators cost ~40 MB.
+
+    The walk's one workspace of plan.buffers transports and its real
+    magnitude buffer are the peak, within 10%."""
+    n, N = 3, 5
+    bc = dense_complex_coupling(rng, n)
+    momenta = separated_momenta(rng, N)
+    u = np.zeros(n ** N, complex)
     u[0] = 1.0
+    workspace = (16 * _plan(N).buffers + 8) * n ** (2 * N)
     tracemalloc.start()
     try:
         path_consistency(bc, momenta, u, "boson")
@@ -595,6 +697,7 @@ def test_path_consistency_memory_stays_local(rng):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+    assert peak <= 1.1 * workspace
 
 
 # -- wavefunction evaluation -------------------------------------------------

@@ -93,6 +93,32 @@ def test_y_inverse_residual_dirichlet():
     assert y_inverse_residual(SeparatedBC(1, None), 1.0) == 0.0
 
 
+def test_y_inverse_residual_equals_the_two_call_product(rng):
+    """The stacked call for +k and -k gives the residual of one call each, bit for bit."""
+    couplings = [SeparatedBC(n, rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+                 for n in (1, 2, 3) for _ in range(5)] + [random_hspin(rng), SeparatedBC(2, None)]
+    for bc in couplings:
+        k = float(rng.uniform(-2.5, 2.5))
+        product = y_separated(bc, k) @ y_separated(bc, -k)
+        assert y_inverse_residual(bc, k) == max_abs(product - np.eye(bc.n * bc.n))
+
+
+@pytest.mark.parametrize("F,k", [(np.array([[1j]]), 1.0), (np.array([[-1j]]), 1.0),
+                                 (np.array([[1j]]), -1.0)], ids=["plus", "minus", "negative-k"])
+def test_y_inverse_residual_collision_raises_the_scalar_error(F, k):
+    """A collision at +k or at -k raises what the failing one-momentum call raises."""
+    bc = SeparatedBC(1, F)
+    with pytest.raises(SingularMatrixError) as scalar:
+        y_separated(bc, k)
+        y_separated(bc, -k)
+    with pytest.raises(SingularMatrixError) as stacked:
+        y_inverse_residual(bc, k)
+    assert str(stacked.value) == str(scalar.value)
+    assert "eigenvalue" in str(stacked.value)
+    assert stacked.value.role == scalar.value.role == "ik-F"
+    assert stacked.value.index is scalar.value.index is None
+
+
 def test_make_y_factory_dispatches_by_form(rng):
     sep = random_hspin(rng)
     fac = make_y_factory(sep)
