@@ -596,7 +596,10 @@ def _wavefunction(state: BetheState, x, dtype) -> np.ndarray:
     x = np.asarray(x, dtype=np.longdouble).reshape(-1)
     if x.shape[0] != state.dims.N:
         raise ValueError(f"position must have {state.dims.N} coordinates, got {x.shape[0]}")
-    scale = max(1.0, float(np.max(np.abs(x))))
+    top = float(np.max(np.abs(x)))
+    if not math.isfinite(top):
+        raise ValueError("position must be finite")
+    scale = max(1.0, top)
     order = np.argsort(x, kind="stable")
     y = x[order]
     if float(np.min(np.diff(y))) < COINCIDENCE_RTOL * scale:
@@ -661,6 +664,8 @@ def boundary_jump_residual(state: BetheState, bc: SeparatedBC, j: int, probe: fl
     if bc.n != state.dims.n:
         raise ValueError("boundary condition and state have different spin dimensions")
     probe = float(probe)
+    if not math.isfinite(probe):
+        raise ValueError(f"probe must be finite, got {probe!r}")
     scale = max(1.0, max(abs(k) for k in state.momenta))
     delta = np.longdouble(0.01) / scale
     nodes = delta * np.arange(1, _JUMP_NODES + 1, dtype=np.longdouble)

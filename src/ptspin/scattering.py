@@ -8,9 +8,18 @@ from the two interface conditions.
 
 Whether Y satisfies the Yang-Baxter equation for a given coupling family is
 measured, not assumed: `ybe_residual` reports the defect for any factory.
+
+`y_separated` keeps the operators of its last successful stacked solve, keyed
+by the coupling's bytes and the exact values of its relative momenta, and
+serves later requests whose momenta are all in it from a copy.  So one Bethe
+problem solves its exchange operators once: the coefficients, the path
+consistency and a YBE check on its momenta share one stack.  The next stacked
+solve replaces it; nothing longer-lived is kept, so repeating a computation
+is not made cheaper, only the sharing inside one.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -46,6 +55,21 @@ def relative_momentum(k_a: float, k_b: float) -> float:
     return 0.5 * k_a - 0.5 * k_b
 
 
+# The last successful stacked solve of `y_separated`:
+# (coupling bytes, {float.hex() of k12: row}, (P, n^2, n^2) operators).  It is
+# replaced by one assignment and read once per call, so a concurrent caller
+# sees one whole stack or the other.
+_last_stack: tuple[bytes, dict[str, int], np.ndarray] | None = None
+
+
+def _finite(k12: float, index: int | None = None) -> float:
+    """k12 itself if finite, else a ValueError naming it (with its index in a stack)."""
+    if not math.isfinite(k12):
+        where = "" if index is None else f"[{index}]"
+        raise ValueError(f"relative momentum k12{where} must be finite, got {k12!r}")
+    return k12
+
+
 def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
     """Exchange operator (ik - F)^-1 (ik + F) at relative momentum k12.
 
@@ -55,13 +79,41 @@ def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
     A 1-D array k12 gives the (P, n^2, n^2) stack of the operators at its
     entries from one stacked inverse, equal to one call per entry; the first
     singular entry raises what its own call raises, with its position as the
-    error's index.
+    error's index.  A non-finite k12 (or entry) is refused with a ValueError.
+
+    The operators of the last successful stacked solve are kept, keyed by
+    F's bytes and the exact value of each k12 (`float.hex`, so -0.0 is not 0.0).
+    A request, number or stack, for the same F whose momenta are all in that
+    stack gets a copy of those rows, the bytes the solve would give.  Any
+    other stacked request is solved and replaces the stack; a number that
+    misses, or a failed solve, leaves it as it was.  Only one stack is held,
+    so what is shared is one problem's operators (a Bethe problem's
+    coefficients, path consistency and YBE checks), not solves repeated
+    across problems.
     """
+    global _last_stack
+    stacked = isinstance(k12, np.ndarray) and k12.ndim > 0
+    if stacked:
+        if k12.ndim > 1:
+            raise ValueError(f"relative momentum k12 must be a number or a 1-D array, "
+                             f"got shape {k12.shape}")
+        entries = k12.astype(np.float64).tolist()
+        for index, entry in enumerate(entries):
+            _finite(entry, index)
+    else:
+        entries = [_finite(float(k12))]
     if bc.dirichlet:
         d = bc.n * bc.n
         return np.broadcast_to(-np.eye(d, dtype=np.complex128), np.shape(k12) + (d, d)).copy()
+    coupling = bc.F.tobytes()
+    keys = [entry.hex() for entry in entries]
+    last = _last_stack
+    if last is not None and last[0] == coupling:
+        rows = [last[1].get(key) for key in keys]
+        if None not in rows:
+            return last[2][rows] if stacked else last[2][rows[0]].copy()
     try:
-        return cayley(bc.F, k12)
+        y = cayley(bc.F, k12)
     except SingularMatrixError as exc:
         if exc.index is not None:
             k12 = float(k12[exc.index])
@@ -76,6 +128,9 @@ def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
             role="ik-F",
             index=exc.index,
         ) from None
+    if stacked:
+        _last_stack = (coupling, dict(zip(keys, range(len(keys)))), y.copy())
+    return y
 
 
 def y_nonseparated(bc: NonseparatedBC, k12: float, statistics) -> np.ndarray:
@@ -87,7 +142,7 @@ def y_nonseparated(bc: NonseparatedBC, k12: float, statistics) -> np.ndarray:
 
         Y = [R_A - ik R_C]^-1 [R_A (A + ik B) P - R_C (C + ik D) P - R_A - ik R_C].
     """
-    ik = 1j * float(k12)
+    ik = 1j * _finite(float(k12))
     p = statistics_swap(bc.n, statistics)
     r_a = inverse(bc.A - ik * bc.B, role="A-ik*B")
     r_c = inverse(bc.C - ik * bc.D, role="C-ik*D")
@@ -107,6 +162,7 @@ def y_inverse_residual(bc: SeparatedBC, k12: float) -> float:
     Y(k) and Y(-k) come from one stacked call, equal to one call each; a
     singular ik - F raises what the first failing call would raise.
     """
+    k12 = _finite(float(k12))
     try:
         y_plus, y_minus = y_separated(bc, np.array([k12, -k12]))
     except SingularMatrixError as exc:

@@ -414,6 +414,9 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
         raise ValueError(f"grid check supports N=2 or N=3, got N={N}")
     half_width = float(half_width)
     spacing = float(spacing)
+    for name, value in (("half_width", half_width), ("spacing", spacing)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if spacing <= 0 or half_width <= 0:
         raise ValueError("half_width and spacing must be positive")
     if spacing > 1e-2:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ptspin.boundary import HSPIN_PARAM_NAMES, hspin
+from ptspin import scattering
+from ptspin.boundary import HSPIN_PARAM_NAMES, SeparatedBC, hspin
 from ptspin.linalg import SpinDims
 
 
@@ -24,6 +25,11 @@ def random_hspin(rng, scale=2.0, symmetric=False):
     return hspin(**values)
 
 
+def dense_complex_coupling(rng, n):
+    """Separated coupling with a dense complex Gaussian n^2 x n^2 matrix F."""
+    return SeparatedBC(n, rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+
+
 def separated_momenta(rng, count, low=-2.0, high=2.0, gap=0.1):
     """Momenta with all pairwise differences bounded away from zero."""
     while True:
@@ -39,3 +45,10 @@ def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
     left = np.eye(dims.n ** (j - 1), dtype=np.complex128)
     right = np.eye(dims.n ** (dims.N - j - 1), dtype=np.complex128)
     return np.kron(np.kron(left, np.asarray(m, dtype=np.complex128)), right)
+
+
+def fresh_y_separated(bc, k12):
+    """y_separated(bc, k12) from its own solve: the kept stack is dropped first,
+    so a reference never comes from the stack of the call it checks."""
+    scattering._last_stack = None
+    return scattering.y_separated(bc, k12)

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import embed_pair, random_hspin, separated_momenta
+from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
+                      separated_momenta)
 from ptspin.bethe import (
     SignPattern,
     _APPLY,
@@ -112,7 +113,7 @@ def test_two_particle_anchor_matches_exchange_operator(rng):
         k1, k2 = separated_momenta(rng, 2)
         u = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = bethe_coefficients(bc, (k1, k2), u, "boson")
-        expected = y_separated(bc, 0.5 * (k1 - k2)) @ u
+        expected = fresh_y_separated(bc, 0.5 * (k1 - k2)) @ u
         assert max_abs(state.coefficients[(2, 1)] - expected) <= 1e-14
 
 
@@ -231,7 +232,7 @@ class ReferenceEngine:
         key = (slot, alpha, beta)
         if key not in self.operators:
             k = 0.5 * (self.momenta[alpha - 1] - self.momenta[beta - 1])
-            self.operators[key] = embed_pair(y_separated(self.bc, k), slot, self.dims)
+            self.operators[key] = embed_pair(fresh_y_separated(self.bc, k), slot, self.dims)
         return self.operators[key]
 
     def replay(self, word, start):
@@ -255,10 +256,6 @@ class ReferenceEngine:
                     gap = self.replay(word, eye) - self.replay(flipped, eye)
                     worst = max(worst, max_abs(gap))
         return worst
-
-
-def dense_complex_coupling(rng, n):
-    return SeparatedBC(n, rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
 
 
 @pytest.mark.parametrize("stats", ["boson", "fermion"])
@@ -299,7 +296,7 @@ class PrefixMemoEngine:
     def operator(self, alpha, beta):
         if (alpha, beta) not in self.operators:
             k = 0.5 * (self.momenta[alpha - 1] - self.momenta[beta - 1])
-            self.operators[alpha, beta] = y_separated(self.bc, k)
+            self.operators[alpha, beta] = fresh_y_separated(self.bc, k)
         return self.operators[alpha, beta]
 
     def apply_word(self, word, t, labels):
@@ -604,7 +601,7 @@ def test_stacked_exchange_operators_equal_one_call_per_pair(rng):
         stack = _exchange_operators(bc, momenta, pairs)
         assert stack.shape == (len(pairs), bc.n ** 2, bc.n ** 2)
         for y, (alpha, beta) in zip(stack, pairs):
-            want = y_separated(bc, 0.5 * (momenta[alpha - 1] - momenta[beta - 1]))
+            want = fresh_y_separated(bc, 0.5 * (momenta[alpha - 1] - momenta[beta - 1]))
             assert y.tobytes() == want.tobytes()
 
 
@@ -794,6 +791,16 @@ def test_wavefunction_rejects_coincidence_points():
         evaluate_wavefunction(state, (0.5,), "boson")
 
 
+@pytest.mark.parametrize("middle", [np.nan, np.inf])
+def test_wavefunction_rejects_non_finite_positions(middle):
+    bc = SeparatedBC(2, np.zeros((4, 4)))
+    u = np.zeros(8, complex)
+    u[0] = 1.0
+    state = bethe_coefficients(bc, (1.0, 0.2, -0.9), u, "boson")
+    with pytest.raises(ValueError, match="position must be finite"):
+        evaluate_wavefunction(state, [0.0, middle, 1.0], "boson")
+
+
 def test_wavefunction_rejects_mismatched_statistics():
     bc = SeparatedBC(2, np.zeros((4, 4)))
     u = np.array([0.0, 1.0, -1.0, 0.0], complex)
@@ -860,6 +867,9 @@ def test_jump_residual_input_validation(rng):
     other = SeparatedBC(3, np.zeros((9, 9)))
     with pytest.raises(ValueError):
         boundary_jump_residual(state2, other, 1, 0.3)
+    for probe in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="probe must be finite"):
+            boundary_jump_residual(state2, bc, 1, probe)
 
 
 def reference_fd_weights(nodes, max_order):

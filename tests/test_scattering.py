@@ -2,13 +2,17 @@
 import numpy as np
 import pytest
 
-from conftest import embed_pair, random_hspin, separated_momenta
+from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
+                      separated_momenta)
+from ptspin import scattering
+from ptspin.bethe import bethe_coefficients, path_consistency
 from ptspin.boundary import SeparatedBC, delta_type, hspin
 from ptspin.linalg import (
     SingularMatrixError,
     SpinDims,
     Statistics,
     as_statistics,
+    cayley,
     max_abs,
     statistics_swap,
     swap_pair,
@@ -99,7 +103,7 @@ def test_y_inverse_residual_equals_the_two_call_product(rng):
                  for n in (1, 2, 3) for _ in range(5)] + [random_hspin(rng), SeparatedBC(2, None)]
     for bc in couplings:
         k = float(rng.uniform(-2.5, 2.5))
-        product = y_separated(bc, k) @ y_separated(bc, -k)
+        product = fresh_y_separated(bc, k) @ fresh_y_separated(bc, -k)
         assert y_inverse_residual(bc, k) == max_abs(product - np.eye(bc.n * bc.n))
 
 
@@ -197,3 +201,143 @@ def test_ybe_residual_requires_three_particles():
     bc = SeparatedBC(2, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         ybe_residual(make_y_factory(bc), 1.0, 0.0, -1.0, SpinDims(2, 2))
+
+
+# -- the kept stack of y_separated --------------------------------------------
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Forget the kept stack and count y_separated's Cayley solves (one entry of
+    the momentum count per solve)."""
+    monkeypatch.setattr(scattering, "_last_stack", None)
+    counted = []
+
+    def counting(F, k12, role="ik-F"):
+        counted.append(np.size(k12))
+        return cayley(F, k12, role)
+
+    monkeypatch.setattr(scattering, "cayley", counting)
+    return counted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kept_stack_serves_the_bytes_of_a_fresh_solve(rng, solves, n):
+    bc = dense_complex_coupling(rng, n)
+    k = rng.uniform(-2.5, 2.5, size=5)
+    want = cayley(bc.F, k)
+    assert y_separated(bc, k).tobytes() == want.tobytes()
+    hits = [y_separated(bc, k), y_separated(bc, k[::-1]), y_separated(bc, k[[3, 1, 3]]),
+            y_separated(bc, k[:0])]
+    for got, rows in zip(hits, ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [3, 1, 3], [])):
+        assert got.shape == (len(rows), n * n, n * n)
+        assert got.tobytes() == want[rows].tobytes()
+    for entry in k.tolist():
+        got = y_separated(SeparatedBC(n, bc.F.copy()), entry)
+        assert got.shape == (n * n, n * n)
+        assert got.tobytes() == cayley(bc.F, entry).tobytes()
+    assert solves == [5]
+
+
+def test_kept_stack_misses_on_another_coupling_or_momentum(rng, solves):
+    bc = dense_complex_coupling(rng, 2)
+    k = np.array([0.0, 0.7, -1.3])
+    y_separated(bc, k)
+    other = SeparatedBC(2, bc.F + np.diag([0, 0, 0, 1e-15]))
+    y_separated(other, 0.7)
+    y_separated(bc, 0.7 + 2 ** -52)
+    y_separated(bc, -0.0)
+    y_separated(bc, k)
+    y_separated(bc, np.array([0.7, 0.5]))
+    assert solves == [3, 1, 1, 1, 2]
+    y_separated(bc, np.array([0.5, 0.7]))
+    y_separated(bc, 0.0)
+    assert solves == [3, 1, 1, 1, 2, 1]
+
+
+def test_writing_into_a_served_operator_leaves_the_stack(rng, solves):
+    bc = dense_complex_coupling(rng, 2)
+    k = rng.uniform(-2.0, 2.0, size=3)
+    want = cayley(bc.F, k)
+    y_separated(bc, k)[...] = 0.0
+    y_separated(bc, k)[...] = 0.0
+    y_separated(bc, float(k[1]))[...] = 0.0
+    assert y_separated(bc, k).tobytes() == want.tobytes()
+    assert solves == [3]
+
+
+def test_singular_stacked_request_keeps_the_stack(solves):
+    bc = SeparatedBC(1, np.array([[1j]]))
+    kept = y_separated(bc, np.array([0.3, 0.5]))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError) as info:
+            y_separated(bc, np.array([0.3, 1.0]))
+        errors.append(info.value)
+    assert str(errors[0]) == str(errors[1])
+    assert "eigenvalue" in str(errors[0]) and errors[0].index == errors[1].index == 1
+    assert y_separated(bc, np.array([0.5, 0.3])).tobytes() == kept[::-1].tobytes()
+    assert solves == [2, 2, 2]
+
+
+def bethe_task(bc, momenta, u):
+    """The exchange-operator work of one Bethe problem, in the order a scan runs it."""
+    state = bethe_coefficients(bc, momenta, u, "boson")
+    consistency = path_consistency(bc, momenta, u, "boson")
+    residual = ybe_residual(make_y_factory(bc), *momenta[:3], SpinDims(bc.n, 3))
+    inverse_defect = y_inverse_residual(bc, 0.5 * (momenta[0] - momenta[1]))
+    return state.array, consistency, residual, inverse_defect
+
+
+def test_a_bethe_task_solves_its_exchange_operators_twice(rng, solves):
+    """Coefficients, path consistency and YBE share one stack; the inversion
+    check solves +-k.  Each output equals the one of a solve per call."""
+    bc = dense_complex_coupling(rng, 2)
+    momenta = separated_momenta(rng, 4)
+    u = rng.normal(size=16) + 1j * rng.normal(size=16)
+    shared = bethe_task(bc, momenta, u)
+    assert solves == [6, 2]
+    fresh = []
+    for call in (lambda: bethe_coefficients(bc, momenta, u, "boson").array,
+                 lambda: path_consistency(bc, momenta, u, "boson"),
+                 lambda: ybe_residual(lambda k: fresh_y_separated(bc, k), *momenta[:3],
+                                      SpinDims(2, 3)),
+                 lambda: y_inverse_residual(bc, 0.5 * (momenta[0] - momenta[1]))):
+        scattering._last_stack = None
+        fresh.append(call())
+    assert np.array_equal(shared[0], fresh[0]) and shared[1:] == tuple(fresh[1:])
+
+
+def test_alternating_couplings_solve_once_per_call(rng, solves):
+    a, b = dense_complex_coupling(rng, 2), dense_complex_coupling(rng, 2)
+    momenta = separated_momenta(rng, 4)
+    u = np.eye(16)[0]
+    for bc in (a, b):
+        bethe_coefficients(bc, momenta, u, "boson")
+    for bc in (a, b):
+        path_consistency(bc, momenta, u, "boson")
+    for bc in (a, b):
+        ybe_residual(make_y_factory(bc), *momenta[:3], SpinDims(2, 3))
+        y_inverse_residual(bc, 0.5 * (momenta[0] - momenta[1]))
+    assert solves == [6, 6, 6, 6, 1, 1, 1, 2, 1, 1, 1, 2]
+
+
+# -- non-finite relative momenta ------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_relative_momentum_is_named(rng, bad):
+    for bc in (dense_complex_coupling(rng, 2), SeparatedBC(2, None)):
+        with pytest.raises(ValueError, match=r"relative momentum k12 must be finite"):
+            y_separated(bc, bad)
+        with pytest.raises(ValueError, match=r"relative momentum k12\[1\] must be finite"):
+            y_separated(bc, np.array([0.5, bad, 0.2]))
+        with pytest.raises(ValueError, match=r"relative momentum k12 must be finite"):
+            make_y_factory(bc)(bad)
+        with pytest.raises(ValueError, match=r"relative momentum k12 must be finite"):
+            y_inverse_residual(bc, bad)
+    with pytest.raises(ValueError, match=r"relative momentum k12 must be finite"):
+        make_y_factory(delta_type(np.eye(4), 2), "fermion")(bad)
+
+
+def test_relative_momenta_beyond_one_axis_are_refused(rng):
+    with pytest.raises(ValueError, match="1-D"):
+        y_separated(dense_complex_coupling(rng, 2), np.zeros((2, 2)))

@@ -578,3 +578,8 @@ def test_fd_rejects_unusable_grids():
         verify_bound_state_fd(state, half_width=10.0, spacing=0.05)
     with pytest.raises(ValueError, match="small"):
         verify_bound_state_fd(state, half_width=2.0, spacing=1e-3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="half_width must be finite"):
+            verify_bound_state_fd(state, half_width=bad, spacing=1e-3)
+        with pytest.raises(ValueError, match="spacing must be finite"):
+            verify_bound_state_fd(state, half_width=10.0, spacing=bad)
