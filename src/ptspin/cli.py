@@ -9,6 +9,15 @@ form, ASCII-only escapes.  Exit codes: 0 success, 1 mathematical failure
 The decision tolerance defaults to 1e-10 for validate and to
 1e-10 * (1 + spectral radius of F) for classify and bound.  The PTSPIN_TOL
 environment variable overrides the default, and a --tol flag overrides both.
+
+A command returns its exit code and its output, one string or an iterable of
+string pieces that `_emit` writes in order.  `bethe` streams: it computes the
+coefficients and the path consistency first, then yields the head, one
+coefficient object per row and the closing brackets, so it holds one row of
+Python objects at a time, not the N!·n^N-entry document.  Every error is
+raised before the first piece is written, so a failing command writes only
+its error JSON; an --output that cannot be opened or written is a usage
+error (exit 2).
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +54,7 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .scattering import make_y_factory, relative_momentum, ybe_residual
+from .scattering import make_y_factory, relative_momentum, y_separated, ybe_momenta, ybe_residual
 from .spectra import SpectrumReport, bound_states, classify_spectrum
 
 EXIT_OK = 0
@@ -69,8 +78,11 @@ def _resolve_tol(args) -> float | None:
     return None
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _dumps(doc) -> str:
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _encode(doc) + "\n"
 
 
 def _require_separated(bc, what: str) -> SeparatedBC:
@@ -104,6 +116,9 @@ def cmd_yop(args, tol) -> tuple[int, str]:
 def _ybe(bc, args) -> float:
     momenta = _momenta(args, exactly=3)
     lowered = lower(bc)
+    if isinstance(lowered, SeparatedBC):
+        # One stacked solve; ybe_residual's three requests are served from the kept stack.
+        y_separated(lowered, np.array(ybe_momenta(*momenta)))
     factory = make_y_factory(lowered, args.statistics)
     return float(ybe_residual(factory, *momenta, SpinDims(lowered.n, 3)))
 
@@ -112,7 +127,7 @@ def cmd_ybe(args, tol) -> tuple[int, str]:
     return EXIT_OK, _dumps({"residual": _ybe(load_boundary_condition(args.input), args)})
 
 
-def cmd_bethe(args, tol) -> tuple[int, str]:
+def cmd_bethe(args, tol) -> tuple[int, Iterator[str]]:
     momenta = _momenta(args, minimum=2)
     bc = _require_separated(load_boundary_condition(args.input), "coefficient propagation")
     dims = SpinDims(bc.n, len(momenta))
@@ -125,14 +140,22 @@ def cmd_bethe(args, tol) -> tuple[int, str]:
         except (json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"--u-init: {exc}") from None
     state, consistency = _bethe(bc, momenta, u_init, args.statistics, consistency=True)
-    doc = {
-        "momenta": [float(k) for k in momenta],
+    return EXIT_OK, _bethe_pieces(state, consistency)
+
+
+def _bethe_pieces(state, consistency) -> Iterator[str]:
+    """The bethe document in pieces: the head, one coefficient object per row,
+    and the closing brackets.  Only arrays that already exist are formatted."""
+    head = _encode({
+        "momenta": list(state.momenta),
         "statistics": state.statistics.value,
         "path_consistency": consistency,
-        "coefficients": [{"perm": list(perm), "word": list(word), "u": u}
-                         for (perm, word), u in zip(state.words.items(), matrix_to_json(state.array))],
-    }
-    return EXIT_OK, _dumps(doc)
+    })
+    yield head[:-1] + ',"coefficients":['
+    pairs = state.array.view(np.float64).reshape(len(state.array), -1, 2)
+    for index, ((perm, word), row) in enumerate(zip(state.words.items(), pairs)):
+        yield ("," if index else "") + _encode({"perm": list(perm), "word": list(word), "u": row.tolist()})
+    yield "]}\n"
 
 
 def _bound_state_doc(state) -> dict:
@@ -330,12 +353,19 @@ _DISPATCH = {
 }
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str | Iterable[str]) -> None:
+    """Write a command's output, one string or its pieces in order, to --output or stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+def _usage_error(exc) -> int:
+    print(f"ptspin: error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -344,15 +374,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         tol = _resolve_tol(args)
         code, text = _DISPATCH[args.command](args, tol)
     except (_UsageError, ParseError, OSError) as exc:
-        print(f"ptspin: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     except SingularMatrixError as exc:
-        _emit(args, _dumps({"error": "singular", "detail": str(exc)}))
-        return EXIT_MATH
+        code, text = EXIT_MATH, _dumps({"error": "singular", "detail": str(exc)})
     except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
-        _emit(args, _dumps({"error": "invalid", "detail": str(exc)}))
-        return EXIT_MATH
-    _emit(args, text)
+        code, text = EXIT_MATH, _dumps({"error": "invalid", "detail": str(exc)})
+    try:
+        _emit(args, text)
+    except OSError as exc:
+        return _usage_error(exc)
     return code
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "y_nonseparated",
     "y_inverse_residual",
     "make_y_factory",
+    "ybe_momenta",
     "ybe_residual",
 ]
 
@@ -180,6 +181,13 @@ def make_y_factory(bc, statistics=Statistics.BOSON) -> Callable[[float], np.ndar
     raise TypeError(f"no exchange-operator factory for {type(bc).__name__}")
 
 
+def ybe_momenta(k1: float, k2: float, k3: float) -> list[float]:
+    """The relative momenta k12, k13, k23 at which `ybe_residual` calls its
+    factory, in that order.  A separated coupling can solve them as one stack
+    first, and the three calls are then served from the kept stack."""
+    return [relative_momentum(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))]
+
+
 def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
                  k3: float, dims: SpinDims) -> float:
     """Yang-Baxter defect of a pair-exchange factory on three particles.
@@ -197,7 +205,7 @@ def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
         raise ValueError(f"the consistency check is a three-particle identity, got N={dims.N}")
     n = dims.n
     eye = np.eye(dims.total_dim, dtype=np.complex128)
-    outputs = [yfactory(relative_momentum(a, b)) for a, b in ((k1, k2), (k1, k3), (k2, k3))]
+    outputs = [yfactory(k12) for k12 in ybe_momenta(k1, k2, k3)]
     y12, y13, y23 = (as_pair_operator(y, "pair operator", n) for y in outputs)
 
     def at(y, j):

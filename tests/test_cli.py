@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptspin import cli, scattering
 from ptspin.cli import main
 from ptspin.linalg import SpinDims, exchange_operator, max_abs, vector_from_json
 
@@ -171,6 +172,50 @@ def test_ybe_free_contact_condition_factorizes(capsys):
                          "--k", "1.0,0.3,-0.7")
     assert rc == 0
     assert out == '{"residual":0.0}\n'
+
+
+def count_solves(monkeypatch):
+    """Record the number of matrices of every Cayley solve."""
+    sizes = []
+
+    def counted(F, k12, *args, **kwargs):
+        sizes.append(int(np.size(k12)))
+        return cayley(F, k12, *args, **kwargs)
+
+    cayley = scattering.cayley
+    monkeypatch.setattr(scattering, "cayley", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+@pytest.mark.parametrize("argv,checks", [
+    (("ybe", "--k", "1.0,0.3,-0.7"), 1),
+    (("ybe", "--k", "0.4,-0.1,-0.6"), 1),
+    (("sweep", "--run", "ybe", "--param", "e1=-1.0:1.0:3", "--k", "1.0,0.3,-0.7"), 3),
+])
+def test_separated_ybe_check_is_one_stacked_solve(capsys, monkeypatch, argv, checks, statistics):
+    command, *rest = argv
+    argv = (command, str(FIXTURES.parent / "golden" / "inputs" / "hspin_random.json"), *rest,
+            "--statistics", statistics)
+    sizes = count_solves(monkeypatch)
+    with monkeypatch.context() as scalar:
+        scalar.setattr(cli, "y_separated", lambda bc, k12: None)
+        scattering._last_stack = None
+        expected = run_cli(capsys, *argv)
+    assert sizes == [1] * 3 * checks
+    sizes.clear()
+    scattering._last_stack = None
+    assert run_cli(capsys, *argv) == expected
+    assert sizes == [3] * checks
+    assert expected[0] == 0 and expected[2] == ""
+
+
+@pytest.mark.parametrize("name", ["free_nonseparated.json", "scalar_pt2_dirichlet.json"])
+def test_ybe_without_a_coupling_matrix_solves_nothing(capsys, monkeypatch, name):
+    sizes = count_solves(monkeypatch)
+    rc, out, _ = run_cli(capsys, "ybe", fx(name), "--k", "1.0,0.3,-0.7")
+    assert rc == 0 and json.loads(out)["residual"] == 0.0
+    assert sizes == []
 
 
 # -- bethe ---------------------------------------------------------------------
@@ -357,6 +402,19 @@ def test_output_flag_redirects_stdout(capsys, tmp_path):
     assert out == ""
     rc, direct, _ = run_cli(capsys, "validate", fx("free_nonseparated.json"))
     assert target.read_text() == direct
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", fx("scalar_pt1.json")),
+    ("yop", fx("hspin_complex_spectrum.json"), "--k1", "2.0", "--k2", "0.0"),
+    ("bethe", fx("hspin_diag.json"), "--k", "1.0,0.3,-0.7"),
+], ids=["success", "singular", "bethe"])
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
+    rc, out, err = run_cli(capsys, "--output", target, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("ptspin: error: ") and err.count("\n") == 1 and str(target) in err
 
 
 # One process may call main many times and the parser is built once; no call

@@ -69,3 +69,13 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
     assert load_script("code_lines").main([]) == 0
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert "bethe.py" in names and names[-1] == "total"
+
+
+def test_bethe_memory_measures_one_fresh_process_per_particle_count(capsys):
+    assert load_script("bethe_memory").main(["--particles", "4"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["N", "max_rss_mb", "wall_s", "output_mb"]
+    N, rss, wall, size = row.split()
+    assert N == "4" and float(rss) > 1.0 and float(wall) > 0.0
+    # 24 coefficient rows of 16 [re, im] pairs each
+    assert 0.001 < float(size) < 0.1
