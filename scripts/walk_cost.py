@@ -1,0 +1,116 @@
+"""Planned work and wall time of the path-consistency walk per (n, N).
+
+For each (n, N) of the bethe-scan mix and n=2 N=7, prints what this
+checkout's `bethe._plan(N)` plans for the walk: the pair applications by
+block size k (the block is n^k x n^k), the widens, the apply work (the sum of
+n^(2k+2) over applications) and the entries read by the max-abs ops, both
+relative to a walk that holds every array as a full n^N x n^N matrix.  Then
+it times `path_consistency` in fresh processes with one BLAS thread: each
+process makes one warm-up call and times --calls calls, and the median over
+--repeats processes is printed.  With --src the timed program is imported
+from another checkout's src, so two trees can be timed on the same machine.
+
+Usage: PYTHONPATH=src python3 scripts/walk_cost.py [--cases 2x4,3x5] [--repeats 3] [--calls 5]
+           [--src ../parent/src]
+"""
+import argparse
+import collections
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plan
+
+ROOT = Path(__file__).resolve().parents[1]
+CASES = ((2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5))
+MOMENTA = (1.0, 0.3, -0.7, -1.6, 2.2, -2.9, 0.45)
+
+# Times `calls` path_consistency calls after one warm-up on a seeded coupling
+# (hspin at n = 2, dense complex F otherwise) and prints their median in ms.
+TIMER = """
+import json, statistics, sys, time
+import numpy as np
+from ptspin import SeparatedBC, hspin, path_consistency
+n, N, calls = map(int, sys.argv[1:4])
+rng = np.random.default_rng([n, N])
+if n == 2:
+    names = ("a", "b", "c", "d", "f", "g", "e1", "e2", "e3", "e4")
+    bc = hspin(**dict(zip(names, rng.uniform(-2.0, 2.0, 10))))
+else:
+    bc = SeparatedBC(n, rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+momenta = json.loads(sys.argv[4])[:N]
+u = np.zeros(n ** N, complex)
+u[0] = 1.0
+path_consistency(bc, momenta, u, "boson")
+times = []
+for _ in range(calls):
+    start = time.perf_counter()
+    path_consistency(bc, momenta, u, "boson")
+    times.append(time.perf_counter() - start)
+print(1e3 * statistics.median(times))
+"""
+
+
+def planned(n: int, N: int) -> dict:
+    """Applications by block size, widens, and the work and max-abs entries
+    of this checkout's plan relative to the full-matrix walk."""
+    ops = _plan(N).ops
+    sizes = collections.Counter(hi - lo + 1 for kind, *_, lo, hi in ops if kind in (_APPLY, _COPY))
+    maxed = [hi - lo + 1 for kind, *_, lo, hi in ops if kind == _MAX]
+    applies = sum(sizes.values())
+    return {
+        "sizes": dict(sorted(sizes.items())),
+        "widens": sum(kind == _WIDEN for kind, *_ in ops),
+        "applies": applies,
+        "work": sum(count * n ** (2 * k + 2) for k, count in sizes.items())
+        / (applies * n ** (2 * N + 2)),
+        "entries": sum(n ** (2 * k) for k in maxed) / (len(maxed) * n ** (2 * N)),
+    }
+
+
+def time_child(src: Path, n: int, N: int, calls: int) -> float:
+    """Median ms of one fresh process's path_consistency calls; raises if it fails."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", TIMER, str(n), str(N), str(calls),
+                           json.dumps(MOMENTA)], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"n={n} N={N} exited {done.returncode}: {done.stderr}")
+    return float(done.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", default=",".join(f"{n}x{N}" for n, N in CASES),
+                        help="comma-separated nxN cases, 3 <= N <= 7")
+    parser.add_argument("--repeats", type=int, default=3, help="fresh processes per case")
+    parser.add_argument("--calls", type=int, default=5, help="timed calls per process")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory that holds the timed ptspin package "
+                             "(default: this checkout's src)")
+    args = parser.parse_args(argv)
+    try:
+        cases = [tuple(int(part) for part in case.split("x")) for case in args.cases.split(",")]
+    except ValueError:
+        parser.error("--cases must list nxN pairs")
+    if not all(len(case) == 2 and case[0] >= 1 and 3 <= case[1] <= len(MOMENTA) for case in cases) \
+            or args.repeats < 1 or args.calls < 1:
+        parser.error(f"N must lie in 3..{len(MOMENTA)}, and --repeats and --calls be at least 1")
+
+    print(f"{'case':>5}  {'applies by block size k':<42}  {'widens':>6}  {'work':>5}  "
+          f"{'maxabs':>6}  {'ms':>8}")
+    for n, N in cases:
+        plan = planned(n, N)
+        ms = statistics.median(time_child(args.src.resolve(), n, N, args.calls)
+                               for _ in range(args.repeats))
+        sizes = " ".join(f"k{k}:{count}" for k, count in plan["sizes"].items())
+        print(f"{f'n{n}N{N}':>5}  {sizes:<42}  {plan['widens']:>6}  {plan['work']:>5.2f}  "
+              f"{plan['entries']:>6.2f}  {ms:>8.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -377,8 +377,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(exc)
     except SingularMatrixError as exc:
         code, text = EXIT_MATH, _dumps({"error": "singular", "detail": str(exc)})
-    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         code, text = EXIT_MATH, _dumps({"error": "invalid", "detail": str(exc)})
+    except MemoryError as exc:
+        # A failed Python allocation raises MemoryError with no text.
+        code, text = EXIT_MATH, _dumps({"error": "invalid", "detail": str(exc) or "out of memory"})
     try:
         _emit(args, text)
     except OSError as exc:

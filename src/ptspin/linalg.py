@@ -9,6 +9,7 @@ for 0-based component labels a_j.  Particle/slot indices in the public API are
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,16 +152,32 @@ def apply_pair(m: np.ndarray, j: int, t: np.ndarray, n: int) -> np.ndarray:
 
 
 def permute_slots(t: np.ndarray, order, n: int) -> np.ndarray:
-    """result[a_1..a_N] = t[a_order(1)..a_order(N)] on axis 0; order is 0-based, N = len(order)."""
-    tensor = t.reshape((n,) * len(order) + t.shape[1:])
-    return np.moveaxis(tensor, range(len(order)), order).reshape(t.shape)
+    """result[a_1..a_N] = t[a_order(1)..a_order(N)] on axis 0; order is 0-based, N = len(order).
+
+    Slot order[i] of the result is slot i of t, so the result is one
+    transpose of the slot axes by the inverse of order.
+    """
+    N = len(order)
+    tensor = t.reshape((n,) * N + t.shape[1:])
+    axes = np.argsort(order).tolist() + list(range(N, tensor.ndim))
+    return tensor.transpose(axes).reshape(t.shape)
+
+
+@functools.cache
+def _slot_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions (i, j), i < j, of every pair of N slots, read-only to share from the cache."""
+    pairs = np.triu_indices(N, 1)
+    for positions in pairs:
+        positions.flags.writeable = False
+    return pairs
 
 
 def permutation_sign(orders) -> np.ndarray:
     """+1 or -1 by the parity of the inversion count of each row of orders."""
     orders = np.asarray(orders)
-    inversions = np.triu(orders[..., :, None] > orders[..., None, :]).sum(axis=(-2, -1))
-    return 1 - 2 * (inversions % 2)
+    first, second = _slot_pairs(orders.shape[-1])
+    inversions = (orders[..., first] > orders[..., second]).sum(axis=-1)
+    return 1 - 2 * (inversions & 1)
 
 
 def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:

@@ -622,6 +622,12 @@ _EDGE_ARGVS = [
     (["bound", fx("hspin_diag.json"), "--particles", "40"], 1, "Unable to allocate"),
     (["sweep", fx("hspin_diag.json"), "--run", "classify", "--param", "g=0:1:100000000000000"], 1,
      "Unable to allocate"),
+    # (N!, n^N) coefficients: allocated before the plan of N, which alone
+    # would take seconds and fail on an array of its own.
+    (["bethe", fx("hspin_diag.json"), "--k", ",".join(str(0.3 * i) for i in range(10))], 1,
+     "Unable to allocate 55.4 GiB for an array with shape (3628800, 1024)"),
+    (["bethe", fx("hspin_diag.json"), "--k", ",".join(str(0.3 * i) for i in range(12))], 1,
+     "for an array with shape (479001600, 4096)"),
 ]
 
 
@@ -647,6 +653,16 @@ def test_overflowing_documents_fail_with_their_cause_on_every_command(tmp_path, 
         if fragment is not None:
             detail = printed["detail"]
             assert fragment in detail and "collide" not in detail, (command, detail)
+
+
+def test_memory_error_without_text_still_has_a_detail(capsys, monkeypatch):
+    """A failed Python allocation raises MemoryError(); the JSON detail is never empty."""
+    def exhausted(args, tol):
+        raise MemoryError()
+    monkeypatch.setitem(cli._DISPATCH, "yop", exhausted)
+    rc, out, err = run_cli(capsys, "yop", fx("hspin_diag.json"), "--k1", "1", "--k2", "0")
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {"error": "invalid", "detail": "out of memory"}
 
 
 def test_edge_flags_and_oversized_requests_fail_cleanly():

@@ -79,3 +79,13 @@ def test_bethe_memory_measures_one_fresh_process_per_particle_count(capsys):
     assert N == "4" and float(rss) > 1.0 and float(wall) > 0.0
     # 24 coefficient rows of 16 [re, im] pairs each
     assert 0.001 < float(size) < 0.1
+
+
+def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
+    assert load_script("walk_cost").main(["--cases", "2x4", "--repeats", "1", "--calls", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[0] == "case" and header.split()[-1] == "ms"
+    case, *sizes, widens, work, maxabs, ms = row.split()
+    # N=4: 22 applications, 8 of them after a widen and 12 on less than the full 16x16
+    assert case == "n2N4" and sizes == ["k2:4", "k3:8", "k4:10"] and widens == "8"
+    assert 0.0 < float(work) < float(maxabs) < 1.0 and float(ms) > 0.0
