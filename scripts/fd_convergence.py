@@ -11,9 +11,9 @@ import sys
 
 import numpy as np
 
-from ptspin.bethe import SignPattern
 from ptspin.boundary import SeparatedBC
 from ptspin.spectra import (
+    SignPattern,
     n_particle_bound_state,
     two_particle_bound_states,
     verify_bound_state_fd,

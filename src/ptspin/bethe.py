@@ -42,7 +42,9 @@ first widens the block.  The plan holds this walk as a buffer program
 numbered buffers each product writes (6, 8, 9 buffers for N = 5, 6, 7, with
 one widen's scratch), and the hulls decide each op's block, so a call
 allocates one workspace and runs np.matmul, np.subtract and np.abs on block
-views of it with out=, allocating nothing per row.  At n = 3, N = 5 the
+views of it with out=, allocating nothing per row.  The shapes and strides
+of those views depend only on (N, n), so they are resolved once per (N, n)
+(`_schedule`), and a call builds each view it uses once.  At n = 3, N = 5 the
 blocks cut the product work to 0.54 and the max-abs reads to 0.70 of full
 n^N x n^N matrices.  The propagation makes the same floating-point
 operations as replaying each word alone.  The walk sums the same terms per
@@ -69,7 +71,6 @@ from .scattering import relative_momentum, y_separated
 
 __all__ = [
     "BetheState",
-    "SignPattern",
     "bethe_coefficients",
     "path_consistency",
     "evaluate_wavefunction",
@@ -77,58 +78,6 @@ __all__ = [
 ]
 
 COINCIDENCE_RTOL = 1e-13
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Choice of sign epsilon_{kl} = +/-1 for every unordered particle pair.
-
-    Keys are 1-based pairs (k, l) with k > l; lookups accept either order.
-    """
-
-    n_particles: int
-    eps: Mapping[tuple[int, int], int]
-
-    def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError(f"need at least two particles, got {self.n_particles}")
-        wanted = {(k, l) for k in range(2, self.n_particles + 1) for l in range(1, k)}
-        normalized: dict[tuple[int, int], int] = {}
-        for key, value in dict(self.eps).items():
-            i, j = int(key[0]), int(key[1])
-            pair = (max(i, j), min(i, j))
-            if pair not in wanted:
-                raise ValueError(f"pair {key} is not a valid particle pair for N={self.n_particles}")
-            if pair in normalized:
-                raise ValueError(f"pair {key} appears twice")
-            sign = int(value)
-            if sign != value or sign not in (-1, 1):
-                raise ValueError(f"sign for pair {key} must be +1 or -1, got {value!r}")
-            normalized[pair] = sign
-        missing = wanted - set(normalized)
-        if missing:
-            raise ValueError(f"missing sign for pairs {sorted(missing)}")
-        object.__setattr__(self, "eps", normalized)
-
-    @classmethod
-    def uniform(cls, n_particles: int, sign: int = 1) -> "SignPattern":
-        eps = {(k, l): sign for k in range(2, n_particles + 1) for l in range(1, k)}
-        return cls(n_particles=n_particles, eps=eps)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All pairs (k, l), k > l, in ascending order."""
-        return tuple(sorted(self.eps))
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        i, j = pair
-        if i == j:
-            raise KeyError(f"pair indices must differ, got {pair}")
-        return self.eps[(max(i, j), min(i, j))]
-
-    def values(self) -> tuple[int, ...]:
-        """Signs listed in the order of `pairs`."""
-        return tuple(self.eps[p] for p in self.pairs)
 
 
 class _ByPerm(Mapping):
@@ -545,6 +494,62 @@ def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) 
     return coefficients
 
 
+class _Schedule(NamedTuple):
+    """A plan's walk program for spin dimension n, with every view resolved.
+
+    blocks lists (buffer, size, shape), a contiguous view of a buffer's first
+    size entries; widens lists (shape, offset, strides) of a widen's strided
+    view of its destination, in bytes of the (buffers, n^(2N)) workspace;
+    magnitudes lists the sizes the max-abs ops read.  steps is plan.ops as
+    (kind, a, b, c) on indices into these lists and the operators (`_walk`).
+    """
+
+    blocks: tuple[tuple[int, int, tuple[int, ...]], ...]
+    widens: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
+    magnitudes: tuple[int, ...]
+    steps: tuple[tuple[int, int, int, int], ...]
+
+
+@functools.cache
+def _schedule(N: int, n: int) -> _Schedule:
+    """Resolve `_plan(N)`.ops for spin dimension n once: each op's block shapes
+    and a widen's strides depend only on (N, n), so a call builds just the
+    views the ops use, once each, and runs the steps on them."""
+    item = np.dtype(np.complex128).itemsize
+    row = item * n ** (2 * N)
+    blocks: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    widens: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+    magnitudes: dict[int, int] = {}
+    steps = []
+
+    def block(buffer, size, shape=None):
+        return blocks.setdefault((buffer, size, shape or (size,)), len(blocks))
+
+    for kind, pair, slot, src, dst, lo, hi in _plan(N).ops:
+        k = hi - lo + 1
+        size = n ** (2 * k)
+        if kind == _APPLY:
+            shape = (n ** (slot - lo), n * n, n ** (2 * k - slot + lo - 2))
+            steps.append((kind, pair, block(src, size, shape), block(dst, size, shape)))
+        elif kind == _MAX:
+            steps.append((kind, block(src, size), magnitudes.setdefault(size, len(magnitudes)), 0))
+        elif kind == _WIDEN:
+            # I_(n^a) (x) R (x) I_(n^b) holds R[i, j] at row (x, i, y), column
+            # (x, j, y): a strided view of R's copies, the rest zeros.
+            a, b = pair, slot
+            inner, side, step = n ** (k - a - b), n ** k, n ** b * item
+            widens.append(((n ** a, n ** b, inner, inner), dst * row,
+                           (inner * step * (side + 1), item * (side + 1), step * side, step)))
+            steps.append((kind, block(dst, size), len(widens) - 1,
+                          block(src, inner * inner, (inner, inner))))
+        elif kind == _SUBTRACT:
+            steps.append((kind, block(src, size), block(dst, size), 0))
+        else:
+            steps.append((kind, pair, block(dst, size, (n * n, n * n)), 0))
+    return _Schedule(blocks=tuple(blocks), widens=tuple(widens),
+                     magnitudes=tuple(magnitudes), steps=tuple(steps))
+
+
 def _walk(N: int, operators: np.ndarray, n: int) -> float:
     """Path consistency: the plan's buffer program, run on one workspace.
 
@@ -561,40 +566,30 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
     source block on its diagonal.  The full n^N x n^N matrix is
     I (x) block (x) I, so each product sums the same terms per entry as on
     the full matrix, and the max-abs of the block is the full matrix's (to
-    a few ulps at odd n, where BLAS rounds trailing columns apart).
+    a few ulps at odd n, where BLAS rounds trailing columns apart).  Each
+    view the steps use is built once per call from `_schedule(N, n)`.
     """
-    plan = _plan(N)
-    workspace = np.empty((plan.buffers, n ** (2 * N)), dtype=np.complex128)
-    magnitude = np.empty(n ** (2 * N))
-    power = [n ** e for e in range(2 * N + 1)]
-    # blocks[b][k] is buffer b's n^k x n^k block, flat; magnitudes[k] likewise.
-    blocks = [[buffer[:power[2 * k]] for k in range(N + 1)] for buffer in workspace]
-    magnitudes = [magnitude[:power[2 * k]] for k in range(N + 1)]
-    flat = operators.reshape(len(operators), -1)
-    item, row = workspace.itemsize, workspace.strides[0]
+    schedule = _schedule(N, n)
+    workspace = np.empty((_plan(N).buffers, n ** (2 * N)), dtype=np.complex128)
+    magnitude = np.empty(max(schedule.magnitudes))
+    views = [workspace[buffer, :size].reshape(shape) for buffer, size, shape in schedule.blocks]
+    copies = [np.ndarray(shape, np.complex128, workspace, offset, strides)
+              for shape, offset, strides in schedule.widens]
+    magnitudes = [magnitude[:size] for size in schedule.magnitudes]
+    ys = list(operators)
     worst = 0.0
-    for kind, pair, slot, src, dst, lo, hi in plan.ops:
-        k = hi - lo + 1
+    for kind, a, b, c in schedule.steps:
         if kind == _APPLY:
-            shape = (power[slot - lo], n * n, -1)
-            np.matmul(operators[pair], blocks[src][k].reshape(shape),
-                      out=blocks[dst][k].reshape(shape))
+            np.matmul(ys[a], views[b], out=views[c])
         elif kind == _MAX:
-            worst = max(worst, float(np.abs(blocks[src][k], out=magnitudes[k]).max()))
+            worst = max(worst, float(np.abs(views[a], out=magnitudes[b]).max()))
         elif kind == _WIDEN:
-            # I_(n^a) (x) R (x) I_(n^b) holds R[i, j] at row (x, i, y), column
-            # (x, j, y): a strided view of R's copies, the rest zeros.
-            a, b, inner, side = pair, slot, power[k - pair - slot], power[k]
-            step = power[b] * item
-            blocks[dst][k].fill(0.0)
-            copies = np.ndarray((power[a], power[b], inner, inner), np.complex128, workspace,
-                                dst * row, (inner * step * (side + 1), item * (side + 1),
-                                            step * side, step))
-            copies[...] = blocks[src][k - a - b].reshape(inner, inner)
+            views[a].fill(0.0)
+            copies[b][...] = views[c]
         elif kind == _SUBTRACT:
-            np.subtract(blocks[src][k], blocks[dst][k], out=blocks[dst][k])
+            np.subtract(views[a], views[b], out=views[b])
         else:
-            blocks[dst][k][...] = flat[pair]
+            views[b][...] = ys[a]
     return worst
 
 

@@ -18,11 +18,15 @@ Python objects at a time, not the N!·n^N-entry document.  Every error is
 raised before the first piece is written, so a failing command writes only
 its error JSON; an --output that cannot be opened or written is a usage
 error (exit 2).
+
+Only the standard library, numpy, `linalg` and `boundary` load with this
+module.  A command imports the rest of what it runs (`scattering`, `bethe`,
+`spectra`, `csv`) when it runs, so `validate` loads no exchange-operator,
+Bethe or bound-state code.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -33,7 +37,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bethe import _bethe
 from .boundary import (
     ParseError,
     SeparatedBC,
@@ -54,8 +57,6 @@ from .linalg import (
     vector_from_json,
     vector_to_json,
 )
-from .scattering import make_y_factory, relative_momentum, y_separated, ybe_momenta, ybe_residual
-from .spectra import SpectrumReport, bound_states, classify_spectrum
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -107,6 +108,7 @@ def cmd_validate(args, tol) -> tuple[int, str]:
 
 
 def cmd_yop(args, tol) -> tuple[int, str]:
+    from .scattering import make_y_factory, relative_momentum
     k12 = relative_momentum(*_require_finite("--k1 and --k2", (args.k1, args.k2)))
     bc = lower(load_boundary_condition(args.input))
     y = make_y_factory(bc, args.statistics)(k12)
@@ -114,6 +116,7 @@ def cmd_yop(args, tol) -> tuple[int, str]:
 
 
 def _ybe(bc, args) -> float:
+    from .scattering import make_y_factory, y_separated, ybe_momenta, ybe_residual
     momenta = _momenta(args, exactly=3)
     lowered = lower(bc)
     if isinstance(lowered, SeparatedBC):
@@ -128,6 +131,7 @@ def cmd_ybe(args, tol) -> tuple[int, str]:
 
 
 def cmd_bethe(args, tol) -> tuple[int, Iterator[str]]:
+    from .bethe import _bethe
     momenta = _momenta(args, minimum=2)
     bc = _require_separated(load_boundary_condition(args.input), "coefficient propagation")
     dims = SpinDims(bc.n, len(momenta))
@@ -168,6 +172,7 @@ def _bound_state_doc(state) -> dict:
 
 
 def cmd_bound(args, tol) -> tuple[int, str]:
+    from .spectra import bound_states
     if args.particles < 2:
         raise _UsageError(f"--particles must be at least 2, got {args.particles}")
     bc = _require_separated(load_boundary_condition(args.input), "bound-state construction")
@@ -175,7 +180,8 @@ def cmd_bound(args, tol) -> tuple[int, str]:
     return EXIT_OK, _dumps([_bound_state_doc(s) for s in states])
 
 
-def _classify(bc, tol) -> SpectrumReport:
+def _classify(bc, tol):
+    from .spectra import classify_spectrum
     lowered = _require_separated(bc, "spectral classification")
     if lowered.dirichlet:
         raise _UsageError("the Dirichlet member has no coupling matrix to classify")
@@ -213,6 +219,7 @@ def _sweep_point(run: str, bc, args, tol) -> list[str]:
 
 
 def cmd_sweep(args, tol) -> tuple[int, str]:
+    import csv
     name, grid = _parse_param_grid(args.param)
     template = read_document(args.input)
     if not isinstance(template, dict):

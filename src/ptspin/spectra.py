@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from .bethe import SignPattern
 from .boundary import SeparatedBC, require_separated
 from .linalg import (
     DEFAULT_TOL,
@@ -44,6 +44,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "SignPattern",
     "BoundStateNotFound",
     "SpectrumReport",
     "BoundState",
@@ -55,6 +56,58 @@ __all__ = [
     "bound_energy",
     "verify_bound_state_fd",
 ]
+
+
+@dataclass(frozen=True)
+class SignPattern:
+    """Choice of sign epsilon_{kl} = +/-1 for every unordered particle pair.
+
+    Keys are 1-based pairs (k, l) with k > l; lookups accept either order.
+    """
+
+    n_particles: int
+    eps: Mapping[tuple[int, int], int]
+
+    def __post_init__(self):
+        if self.n_particles < 2:
+            raise ValueError(f"need at least two particles, got {self.n_particles}")
+        wanted = {(k, l) for k in range(2, self.n_particles + 1) for l in range(1, k)}
+        normalized: dict[tuple[int, int], int] = {}
+        for key, value in dict(self.eps).items():
+            i, j = int(key[0]), int(key[1])
+            pair = (max(i, j), min(i, j))
+            if pair not in wanted:
+                raise ValueError(f"pair {key} is not a valid particle pair for N={self.n_particles}")
+            if pair in normalized:
+                raise ValueError(f"pair {key} appears twice")
+            sign = int(value)
+            if sign != value or sign not in (-1, 1):
+                raise ValueError(f"sign for pair {key} must be +1 or -1, got {value!r}")
+            normalized[pair] = sign
+        missing = wanted - set(normalized)
+        if missing:
+            raise ValueError(f"missing sign for pairs {sorted(missing)}")
+        object.__setattr__(self, "eps", normalized)
+
+    @classmethod
+    def uniform(cls, n_particles: int, sign: int = 1) -> "SignPattern":
+        eps = {(k, l): sign for k in range(2, n_particles + 1) for l in range(1, k)}
+        return cls(n_particles=n_particles, eps=eps)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """All pairs (k, l), k > l, in ascending order."""
+        return tuple(sorted(self.eps))
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        i, j = pair
+        if i == j:
+            raise KeyError(f"pair indices must differ, got {pair}")
+        return self.eps[(max(i, j), min(i, j))]
+
+    def values(self) -> tuple[int, ...]:
+        """Signs listed in the order of `pairs`."""
+        return tuple(self.eps[p] for p in self.pairs)
 
 
 class BoundStateNotFound(LookupError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hspin, separated_momenta
-from ptspin.bethe import SignPattern, bethe_coefficients, path_consistency
+from ptspin.bethe import bethe_coefficients, path_consistency
 from ptspin.boundary import (
     NonseparatedBC,
     SeparatedBC,
@@ -36,6 +36,7 @@ from ptspin.scattering import (
     ybe_residual,
 )
 from ptspin.spectra import (
+    SignPattern,
     bound_energy,
     classify_spectrum,
     n_particle_bound_state,

@@ -10,7 +10,6 @@ import pytest
 from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
                       separated_momenta)
 from ptspin.bethe import (
-    SignPattern,
     _APPLY,
     _COPY,
     _MAX,
@@ -29,6 +28,7 @@ from ptspin.bethe import (
 from ptspin.boundary import SeparatedBC, delta_type, hspin
 from ptspin.linalg import SingularMatrixError, SpinDims, exchange_operator, max_abs
 from ptspin.scattering import make_y_factory, y_separated, ybe_residual
+from ptspin.spectra import SignPattern
 
 
 def diag_hspin():

@@ -198,8 +198,12 @@ def test_separated_ybe_check_is_one_stacked_solve(capsys, monkeypatch, argv, che
     argv = (command, str(FIXTURES.parent / "golden" / "inputs" / "hspin_random.json"), *rest,
             "--statistics", statistics)
     sizes = count_solves(monkeypatch)
+    y_separated = scattering.y_separated
     with monkeypatch.context() as scalar:
-        scalar.setattr(cli, "y_separated", lambda bc, k12: None)
+        # The command's one stacked request becomes a no-op; the factory's
+        # scalar requests still solve.
+        scalar.setattr(scattering, "y_separated",
+                       lambda bc, k12: None if np.ndim(k12) else y_separated(bc, k12))
         scattering._last_stack = None
         expected = run_cli(capsys, *argv)
     assert sizes == [1] * 3 * checks
@@ -569,6 +573,35 @@ def test_module_entrypoint_singular_exit():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"] == "singular"
+
+
+_SWEEP = ("sweep", "--param", "e1=-1.0:1.0:3", "--run")
+
+
+@pytest.mark.parametrize("argv,modules,loads_csv", [
+    (("validate",), set(), False),
+    (("yop", "--k1", "1.0", "--k2", "-1.0"), {"scattering"}, False),
+    (("ybe", "--k", "1.0,0.3,-0.7"), {"scattering"}, False),
+    ((*_SWEEP, "ybe", "--k", "1.0,0.3,-0.7"), {"scattering"}, True),
+    (("bethe", "--k", "1.0,0.3,-0.7"), {"scattering", "bethe"}, False),
+    (("bound", "--particles", "3"), {"spectra"}, False),
+    (("classify",), {"spectra"}, False),
+    ((*_SWEEP, "classify"), {"spectra"}, True),
+    ((*_SWEEP, "validate"), set(), True),
+], ids=["validate", "yop", "ybe", "sweep-ybe", "bethe", "bound", "classify", "sweep-classify",
+        "sweep-validate"])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, loads_csv):
+    """A fresh `python -m ptspin` process imports cli, linalg and boundary,
+    plus what its command runs; -X importtime names every module imported."""
+    command, *rest = argv
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ptspin", command,
+                           fx("hspin_diag.json"), *rest], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {name for name in imported if name.startswith("ptspin.")} == \
+        {f"ptspin.{name}" for name in {"cli", "linalg", "boundary", *modules}}
+    assert ("csv" in imported) == loads_csv
 
 
 _SIX_COMMANDS = {

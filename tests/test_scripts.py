@@ -89,3 +89,12 @@ def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
     # N=4: 22 applications, 8 of them after a widen and 12 on less than the full 16x16
     assert case == "n2N4" and sizes == ["k2:4", "k3:8", "k4:10"] and widens == "8"
     assert 0.0 < float(work) < float(maxabs) < 1.0 and float(ms) > 0.0
+
+
+def test_startup_cost_times_fresh_processes_and_lists_their_modules(capsys):
+    assert load_script("startup_cost").main(["--commands", "validate,bound", "--repeats", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["command", "ms", "modules"]
+    assert [(row.split()[0], row.split()[2]) for row in rows] == [
+        ("validate", "boundary,cli,linalg"), ("bound", "boundary,cli,linalg,spectra")]
+    assert all(float(row.split()[1]) > 0.0 for row in rows)

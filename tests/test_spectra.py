@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import embed_pair, random_hspin
-from ptspin.bethe import SignPattern
 from ptspin.boundary import SeparatedBC, hspin, validate
 from ptspin.linalg import SpinDims, Statistics, exchange_operator, max_abs
 from ptspin.spectra import (
@@ -16,6 +15,7 @@ from ptspin.spectra import (
     _stencil_centers,
     BoundState,
     BoundStateNotFound,
+    SignPattern,
     bound_energy,
     bound_states,
     classify_spectrum,

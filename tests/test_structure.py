@@ -4,6 +4,8 @@ is defined."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import ptspin
 
 PACKAGE = Path(ptspin.__file__).parent
@@ -55,16 +57,25 @@ def test_no_module_calls_kron():
 
 
 def test_public_names_come_from_their_defining_module():
-    """Each module's __all__ lists only its own definitions, and the package
-    imports every name from the module that defines it."""
+    """Each module's __all__ lists only its own definitions, and the package's
+    export table names, for every exported name, the module that defines it."""
     trees = dict(modules())
     defined = {module: set(definitions(tree)) for module, tree in trees.items()}
     found = [(module, name) for module, tree in trees.items() if module != "__init__"
              for name in listed(tree) if name not in defined[module]]
-    found += [("__init__", node.module, alias.name) for node in trees["__init__"].body
-              if isinstance(node, ast.ImportFrom) for alias in node.names
-              if alias.name not in defined[node.module]]
+    found += [("__init__", module, name) for name, module in ptspin._EXPORTS.items()
+              if name not in defined[module]]
     assert found == []
+
+
+def test_package_lists_its_exports_and_refuses_unknown_names():
+    assert ptspin.__all__ == [*ptspin._EXPORTS, "__version__"]
+    assert set(ptspin.__all__) <= set(dir(ptspin))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptspin.no_such_name
+    # An unknown name falls through to the submodule import.
+    from ptspin import cli
+    assert cli.__name__ == "ptspin.cli"
 
 
 def test_no_private_names_cross_from_bethe_or_spectra():
