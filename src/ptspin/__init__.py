@@ -15,9 +15,7 @@ _EXPORTS = {name: module for module, names in {
                  "boundary_condition_to_json", "compatibility_residual", "delta_prime_type",
                  "delta_type", "hspin", "lift_scalar", "load_boundary_condition",
                  "parse_boundary_condition", "scalar_pt_type1", "scalar_pt_type2",
-                 "scalar_sa_nonseparated", "scalar_sa_separated", "validate_nonseparated_pt",
-                 "validate_selfadjoint", "validate_separated_pt",
-                 "validate_separated_selfadjoint"),
+                 "validate_nonseparated_pt", "validate_selfadjoint", "validate_separated_pt"),
     "scattering": ("make_y_factory", "y_inverse_residual", "y_nonseparated", "y_separated",
                    "ybe_residual"),
     "bethe": ("BetheState", "bethe_coefficients", "boundary_jump_residual",

@@ -40,8 +40,6 @@ __all__ = [
     "NonseparatedBC",
     "SeparatedBC",
     "ValidationReport",
-    "scalar_sa_nonseparated",
-    "scalar_sa_separated",
     "scalar_pt_type1",
     "scalar_pt_type2",
     "delta_type",
@@ -51,7 +49,6 @@ __all__ = [
     "validate_nonseparated_pt",
     "validate_selfadjoint",
     "validate_separated_pt",
-    "validate_separated_selfadjoint",
     "validate",
     "lower",
     "require_separated",
@@ -73,15 +70,12 @@ class ParseError(ValueError):
 class ScalarBC:
     """One-channel (n=1) boundary condition, tagged by family."""
 
-    kind: str  # sa_nonseparated | sa_separated | pt_type1 | pt_type2
+    kind: str  # pt_type1 | pt_type2, the two scalar document kinds
     params: dict[str, float] = field(repr=True)
 
     def connection_matrix(self) -> np.ndarray:
-        """2x2 connection matrix for the non-separated scalar families."""
+        """2x2 connection matrix of the non-separated pt_type1 family."""
         p = self.params
-        if self.kind == "sa_nonseparated":
-            phase = np.exp(1j * p["theta"])
-            return phase * np.array([[p["a"], p["b"]], [p["c"], p["d"]]])
         if self.kind == "pt_type1":
             root = math.sqrt(_require_one_plus_bc(p["b"], p["c"]))
             phase = np.exp(1j * p["theta"])
@@ -171,31 +165,6 @@ def _require_one_plus_bc(b: float, c: float) -> float:
     if one_plus_bc < 0.0:
         raise ValueError(f"parameter constraint 1 + bc >= 0 violated: got {one_plus_bc!r}")
     return one_plus_bc
-
-
-def scalar_sa_nonseparated(theta: float, a: float, b: float, c: float, d: float) -> ScalarBC:
-    """Self-adjoint one-channel family e^{i theta} [[a,b],[c,d]] with ad - bc = 1."""
-    params = {
-        "theta": _require_finite_real(theta, "theta") % TWO_PI,
-        "a": _require_finite_real(a, "a"),
-        "b": _require_finite_real(b, "b"),
-        "c": _require_finite_real(c, "c"),
-        "d": _require_finite_real(d, "d"),
-    }
-    det = params["a"] * params["d"] - params["b"] * params["c"]
-    if abs(det - 1.0) > 1e-12:
-        raise ValueError(f"determinant constraint ad - bc = 1 violated: got {det!r}")
-    return ScalarBC(kind="sa_nonseparated", params=params)
-
-
-def scalar_sa_separated(h_plus: float, h_minus: float) -> ScalarBC:
-    """Self-adjoint separated scalar data phi'(0+-) = h_pm phi(0+-), h in R u {inf}."""
-    h_plus = float(h_plus)
-    h_minus = float(h_minus)
-    for name, h in (("h_plus", h_plus), ("h_minus", h_minus)):
-        if math.isnan(h):
-            raise ValueError(f"parameter {name} must be a real number or +-inf")
-    return ScalarBC(kind="sa_separated", params={"h_plus": h_plus, "h_minus": h_minus})
 
 
 def scalar_pt_type1(theta: float, phi: float, b: float, c: float) -> ScalarBC:
@@ -334,17 +303,6 @@ def validate_separated_pt(F, G, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport.from_residuals(residuals, tol)
 
 
-def validate_separated_selfadjoint(g_plus, g_minus, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Self-adjointness of separated data: both one-sided matrices Hermitian."""
-    gp = as_operator(g_plus, "coupling matrix G+")
-    gm = as_operator(g_minus, "coupling matrix G-")
-    residuals = {
-        "Gplus-hermiticity": max_abs(gp - gp.conj().T),
-        "Gminus-hermiticity": max_abs(gm - gm.conj().T),
-    }
-    return ValidationReport.from_residuals(residuals, tol)
-
-
 def validate(bc, tol: float | None = None) -> ValidationReport:
     """Check any parsed boundary condition against the constraints of its family.
 
@@ -358,8 +316,6 @@ def validate(bc, tol: float | None = None) -> ValidationReport:
             return ValidationReport.from_residuals({"G+conj(F)": 0.0}, tol)
         return validate_separated_pt(bc.F, -bc.F.conj(), tol)
     if isinstance(bc, ScalarBC):
-        if bc.kind == "sa_nonseparated":
-            return validate_selfadjoint(lift_scalar(bc.connection_matrix(), 1), tol)
         if bc.kind == "pt_type1":
             b, one_plus_bc = bc.params["b"], _one_plus_bc(bc.params["b"], bc.params["c"])
             residuals = {
@@ -376,30 +332,22 @@ def validate(bc, tol: float | None = None) -> ValidationReport:
             if not degenerate:
                 residuals.update(validate(scalar_pt_type2(**bc.params), tol).residuals)
             return ValidationReport.from_residuals(residuals, tol)
-        if bc.kind == "sa_separated":
-            return ValidationReport.from_residuals(
-                {"Gplus-hermiticity": 0.0, "Gminus-hermiticity": 0.0}, tol)
     raise TypeError(f"no validator for {type(bc).__name__}")
 
 
 def lower(bc):
     """Reduce a parsed condition to a SeparatedBC or NonseparatedBC.
 
-    A pt_type2 scalar becomes its one-channel SeparatedBC and the other
-    scalar families are lifted to n = 1 connection matrices.  The parsed
-    pt_type1 and pt_type2 scalars go through their family constructors, so
-    every parameter inequality that `validate` reports raises ValueError here.
-    The sa_separated scalar has no connection matrix and raises ValueError; no
-    document reaches that error, because `parse_boundary_condition` only
-    yields pt_type1 and pt_type2 scalars.
+    A pt_type2 scalar becomes its one-channel SeparatedBC and a pt_type1
+    scalar is lifted to its n = 1 connection matrix.  Both go through their
+    family constructors, so every parameter inequality that `validate`
+    reports raises ValueError here.
     """
     if not isinstance(bc, ScalarBC):
         return bc
     if bc.kind == "pt_type2":
         return scalar_pt_type2(**bc.params)
-    if bc.kind == "pt_type1":
-        bc = scalar_pt_type1(**bc.params)
-    return lift_scalar(bc.connection_matrix(), 1)
+    return lift_scalar(scalar_pt_type1(**bc.params).connection_matrix(), 1)
 
 
 def require_separated(bc, what: str) -> SeparatedBC:
@@ -534,8 +482,7 @@ def load_boundary_condition(path):
 def boundary_condition_to_json(bc) -> dict:
     """Encode a boundary condition back into its document form.
 
-    Objects with no document kind, among them the self-adjoint scalar
-    families, raise TypeError.
+    Objects with no document kind, such as a bare matrix, raise TypeError.
     """
     if isinstance(bc, SeparatedBC) and bc.dirichlet:
         return {"kind": "scalar_pt_type2", "theta": 0.0, "h0": 0.0, "h1": 1.0}

@@ -25,13 +25,10 @@ from ptspin.boundary import (
     read_document,
     scalar_pt_type1,
     scalar_pt_type2,
-    scalar_sa_nonseparated,
-    scalar_sa_separated,
     validate_nonseparated_pt,
     validate_selfadjoint,
     validate_separated_pt,
     validate,
-    validate_separated_selfadjoint,
 )
 from ptspin.linalg import SpinDims, max_abs, swap_pair
 from ptspin.scattering import ybe_residual
@@ -96,6 +93,8 @@ def test_pt_type1_rejects_inadmissible_parameters():
         scalar_pt_type1(0.0, 0.0, -0.5, 1.0)
     with pytest.raises(ValueError):
         scalar_pt_type1(0.0, 0.0, 2.0, -1.0)
+    edge = validate(scalar_pt_type1(0.0, 0.0, 1.0, -1.0))  # 1 + bc = 0 exactly is admissible
+    assert edge.valid and "AA*-BC*-I" in edge.residuals
 
 
 def test_pt_type1_lift_to_higher_spin_still_valid():
@@ -105,25 +104,12 @@ def test_pt_type1_lift_to_higher_spin_still_valid():
 
 
 def test_sa_family_with_offdiagonal_couplings_fails_pt():
-    """Self-adjoint but not PT: a=2, d=1, b=c=1, theta=pi/4."""
-    bc = scalar_sa_nonseparated(math.pi / 4.0, 2.0, 1.0, 1.0, 1.0)
-    lifted = lift_scalar(bc.connection_matrix(), 1)
+    """Self-adjoint but not PT: e^{i pi/4} [[2, 1], [1, 1]], determinant 1."""
+    lifted = lift_scalar(np.exp(1j * math.pi / 4.0) * np.array([[2.0, 1.0], [1.0, 1.0]]), 1)
     assert validate_selfadjoint(lifted).valid
     report = validate_nonseparated_pt(lifted)
     assert not report.valid
     assert report.max_residual == pytest.approx(2.0, abs=1e-12)
-
-
-def test_sa_nonseparated_determinant_guard():
-    with pytest.raises(ValueError):
-        scalar_sa_nonseparated(0.0, 1.0, 1.0, 1.0, 1.0)
-
-
-def test_sa_separated_accepts_infinite_couplings():
-    bc = scalar_sa_separated(math.inf, 0.5)
-    assert bc.params["h_plus"] == math.inf
-    with pytest.raises(ValueError):
-        scalar_sa_separated(math.nan, 0.0)
 
 
 def test_pt_type2_builds_separated_coupling():
@@ -198,13 +184,6 @@ def test_separated_pt_validator_checks_conjugation_relation(rng):
     assert report.residuals["G+conj(F)"] == 2.0
 
 
-def test_separated_selfadjoint_validator():
-    h = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 0.5]])
-    assert validate_separated_selfadjoint(h, h).valid
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert not validate_separated_selfadjoint(bad, h).valid
-
-
 def test_compatibility_residual_vanishes_for_real_swap_commuting(rng):
     for _ in range(10):
         bc = random_hspin(rng)
@@ -257,10 +236,8 @@ def test_encoder_round_trips_every_documented_kind(rng):
         doc = boundary_condition_to_json(bc)
         back = parse_boundary_condition(json.loads(json.dumps(doc, allow_nan=False)))
         assert boundary_condition_to_json(back) == doc
-    for bc in (scalar_sa_nonseparated(0.0, 1.0, 0.0, 0.0, 1.0),
-               scalar_sa_separated(1.0, math.inf)):
-        with pytest.raises(TypeError):
-            boundary_condition_to_json(bc)
+    with pytest.raises(TypeError):
+        boundary_condition_to_json(np.eye(2))
 
 
 def test_parse_scalar_kinds_keep_parameters():
@@ -355,5 +332,3 @@ def test_lower_reaches_operator_ready_forms():
     assert isinstance(lifted, NonseparatedBC) and lifted.n == 1
     separated = lower(ScalarBC("pt_type2", {"theta": 0.0, "h0": 1.0, "h1": -2.0}))
     assert isinstance(separated, SeparatedBC) and separated.F[0, 0] == -2.0
-    with pytest.raises(ValueError, match="connection matrix"):
-        lower(scalar_sa_separated(1.0, 2.0))

@@ -50,6 +50,7 @@ def test_y_separated_scalar_coupling_frozen_value():
     """F = -identity at k12 = 1 gives the scalar factor (i-1)/(i+1) = i."""
     bc = SeparatedBC(2, -np.eye(4))
     assert max_abs(y_separated(bc, 1.0) - 1j * np.eye(4)) <= 1e-15
+    assert np.array_equal(y_separated(bc, np.array(1.0)), y_separated(bc, 1.0))  # 0-d k12
 
 
 def test_y_separated_dirichlet_limit_is_minus_identity():
@@ -63,6 +64,22 @@ def test_y_separated_singularity_names_colliding_eigenvalue():
     with pytest.raises(SingularMatrixError) as excinfo:
         y_separated(bc, 1.0)
     assert "eigenvalue" in str(excinfo.value)
+    assert excinfo.value.role == "ik-F"
+
+
+def test_y_separated_blames_an_eigenvalue_only_within_its_relative_tolerance():
+    """ik = 1e6j + 1e-6j lies 1e-6 from the eigenvalue 1e6j, inside its tolerance of about
+    1e-4: a collision.  The non-normal F makes i - F near-singular (singular values 1e-7
+    and 1e7) at distance 1 from its eigenvalues, so the inverse's message stands."""
+    bc = SeparatedBC(2, np.diag([1e6j, -1e6j, 1.0, 2.0]))
+    with pytest.raises(SingularMatrixError, match="collide with coupling eigenvalue 1000000j"):
+        y_separated(bc, 1e6 + 1e-6)
+    non_normal = np.zeros((4, 4), dtype=complex)
+    non_normal[0, 1] = 1e7
+    non_normal[2, 2], non_normal[3, 3] = -1.0, -2.0
+    with pytest.raises(SingularMatrixError, match="singular value") as excinfo:
+        y_separated(SeparatedBC(2, non_normal), 1.0)
+    assert "collide" not in str(excinfo.value)
     assert excinfo.value.role == "ik-F"
 
 

@@ -60,6 +60,14 @@ def test_classify_detects_conjugate_pair():
     assert rep.unpaired == ()
 
 
+def test_classify_leaves_a_value_without_conjugate_unpaired():
+    """Neither 1+1j nor 3+2j is within 2 tol of the other's conjugate, so neither pairs."""
+    rep = classify_spectrum(np.diag([1 + 1j, 3 + 2j, 0.5, -1.0]))
+    assert rep.real_subset == (-1.0, 0.5)
+    assert rep.complex_pairs == ()
+    assert rep.unpaired == (1 + 1j, 3 + 2j)
+
+
 def test_classify_zero_matrix():
     rep = classify_spectrum(np.zeros((3, 3)))
     assert rep.all_real
@@ -498,8 +506,9 @@ def test_n_particle_input_validation():
     bc = SeparatedBC(2, -np.eye(4))
     with pytest.raises(ValueError):
         n_particle_bound_state(bc, 1, -1.0, SignPattern.uniform(2), "boson")
-    with pytest.raises(ValueError):
-        n_particle_bound_state(bc, 3, 1.0, SignPattern.uniform(3), "boson")
+    for lam in (1.0, 0.0):
+        with pytest.raises(ValueError, match="decay rate must be negative"):
+            n_particle_bound_state(bc, 3, lam, SignPattern.uniform(3), "boson")
     with pytest.raises(ValueError):
         n_particle_bound_state(bc, 3, -1.0, SignPattern.uniform(2), "boson")
 
@@ -578,6 +587,8 @@ def test_fd_rejects_unusable_grids():
         verify_bound_state_fd(state, half_width=10.0, spacing=0.05)
     with pytest.raises(ValueError, match="small"):
         verify_bound_state_fd(state, half_width=2.0, spacing=1e-3)
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        verify_bound_state_fd(state, half_width=10.0, spacing=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="half_width must be finite"):
             verify_bound_state_fd(state, half_width=bad, spacing=1e-3)
