@@ -4,13 +4,18 @@ For each (n, N) of the bethe-scan mix and n=2 N=7, prints what this
 checkout's `bethe._plan(N)` plans for the walk: the pair applications by
 block size k (the block is n^k x n^k), the widens, the apply work (the sum of
 n^(2k+2) over applications) and the entries read by the max-abs ops, both
-relative to a walk that holds every array as a full n^N x n^N matrix.  Then
-it times `path_consistency` in fresh processes with one BLAS thread: each
-process makes one warm-up call and times --calls calls, and the median over
---repeats processes is printed.  With --src the timed program is imported
-from another checkout's src, so two trees can be timed on the same machine.
+relative to a walk that holds every array as a full n^N x n^N matrix.  It
+prints the walk's planned memory in MiB: the complex arena that holds every
+buffer's block (`bethe._schedule(N, n).arena`), the real magnitude buffer of
+the max-abs ops and, beside them, the same buffers held as one full n^(2N)
+row each (`len(buffers) * n^(2N)` complex entries), then the buffers' counts
+by block width k (k0 is the identity).  Then it times `path_consistency` in
+fresh processes with one BLAS thread: each process makes one warm-up call
+and times --calls calls, and the median over --repeats processes is
+printed.  With --src the timed program is imported from another checkout's
+src, so two trees can be timed on the same machine.
 
-Usage: PYTHONPATH=src python3 scripts/walk_cost.py [--cases 2x4,3x5] [--repeats 3] [--calls 5]
+Usage: PYTHONPATH=src python3 scripts/walk_cost.py [--cases 2x4,3x5,2x8] [--repeats 3] [--calls 5]
            [--src ../parent/src]
 """
 import argparse
@@ -22,11 +27,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plan
+from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plan, _schedule
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ((2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5))
-MOMENTA = (1.0, 0.3, -0.7, -1.6, 2.2, -2.9, 0.45)
+MOMENTA = (1.0, 0.3, -0.7, -1.6, 2.2, -2.9, 0.45, 1.3)
+MIB = 2 ** 20
 
 # Times `calls` path_consistency calls after one warm-up on a seeded coupling
 # (hspin at n = 2, dense complex F otherwise) and prints their median in ms.
@@ -55,9 +61,10 @@ print(1e3 * statistics.median(times))
 
 
 def planned(n: int, N: int) -> dict:
-    """Applications by block size, widens, and the work and max-abs entries
-    of this checkout's plan relative to the full-matrix walk."""
-    ops = _plan(N).ops
+    """Applications by block size, widens, the work and max-abs entries of
+    this checkout's plan relative to the full-matrix walk, and its memory."""
+    plan, schedule = _plan(N), _schedule(N, n)
+    ops = plan.ops
     sizes = collections.Counter(hi - lo + 1 for kind, *_, lo, hi in ops if kind in (_APPLY, _COPY))
     maxed = [hi - lo + 1 for kind, *_, lo, hi in ops if kind == _MAX]
     applies = sum(sizes.values())
@@ -68,6 +75,10 @@ def planned(n: int, N: int) -> dict:
         "work": sum(count * n ** (2 * k + 2) for k, count in sizes.items())
         / (applies * n ** (2 * N + 2)),
         "entries": sum(n ** (2 * k) for k in maxed) / (len(maxed) * n ** (2 * N)),
+        "arena": 16 * schedule.arena / MIB,
+        "magnitude": 8 * max(schedule.magnitudes) / MIB,
+        "rows": 16 * len(plan.buffers) * n ** (2 * N) / MIB,
+        "widths": dict(sorted(collections.Counter(plan.buffers).items())),
     }
 
 
@@ -85,7 +96,7 @@ def time_child(src: Path, n: int, N: int, calls: int) -> float:
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", default=",".join(f"{n}x{N}" for n, N in CASES),
-                        help="comma-separated nxN cases, 3 <= N <= 7")
+                        help=f"comma-separated nxN cases, 3 <= N <= {len(MOMENTA)}")
     parser.add_argument("--repeats", type=int, default=3, help="fresh processes per case")
     parser.add_argument("--calls", type=int, default=5, help="timed calls per process")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -101,14 +112,17 @@ def main(argv=None):
         parser.error(f"N must lie in 3..{len(MOMENTA)}, and --repeats and --calls be at least 1")
 
     print(f"{'case':>5}  {'applies by block size k':<42}  {'widens':>6}  {'work':>5}  "
-          f"{'maxabs':>6}  {'ms':>8}")
+          f"{'maxabs':>6}  {'arena':>9}  {'magnitude':>9}  {'rows':>9}  "
+          f"{'buffers by width k':<40}  {'ms':>8}")
     for n, N in cases:
         plan = planned(n, N)
         ms = statistics.median(time_child(args.src.resolve(), n, N, args.calls)
                                for _ in range(args.repeats))
         sizes = " ".join(f"k{k}:{count}" for k, count in plan["sizes"].items())
+        widths = ",".join(f"k{k}:{count}" for k, count in plan["widths"].items())
         print(f"{f'n{n}N{N}':>5}  {sizes:<42}  {plan['widens']:>6}  {plan['work']:>5.2f}  "
-              f"{plan['entries']:>6.2f}  {ms:>8.3f}")
+              f"{plan['entries']:>6.2f}  {plan['arena']:>9.4f}  {plan['magnitude']:>9.4f}  "
+              f"{plan['rows']:>9.4f}  {widths:<40}  {ms:>8.3f}")
     return 0
 
 

@@ -38,20 +38,23 @@ through the site shares the suffix.  Each array of the walk is I (x) R (x) I,
 where R acts on the hull of the slots its word touched, so it is held as the
 n^k x n^k block R of those k slots, and a product whose pair leaves the hull
 first widens the block.  The plan holds this walk as a buffer program
-(`_program`): the rows' liveness fields decide, once per N, which of a few
-numbered buffers each product writes (6, 8, 9 buffers for N = 5, 6, 7, with
-one widen's scratch), and the hulls decide each op's block, so a call
-allocates one workspace and runs np.matmul, np.subtract and np.abs on block
-views of it with out=, allocating nothing per row.  The shapes and strides
-of those views depend only on (N, n), so they are resolved once per (N, n)
-(`_schedule`), and a call builds each view it uses once.  At n = 3, N = 5 the
-blocks cut the product work to 0.54 and the max-abs reads to 0.70 of full
-n^N x n^N matrices.  The propagation makes the same floating-point
-operations as replaying each word alone.  The walk sums the same terms per
-entry as on full matrices; at even n it gives the same number bit for bit,
-while at odd n BLAS rounds the trailing (length mod 4) columns of a product
-by other kernels, which fall on other entries in a block, so the number can
-move by a few ulps.
+(`_program`): the hulls decide each op's block, and the rows' liveness
+fields decide, once per N, which numbered buffer each product writes, taken
+from an idle pool for its block width k, so a buffer is n^k x n^k and the
+walk keeps only as many of each width as it holds at once (at N = 5, one
+of width 0 for the identity, and 2, 4, 3 and 3 of widths 2 to 5).  A call
+allocates one arena, the buffers' blocks laid end to end (3.05 MiB at
+n = 3, N = 5), and one real magnitude buffer, and runs np.matmul,
+np.subtract and np.abs on block views of it with out=, allocating nothing
+per row.  The offsets, shapes and strides of those views depend only on
+(N, n), so they are resolved once per (N, n) (`_schedule`), and a call
+builds each view it uses once.  At n = 3, N = 5 the blocks cut the product
+work to 0.54 and the max-abs reads to 0.70 of full n^N x n^N matrices.  The
+propagation makes the same floating-point operations as replaying each word
+alone.  The walk sums the same terms per entry as on full matrices; at
+even n it gives the same number bit for bit, while at odd n BLAS rounds the
+trailing (length mod 4) columns of a product by other kernels, which fall on
+other entries in a block, so the number can move by a few ulps.
 """
 from __future__ import annotations
 
@@ -198,8 +201,9 @@ class _Plan(NamedTuple):
     levels is the trie by depth, for `_propagate`; rows lists depth-first the
     nodes that carry a transport, start a braid difference or inherit one (no
     other node does consistency work), and ops is their walk as a program on
-    the blocks of numbered buffers, for `_walk` (`_program`), which needs
-    buffers of them; pairs lists the momentum pairs in order of first use.
+    the blocks of numbered buffers, for `_walk` (`_program`), and buffers
+    the block width k of each (buffer b holds an n^k x n^k block);
+    pairs lists the momentum pairs in order of first use.
     index maps each permutation to its position in itertools.permutations
     order, words to its canonical word, and slots holds the 0-based momentum
     at each slot of every permutation.
@@ -209,7 +213,7 @@ class _Plan(NamedTuple):
     rows: tuple[_TrieNode, ...]
     pairs: tuple[tuple[int, int], ...]
     ops: tuple[tuple[int, int, int, int, int, int, int], ...]
-    buffers: int
+    buffers: tuple[int, ...]
     index: Mapping[tuple[int, ...], int]
     words: Mapping[tuple[int, ...], tuple[int, ...]]
     slots: np.ndarray
@@ -347,51 +351,54 @@ def _plan(N: int) -> _Plan:
 _COPY, _APPLY, _WIDEN, _SUBTRACT, _MAX = range(5)
 
 
-def _program(rows: tuple[_TrieNode, ...],
-             pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The consistency walk over rows as ops on numbered buffers, and their count.
+def _program(rows: tuple[_TrieNode, ...], pairs: tuple[tuple[int, int], ...]
+             ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The consistency walk over rows as ops on numbered buffers, and their block widths.
 
     Every array of the walk is a product of pair operators on the identity,
     or a difference of two such products with the same slots touched, so it
     is I (x) R (x) I, where the block R acts on the hull [lo, hi] of the
     slots its word touched (1-based; k = hi - lo + 1 slots, n^k x n^k).  A
-    buffer holds only R.  Each op is (kind, pair, slot, src, dst, lo, hi)
-    and works on the block [lo, hi]: _COPY writes the pair's Y, the block of
-    Y at slot applied to the identity, into dst; _APPLY writes Y at slot
-    applied to src into dst; _SUBTRACT writes src - dst into dst; _MAX
-    takes the max-abs of src (dst = src).  An apply whose pair leaves the
+    buffer of width k holds only such an R.  Each op is (kind, pair, slot,
+    src, dst, lo, hi) and works on the block [lo, hi]: _COPY writes the
+    pair's Y, the block of Y at slot applied to the identity, into dst;
+    _APPLY writes Y at slot applied to src into dst; _SUBTRACT writes
+    src - dst into dst; _MAX takes the max-abs of src (dst = src).  An apply whose pair leaves the
     hull of its source is preceded by a _WIDEN, (kind, a, b, src, dst, lo,
     hi), which writes I_(n^a) (x) R (x) I_(n^b), the full matrix on the
-    wider hull, into a scratch buffer taken for that apply alone.  The rows
-    are replayed depth-first, holding the transports and differences of the
-    current path: each result's buffer is taken from a free list before its
-    source is released, so no op writes what it reads, and the rows' free
-    and last fields release each array after its last use, so the count is
-    the most arrays the walk holds at once, with a widen's scratch buffer.
-    The identity is the root transport, which no op writes: buffer 0 until
-    the root transport is released.
+    wider hull, into a scratch buffer of the apply's width taken for that
+    apply alone.  The rows are replayed depth-first, holding the transports
+    and differences of the current path: each result's buffer is the last
+    released buffer of its width, or a new one, taken before its source is
+    released, so no op writes what it reads, and the rows' free and last
+    fields release each array after its last use, so the buffers of each
+    width are the most arrays of that width the walk holds at once, a
+    widen's scratch included.  The identity is the root transport, buffer 0,
+    a block of width 0 (I = I (x) [1] (x) I) that no op reads or writes.
     """
     pair_id = {pair: i for i, pair in enumerate(pairs)}
-    idle, ops, count = [], [], 1
+    idle, ops, widths = [], [], [0]
     hull: dict[int, tuple[int, int] | None] = {0: None}
 
-    def take():
-        nonlocal count
-        if idle:
-            return idle.pop()
-        count += 1
-        return count - 1
+    def take(width):
+        mine = [buffer for buffer in idle if widths[buffer] == width]
+        if mine:
+            idle.remove(mine[-1])
+            return mine[-1]
+        widths.append(width)
+        return len(widths) - 1
 
     def apply(step, src):
-        (slot, pair), dst = step, take()
+        slot, pair = step
+        lo, hi = hull[src] or (slot, slot + 1)
+        lo, hi = min(lo, slot), max(hi, slot + 1)
+        dst = take(hi - lo + 1)
         if hull[src] is None:
-            lo, hi = slot, slot + 1
             ops.append((_COPY, pair_id[pair], slot, src, dst, lo, hi))
         else:
             inner_lo, inner_hi = hull[src]
-            lo, hi = min(inner_lo, slot), max(inner_hi, slot + 1)
             if (lo, hi) != (inner_lo, inner_hi):
-                wide = take()
+                wide = take(hi - lo + 1)
                 ops.append((_WIDEN, inner_lo - lo, hi - inner_hi, src, wide, lo, hi))
                 idle.append(wide)
                 src = wide
@@ -432,7 +439,7 @@ def _program(rows: tuple[_TrieNode, ...],
         if row.perm:
             ops.extend((_MAX, 0, 0, diff, diff, *hull[diff]) for diff in moved)
         diffs.append(moved)
-    return tuple(ops), count
+    return tuple(ops), tuple(widths)
 
 
 def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
@@ -497,13 +504,18 @@ def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) 
 class _Schedule(NamedTuple):
     """A plan's walk program for spin dimension n, with every view resolved.
 
-    blocks lists (buffer, size, shape), a contiguous view of a buffer's first
-    size entries; widens lists (shape, offset, strides) of a widen's strided
-    view of its destination, in bytes of the (buffers, n^(2N)) workspace;
-    magnitudes lists the sizes the max-abs ops read.  steps is plan.ops as
-    (kind, a, b, c) on indices into these lists and the operators (`_walk`).
+    arena is the number of complex entries of the walk's one arena, which
+    holds the buffers' blocks end to end, buffer b of width k in n^(2k)
+    entries at offset sum over c < b of n^(2 width_c); blocks lists
+    (start, stop, shape), a buffer's whole block as a view of the arena's
+    entries [start, stop); widens lists the distinct (shape, offset, strides)
+    of the widens' strided views of their destinations, in bytes of the
+    arena; magnitudes lists the sizes the max-abs ops read.  steps is
+    plan.ops as (kind, a, b, c) on indices into these lists and the
+    operators (`_walk`).
     """
 
+    arena: int
     blocks: tuple[tuple[int, int, tuple[int, ...]], ...]
     widens: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
     magnitudes: tuple[int, ...]
@@ -512,55 +524,58 @@ class _Schedule(NamedTuple):
 
 @functools.cache
 def _schedule(N: int, n: int) -> _Schedule:
-    """Resolve `_plan(N)`.ops for spin dimension n once: each op's block shapes
-    and a widen's strides depend only on (N, n), so a call builds just the
-    views the ops use, once each, and runs the steps on them."""
+    """Resolve `_plan(N)`.ops for spin dimension n once: the buffers' offsets
+    in the arena, each op's block shapes and a widen's strides depend only on
+    (N, n), so a call builds just the views the ops use, once each, and runs
+    the steps on them."""
     item = np.dtype(np.complex128).itemsize
-    row = item * n ** (2 * N)
+    plan = _plan(N)
+    starts = list(itertools.accumulate((n ** (2 * width) for width in plan.buffers), initial=0))
     blocks: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    widens: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+    widens: dict[tuple[tuple[int, ...], int, tuple[int, ...]], int] = {}
     magnitudes: dict[int, int] = {}
     steps = []
 
-    def block(buffer, size, shape=None):
-        return blocks.setdefault((buffer, size, shape or (size,)), len(blocks))
+    def block(buffer, shape=None):
+        start, stop = starts[buffer], starts[buffer + 1]
+        return blocks.setdefault((start, stop, shape or (stop - start,)), len(blocks))
 
-    for kind, pair, slot, src, dst, lo, hi in _plan(N).ops:
+    for kind, pair, slot, src, dst, lo, hi in plan.ops:
         k = hi - lo + 1
         size = n ** (2 * k)
         if kind == _APPLY:
             shape = (n ** (slot - lo), n * n, n ** (2 * k - slot + lo - 2))
-            steps.append((kind, pair, block(src, size, shape), block(dst, size, shape)))
+            steps.append((kind, pair, block(src, shape), block(dst, shape)))
         elif kind == _MAX:
-            steps.append((kind, block(src, size), magnitudes.setdefault(size, len(magnitudes)), 0))
+            steps.append((kind, block(src), magnitudes.setdefault(size, len(magnitudes)), 0))
         elif kind == _WIDEN:
             # I_(n^a) (x) R (x) I_(n^b) holds R[i, j] at row (x, i, y), column
             # (x, j, y): a strided view of R's copies, the rest zeros.
             a, b = pair, slot
             inner, side, step = n ** (k - a - b), n ** k, n ** b * item
-            widens.append(((n ** a, n ** b, inner, inner), dst * row,
-                           (inner * step * (side + 1), item * (side + 1), step * side, step)))
-            steps.append((kind, block(dst, size), len(widens) - 1,
-                          block(src, inner * inner, (inner, inner))))
+            view = ((n ** a, n ** b, inner, inner), starts[dst] * item,
+                    (inner * step * (side + 1), item * (side + 1), step * side, step))
+            steps.append((kind, block(dst), widens.setdefault(view, len(widens)),
+                          block(src, (inner, inner))))
         elif kind == _SUBTRACT:
-            steps.append((kind, block(src, size), block(dst, size), 0))
+            steps.append((kind, block(src), block(dst), 0))
         else:
-            steps.append((kind, pair, block(dst, size, (n * n, n * n)), 0))
-    return _Schedule(blocks=tuple(blocks), widens=tuple(widens),
+            steps.append((kind, pair, block(dst, (n * n, n * n)), 0))
+    return _Schedule(arena=starts[-1], blocks=tuple(blocks), widens=tuple(widens),
                      magnitudes=tuple(magnitudes), steps=tuple(steps))
 
 
 def _walk(N: int, operators: np.ndarray, n: int) -> float:
-    """Path consistency: the plan's buffer program, run on one workspace.
+    """Path consistency: the plan's buffer program, run on one arena.
 
     The program (`_program`) replays, depth-first, the trie rows that do
     consistency work: every row with a braid node below it carries its
     transport (the identity at the root), every braid node subtracts its
     flipped braid from its transport in place, and each difference is moved
     down the braid node's subtree one swap at a time, with the max-abs taken
-    at every word node; the worst is returned.  Each op runs on the n^(2k)
-    prefix of its flat buffers in the (buffers, n^(2N)) workspace, the op's
-    n^k x n^k block: a pair application is one np.matmul on the
+    at every word node; the worst is returned.  Each op runs on its buffers'
+    slices of the arena, each slice a buffer's whole n^k x n^k block: a pair
+    application is one np.matmul on the
     (n^(j-lo), n^2, rest) views of two blocks, the same n^2 x n^2 products as
     `apply_pair` on the block, and a widen zeroes its block and writes the
     source block on its diagonal.  The full n^N x n^N matrix is
@@ -570,10 +585,10 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
     view the steps use is built once per call from `_schedule(N, n)`.
     """
     schedule = _schedule(N, n)
-    workspace = np.empty((_plan(N).buffers, n ** (2 * N)), dtype=np.complex128)
+    arena = np.empty(schedule.arena, dtype=np.complex128)
     magnitude = np.empty(max(schedule.magnitudes))
-    views = [workspace[buffer, :size].reshape(shape) for buffer, size, shape in schedule.blocks]
-    copies = [np.ndarray(shape, np.complex128, workspace, offset, strides)
+    views = [arena[start:stop].reshape(shape) for start, stop, shape in schedule.blocks]
+    copies = [np.ndarray(shape, np.complex128, arena, offset, strides)
               for shape, offset, strides in schedule.widens]
     magnitudes = [magnitude[:size] for size in schedule.magnitudes]
     ys = list(operators)
@@ -631,7 +646,7 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     (every initial coefficient at once), so it vanishes exactly when the
     Yang-Baxter identity holds on the visited relative momenta; u_init is
     validated but the returned number does not depend on it.  The walk is the
-    plan's buffer program, run on one workspace, with each transport and
+    plan's buffer program, run on one arena, with each transport and
     difference held as its block on the slots its word touched (`_walk`).
     """
     momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)

@@ -19,6 +19,7 @@ from ptspin.bethe import (
     _exchange_operators,
     _one_sided_weights,
     _plan,
+    _schedule,
     _walk,
     bethe_coefficients,
     boundary_jump_residual,
@@ -622,56 +623,73 @@ def widens(word, slot):
     return bool(word) and not hull(word)[0] <= slot < hull(word)[1]
 
 
+def width(word):
+    """The number of slots in the hull of word's product: 0 for the identity."""
+    return hull(word)[1] - hull(word)[0] + 1 if word else 0
+
+
 def live_maximum(rows):
-    """Most arrays a depth-first walk over rows holds at once.
+    """Most arrays of each block width a depth-first walk over rows holds at once.
 
     The walk holds the transports and differences of the current path.  Each
     product is allocated while its source is held, and a product whose swap
     leaves the hull of its source's word first widens the source into one
-    more array, dropped once the product is made.  The braid difference is
-    taken in place of the flipped braid, and the rows' free and last fields
-    drop each array after its last use.  Arrays are tracked by their words:
-    a transport by its prefix, a difference by the word it was moved along.
+    more array of the product's width, dropped once the product is made.
+    The braid difference is taken in place of the flipped braid, and the
+    rows' free and last fields drop each array after its last use.  Arrays
+    are tracked by their words: a transport by its prefix, a difference by
+    the word it was moved along; the identity is the root transport, of
+    width 0.
     """
     prefixes = row_prefixes(rows)
-    transports, diffs, held, most = [()], [[]], 1, 1
+    transports, diffs = [()], [[]]
+    held, most = collections.Counter({0: 1}), collections.Counter({0: 1})
+
+    def make(word, slot, *also):
+        """Record the arrays held while word's product with slot is made:
+        the product, the widen's scratch if any, and the arrays of also."""
+        nonlocal most
+        new = [width(word + (slot,))] * (1 + widens(word, slot))
+        most |= held + collections.Counter(new + [width(other) for other in also])
+        return word + (slot,)
+
+    def drop(words):
+        held.subtract(width(word) for word in words if word is not None)
+
     for row, prefix in zip(rows, prefixes):
         d, slot = row.depth, row.step[0]
-        held -= sum(t is not None for t in transports[d:]) + sum(map(len, diffs[d:]))
+        drop(transports[d:])
+        drop(itertools.chain.from_iterable(diffs[d:]))
         del transports[d:], diffs[d:]
         moved = []
         for word in diffs[-1]:
-            most = max(most, held + 1 + widens(word, slot))
-            held += 1
-            moved.append(word + (slot,))
+            moved.append(make(word, slot))
+            held[width(moved[-1])] += 1
         if row.last:
-            held -= len(diffs[-1])
+            drop(diffs[-1])
             diffs[-1] = []
         transports.append(prefix if row.transport else None)
         if row.transport:
-            most = max(most, held + 1 + widens(prefix[:-1], slot))
-            held += 1
+            make(prefix[:-1], slot)
+            held[width(prefix)] += 1
         if d - 1 in row.free:
-            held -= transports[d - 1] is not None
+            drop(transports[d - 1:d])
             transports[d - 1] = None
         if row.braid:
             a, b = prefix[-2:]
-            flipped = prefix[:-3]
-            most = max(most, held + 1 + widens(flipped, b))
+            flipped = make(prefix[:-3], b)
             if d - 3 in row.free:
-                held -= transports[d - 3] is not None
+                drop(transports[d - 3:d - 2])
                 transports[d - 3] = None
-            flipped += (b,)
             for step in (a, b):
-                most = max(most, held + 2 + widens(flipped, step))
-                flipped += (step,)
-            held += 1
+                flipped = make(flipped, step, flipped)
+            held[width(prefix)] += 1
             moved.append(prefix)
         if d in row.free:
-            held -= transports[d] is not None
+            drop(transports[d:d + 1])
             transports[d] = None
         diffs.append(moved)
-    return most
+    return +most
 
 
 def run_on_labels(plan, N):
@@ -680,16 +698,18 @@ def run_on_labels(plan, N):
     A buffer holds ("T", word) for a transport along word, ("D", site, word)
     for the braid difference of site moved along word, or ("W", word) for a
     transport or difference along word widened for the next product alone.
-    Each op checks the labels it reads, so an op that overwrote a buffer
-    still to be read would leave a later op reading the wrong label.  Each
-    op's block must be the hull of the slots its buffer's word touched, and
-    a widen must come exactly before a product whose swap leaves its
-    source's hull.
+    Buffer 0 holds the identity, the root transport: a block of width 0,
+    which no op writes.  Each op checks the labels it reads, so an op that
+    overwrote a buffer still to be read would leave a later op reading the
+    wrong label.  Each op's block must be the hull of the slots its buffer's
+    word touched, and a widen must come exactly before a product whose swap
+    leaves its source's hull.
     """
+    assert plan.buffers[0] == 0
     content = {0: ("T", ())}
     maxed = []
     for kind, pair, slot, src, dst, lo, hi in plan.ops:
-        assert hi - lo >= 1
+        assert hi - lo >= 1 and dst != 0
         if kind == _WIDEN:
             *head, word = content[src]
             assert head[0] in "TD" and word
@@ -724,14 +744,51 @@ def run_on_labels(plan, N):
 
 @pytest.mark.parametrize("N", range(3, 8))
 def test_walk_program_reuses_buffers_within_the_live_maximum(N):
-    """The program needs no more buffers than the walk holds arrays, computes
-    every braid difference of every word, and takes each one max-abs once."""
+    """The program needs no more buffers of each block width than the walk
+    holds arrays of that width, gives every op buffers of exactly its block's
+    width, computes every braid difference of every word, and takes each one
+    max-abs once."""
     plan = _plan(N)
-    assert plan.buffers == live_maximum(plan.rows)
-    assert {op[3] for op in plan.ops} | {op[4] for op in plan.ops} == set(range(plan.buffers))
+    assert collections.Counter(plan.buffers) == live_maximum(plan.rows)
+    assert {op[3] for op in plan.ops} | {op[4] for op in plan.ops} == set(range(len(plan.buffers)))
+    for kind, a, b, src, dst, lo, hi in plan.ops:
+        # A copy's source is the identity; a widen's is its block before widening.
+        k = hi - lo + 1
+        source = {_COPY: 0, _WIDEN: k - a - b}.get(kind, k)
+        assert (plan.buffers[src], plan.buffers[dst]) == (source, k)
     want = [(word, word[:m]) for word in map(reference_word, itertools.permutations(range(1, N + 1)))
             for m in range(3, len(word) + 1) if is_braid(word[:m])]
     assert collections.Counter(run_on_labels(plan, N)) == collections.Counter(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", range(3, 8))
+def test_walk_arena_gives_each_buffer_its_own_slice(N, n):
+    """Every block view of a buffer is one slice of the arena, exactly
+    n^(2 width) long and disjoint from every other buffer's, and the last
+    byte each widen's strided view can reach lies inside its own buffer's
+    slice.  A slice too short would overwrite its neighbour, which the label
+    check cannot see."""
+    plan, schedule = _plan(N), _schedule(N, n)
+    item = np.dtype(np.complex128).itemsize
+    slices = {}
+    for (kind, _, _, src, dst, _, _), step in zip(plan.ops, schedule.steps, strict=True):
+        assert step[0] == kind
+        uses = {_COPY: [(dst, step[2])], _APPLY: [(src, step[2]), (dst, step[3])],
+                _WIDEN: [(dst, step[1]), (src, step[3])],
+                _SUBTRACT: [(src, step[1]), (dst, step[2])], _MAX: [(src, step[1])]}[kind]
+        for buffer, index in uses:
+            start, stop, shape = schedule.blocks[index]
+            assert stop - start == math.prod(shape) == n ** (2 * plan.buffers[buffer])
+            assert slices.setdefault(buffer, (start, stop)) == (start, stop)
+        if kind == _WIDEN:
+            shape, offset, strides = schedule.widens[step[2]]
+            start, stop = slices[dst]
+            last = offset + sum((size - 1) * stride for size, stride in zip(shape, strides))
+            assert start * item <= offset and last + item <= stop * item
+    ordered = sorted(slices.values())
+    assert all(stop <= start for (_, stop), (start, _) in zip(ordered, ordered[1:]))
+    assert 0 <= ordered[0][0] and ordered[-1][1] <= schedule.arena
 
 
 @pytest.mark.parametrize("N", range(3, 8))
@@ -862,22 +919,24 @@ def test_coefficient_rows_are_read_only_views_of_one_array(rng, N):
 def test_path_consistency_memory_stays_local(rng):
     """n=3, N=5 transports are 243x243 (0.9 MB); embedded operators cost ~40 MB.
 
-    The walk's one workspace of plan.buffers transports and its real
-    magnitude buffer are the peak, within 10%."""
-    n, N = 3, 5
-    bc = dense_complex_coupling(rng, n)
-    momenta = separated_momenta(rng, N)
-    u = np.zeros(n ** N, complex)
-    u[0] = 1.0
-    workspace = (16 * _plan(N).buffers + 8) * n ** (2 * N)
-    tracemalloc.start()
-    try:
+    The walk's one arena, a slice of n^(2 width) entries per buffer, and its
+    real magnitude buffer of the widest block are the peak of a planned call,
+    within 10%, at n=3 N=5 and n=2 N=7."""
+    for n, N, ceiling in [(3, 5, 4 * 2**20), (2, 7, 1.25 * 2**20)]:
+        bc = dense_complex_coupling(rng, n)
+        momenta = separated_momenta(rng, N)
+        u = np.zeros(n ** N, complex)
+        u[0] = 1.0
         path_consistency(bc, momenta, u, "boson")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
-    assert peak <= 1.1 * workspace
+        arena = sum(n ** (2 * width) for width in _plan(N).buffers)
+        tracemalloc.start()
+        try:
+            path_consistency(bc, momenta, u, "boson")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling
+        assert peak <= 1.1 * (16 * arena + 8 * n ** (2 * N))
 
 
 # -- wavefunction evaluation -------------------------------------------------

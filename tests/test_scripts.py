@@ -85,10 +85,15 @@ def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
     assert load_script("walk_cost").main(["--cases", "2x4", "--repeats", "1", "--calls", "1"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[0] == "case" and header.split()[-1] == "ms"
-    case, *sizes, widens, work, maxabs, ms = row.split()
+    case, *sizes, widens, work, maxabs, arena, magnitude, rows, widths, ms = row.split()
     # N=4: 22 applications, 8 of them after a widen and 12 on less than the full 16x16
     assert case == "n2N4" and sizes == ["k2:4", "k3:8", "k4:10"] and widens == "8"
     assert 0.0 < float(work) < float(maxabs) < 1.0 and float(ms) > 0.0
+    # MiB of the identity, 2 blocks of 4x4, 4 of 8x8 and 3 of 16x16; of 256
+    # magnitudes; and of the same 10 buffers as rows of 256 entries
+    assert widths == "k0:1,k2:2,k3:4,k4:3"
+    assert (arena, magnitude, rows) == tuple(f"{size / 2**20:.4f}" for size in (
+        16 * (1 + 2 * 16 + 4 * 64 + 3 * 256), 8 * 256, 16 * 10 * 256))
 
 
 def test_startup_cost_times_fresh_processes_and_lists_their_modules(capsys):
