@@ -17,10 +17,13 @@ applies each pair exchange as a slot swap (`linalg.permute_slots`).
 `verify_bound_state_fd` is an independent check: it differentiates nothing
 analytically, it just applies a second-order grid Laplacian to the decay
 profile inside one ordering region and compares against the stored energy.
-The profile is evaluated once on the whole stacked (2N+1)-point stencil.
+The profile depends on a stencil point only through sum_{i>j} |x_i - x_j|, so
+it is evaluated once per distinct value of that sum on the (2N+1)-point
+stencil and read back for every center.
 
 Cached per process, as read-only arrays in bounded caches: the sector basis
-per (n, N, sign) and the FD stencil centers per (N, grid half-width).
+per (n, N, sign), and the FD stencil's distinct profile arguments with one
+index row per distinct center stencil, per (N, grid half-width, spacing).
 """
 from __future__ import annotations
 
@@ -424,30 +427,32 @@ _MIN_INDEX_GAP = 3
 
 
 @functools.lru_cache(maxsize=64)
-def _stencil_centers(N: int, m_max: int) -> np.ndarray:
-    """Ordered lattice centers, at least _MIN_INDEX_GAP apart, read-only.
+def _stencil(N: int, m_max: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct decay-profile arguments of the FD stencil, and the rows that read them.
 
-    m_max follows the decay rate, so only recent grids are kept (64 grids of
-    at most 48^2 rows hold about 1 MB).
+    The centers x0 are ordered lattice points at least _MIN_INDEX_GAP apart;
+    each has the stencil x0, then x0 + h e_a and x0 - h e_a for every axis a.
+    The profile depends on a point only through sum_{i>j} |x_i - x_j|, here in
+    extended precision: `args` holds its distinct values (ascending), and
+    `rows` (2N+1 by one column per distinct center stencil) indexes into them.
+    Both are read-only and hold geometry only, no decay rate; m_max follows the
+    decay rate, so only recent grids are kept (a few kB each).
     """
     per_axis = _AXIS_SAMPLES[N]
+    h = np.longdouble(spacing)
     cand = np.unique(np.round(np.linspace(-m_max, m_max, per_axis)).astype(np.int64))
-    grids = np.meshgrid(*([cand] * N), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    gaps = np.diff(pts, axis=1)
-    centers = pts[(gaps >= _MIN_INDEX_GAP).all(axis=1)]
-    centers.flags.writeable = False
-    return centers
-
-
-def _decay_profile(points: np.ndarray, lam: np.longdouble) -> np.ndarray:
-    """exp(lam * sum_{i>j} |x_i - x_j|) for each row of points."""
-    total = np.zeros(points.shape[0], dtype=np.longdouble)
-    N = points.shape[1]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([cand] * N), indexing="ij")], axis=1)
+    x0 = pts[(np.diff(pts, axis=1) >= _MIN_INDEX_GAP).all(axis=1)].astype(np.longdouble) * h
+    steps = np.eye(N, dtype=np.longdouble) * h
+    points = x0 + np.concatenate([np.zeros((1, N), dtype=np.longdouble), steps, -steps])[:, None, :]
+    total = np.zeros(points.shape[:2], dtype=np.longdouble)
     for i in range(1, N):
         for j in range(i):
-            total += np.abs(points[:, i] - points[:, j])
-    return np.exp(lam * total)
+            total += np.abs(points[..., i] - points[..., j])
+    args, index = np.unique(total, return_inverse=True)
+    rows = np.unique(index.reshape(total.shape), axis=1)
+    args.flags.writeable = rows.flags.writeable = False
+    return args, rows
 
 
 def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) -> float:
@@ -460,7 +465,11 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
     of (-laplacian - energy) against the profile.  The spin vector and the
     region's sign factors are constant inside the region and cancel, so the
     scalar profile carries the whole check.  Internally uses extended
-    precision; residuals scale as O(spacing^2).
+    precision; residuals scale as O(spacing^2).  The profile is evaluated on
+    the distinct stencil arguments of `_stencil`, and every residual is taken
+    on one center per distinct stencil row, so the result equals the maximum
+    over all centers.  A grid whose lattice index would not fit int64, or
+    whose profile would underflow extended precision, is refused.
     """
     N = state.n_particles
     if N not in _AXIS_SAMPLES:
@@ -474,6 +483,9 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
         raise ValueError("half_width and spacing must be positive")
     if spacing > 1e-2:
         raise ValueError(f"grid too coarse: spacing {spacing} > 0.01")
+    if half_width / spacing >= np.iinfo(np.int64).max:
+        raise ValueError(
+            f"grid too fine: spacing {spacing} puts half_width {half_width} past the int64 lattice index")
     if state.lam == 0.0:
         return 0.0
     if half_width < 8.0 / abs(state.lam):
@@ -481,19 +493,16 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
             f"grid too small: half_width {half_width} < {8.0 / abs(state.lam)} "
             f"needed for decay rate {state.lam}")
     h = np.longdouble(spacing)
-    lam = np.longdouble(state.lam)
-    energy = np.longdouble(state.energy)
-    m_max = int(np.floor(half_width / spacing)) - 1
-    centers = _stencil_centers(N, m_max)
-    x0 = centers.astype(np.longdouble) * h
-    # One profile evaluation on the stacked stencil: the centers, then x0 + h e_a
-    # and x0 - h e_a for every axis a.
-    steps = np.eye(N, dtype=np.longdouble) * h
-    offsets = np.concatenate([np.zeros((1, N), dtype=np.longdouble), steps, -steps])
-    f = _decay_profile((x0 + offsets[:, None, :]).reshape(-1, N), lam).reshape(2 * N + 1, -1)
+    args, rows = _stencil(N, int(np.floor(half_width / spacing)) - 1, spacing)
+    profile = np.exp(np.longdouble(state.lam) * args)
+    if profile[-1] < np.finfo(np.longdouble).tiny:
+        raise ValueError(
+            f"grid too wide: half_width {half_width} underflows the extended-precision "
+            f"decay profile for decay rate {state.lam}")
+    f = profile[rows]
     f0 = f[0]
     lap = np.zeros_like(f0)
     for axis in range(N):
         lap += (f[1 + axis] - 2.0 * f0 + f[1 + N + axis]) / (h * h)
-    residual = np.abs((-lap - energy * f0) / f0)
+    residual = np.abs((-lap - np.longdouble(state.energy) * f0) / f0)
     return float(np.max(residual))

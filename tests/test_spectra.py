@@ -12,7 +12,7 @@ from ptspin.linalg import SpinDims, Statistics, exchange_operator, max_abs
 from ptspin.spectra import (
     _sector_basis,
     _sector_solutions,
-    _stencil_centers,
+    _stencil,
     BoundState,
     BoundStateNotFound,
     SignPattern,
@@ -338,16 +338,21 @@ def test_sector_basis_matches_the_ordering_sum(n):
 
 def test_cached_sector_bases_and_stencils_are_shared_read_only():
     """Both are built once per process; a caller writing into one must fail."""
-    for build, args in ((_sector_basis, (2, 3, 1)), (_sector_basis, (3, 3, -1)),
-                        (_stencil_centers, (2, 999)), (_stencil_centers, (3, 999))):
+    cases = ((_sector_basis, (2, 3, 1), lambda S: (S,)),
+             (_sector_basis, (3, 3, -1), lambda S: (S,)),
+             (_stencil, (2, 999, 1e-3), tuple), (_stencil, (3, 999, 1e-3), tuple))
+    for build, args, arrays in cases:
         cached = build(*args)
         assert build(*args) is cached
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 1
+        for array in arrays(cached):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
         build.cache_clear()
         fresh = build(*args)
-        assert fresh is not cached and np.array_equal(fresh, cached)
+        assert fresh is not cached
+        for new, old in zip(arrays(fresh), arrays(cached)):
+            assert np.array_equal(new, old)
 
 
 def complex_coupling_with_bound_sector(rng, lam):
@@ -408,6 +413,33 @@ def test_sector_solver_matches_dense_reference(rng, n, N):
                         assert max_abs(v - ref @ (ref.conj().T @ v)) <= 1e-10
                     nonempty += bool(emitted)
     assert nonempty > 0
+
+
+def test_complex_nullspace_basis_is_the_gram_schmidt_of_the_projected_columns(rng):
+    """F = lam + R (1 - Q x Q) with Q the projector onto a real plane U in C^3 and R
+    complex: the bound sector Sym^2(U) (three dimensions) or Λ^2(U) (one) is closed
+    under conjugation, but the complex stack makes the SVD return a complex basis
+    of it.  The emitted vectors are still the orthonormal Gram-Schmidt of the
+    projections P s_i of the sector columns, which depend on the nullspace only."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
+    r = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    bc = SeparatedBC(3, -1.3 * np.eye(9) + r @ (np.eye(9) - np.kron(q @ q.T, q @ q.T)))
+    (lam,), tol = negative_real_eigenvalues(bc.F)
+    states = bound_states(bc, 2, "boson")
+    for eps, dim in ((1, 3), (-1, 1)):
+        S = _sector_basis(3, 2, eps)
+        ref = dense_bound_space(bc, 2, lam, eps, tol)
+        expected: list[np.ndarray] = []
+        for column in (ref @ (ref.conj().T @ S)).T:
+            for e in expected:
+                column = column - (e.conj() @ column) * e
+            if np.linalg.norm(column) >= 1.0 / np.sqrt(2 * S.shape[1]):
+                expected.append(column / np.linalg.norm(column))
+        emitted = np.array([s.v for s in states if s.epsilon[(2, 1)] == eps])
+        assert len(emitted) == len(expected) == dim
+        assert max_abs(emitted.conj() @ emitted.T - np.eye(dim)) <= 1e-12
+        for v, e in zip(emitted, expected):
+            assert abs(e.conj() @ v) >= 1.0 - 1e-10
 
 
 def test_canonical_basis_is_ordered_by_occupation():
@@ -574,6 +606,49 @@ def test_stacked_fd_check_equals_the_per_axis_reference():
     assert checked >= 80
 
 
+def test_fd_check_equals_the_reference_across_grids_and_cache_states():
+    """The stencil cache is keyed by spacing too, and a warm call equals a cold one."""
+    two = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    _stencil.cache_clear()
+    # Both grids have m_max = 9999: a cache keyed without the spacing reuses the first.
+    for half_width, spacing in ((10.0, 1e-3), (20.0, 2e-3), (10.0, 1e-3)):
+        assert verify_bound_state_fd(two, half_width, spacing) == \
+            per_axis_fd_residual(two, half_width, spacing)
+    rng = np.random.default_rng(23)
+    for N in (2, 3):
+        for lam in -rng.uniform(0.3, 3.0, size=6):
+            state = BoundState(N, lam, np.eye(2 ** N)[0], SignPattern.uniform(N),
+                               bound_energy(lam, N), "boson")
+            half_width, spacing = 8.0001 / abs(lam), rng.choice((1e-3, 2e-3, 3e-3))
+            _stencil.cache_clear()
+            cold = verify_bound_state_fd(state, half_width, spacing)
+            assert verify_bound_state_fd(state, half_width, spacing) == cold == \
+                per_axis_fd_residual(state, half_width, spacing)
+
+
+@pytest.mark.parametrize("N, lam", [(2, -1.0), (3, -2.0), (3, -0.7)])
+def test_stencil_rows_reproduce_every_center_stencil(N, lam):
+    """Each center's 2N+1 stencil arguments, summed point by point, are one cached row."""
+    spacing = 1e-3
+    m_max = int(np.floor(8.0001 / abs(lam) / spacing)) - 1
+    args, rows = _stencil(N, m_max, spacing)
+    assert np.all(np.diff(args) > 0)
+    h = np.longdouble(spacing)
+    cand = np.unique(np.round(np.linspace(-m_max, m_max, {2: 48, 3: 17}[N])).astype(np.int64))
+    pts = np.array(list(itertools.product(cand, repeat=N)))
+    x0 = pts[(np.diff(pts, axis=1) >= 3).all(axis=1)].astype(np.longdouble) * h
+    arms = [np.zeros(N, dtype=np.longdouble)]
+    for sign in (1, -1):
+        arms += [sign * h * np.eye(N, dtype=np.longdouble)[a] for a in range(N)]
+    full = np.array([sum(np.abs(x[:, i] - x[:, j]) for i in range(1, N) for j in range(i))
+                     for x in (x0 + arm for arm in arms)])
+    at = np.searchsorted(args, full)
+    assert np.array_equal(args[at], full)
+    center_rows = {tuple(column) for column in at.T}
+    assert center_rows == {tuple(column) for column in rows.T}
+    assert len(center_rows) == rows.shape[1] < len(x0)
+
+
 def test_fd_degenerate_flat_profile_is_exact():
     state = BoundState(n_particles=2, lam=0.0, v=np.array([1.0, 0, 0, 0]),
                        epsilon=SignPattern.uniform(2), energy=0.0,
@@ -581,6 +656,7 @@ def test_fd_degenerate_flat_profile_is_exact():
     assert verify_bound_state_fd(state, half_width=10.0, spacing=1e-3) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_fd_rejects_unusable_grids():
     state = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
     with pytest.raises(ValueError, match="coarse"):
@@ -594,3 +670,12 @@ def test_fd_rejects_unusable_grids():
             verify_bound_state_fd(state, half_width=bad, spacing=1e-3)
         with pytest.raises(ValueError, match="spacing must be finite"):
             verify_bound_state_fd(state, half_width=10.0, spacing=bad)
+    # The extended-precision profile underflows on the widest grid, and the
+    # lattice index overflows int64 on the finest ones.
+    three = n_particle_bound_state(SeparatedBC(2, -np.eye(4)), 3, -1.0, SignPattern.uniform(3), "boson")
+    for wide in (state, three):
+        with pytest.raises(ValueError, match="too wide: half_width 6000.0 underflows"):
+            verify_bound_state_fd(wide, half_width=6000.0, spacing=1e-3)
+    for fine in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"too fine: spacing {fine} puts half_width"):
+            verify_bound_state_fd(state, half_width=10.0, spacing=fine)
