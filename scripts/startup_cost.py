@@ -4,10 +4,13 @@ For each subcommand, runs `python -m ptspin <command>` on a fixture document
 in fresh processes with bytecode caching off, as the benchmark runs: the
 package is copied without its __pycache__ into a temporary directory and
 PYTHONDONTWRITEBYTECODE is set, so every process compiles the modules it
-imports.  Prints the median wall ms over --repeats processes and the ptspin
-modules that one more process, run under -X importtime, loaded.  With --src
-the package is taken from another checkout's src, so two trees can be timed
-on the same machine.
+imports.  Prints the median wall ms over --repeats processes, then the ptspin
+modules that one more process, run under -X importtime, loaded, and the other
+modules it loaded beyond those of a bare `python -c "import numpy"`, with a
+package's submodules folded into it.  A module that a command loads lazily,
+like csv for the sweep commands or numpy.ma, shows up there.
+With --src the package is taken from another checkout's src, so two trees can
+be timed on the same machine.
 
 Usage: python3 scripts/startup_cost.py [--commands validate,bound] [--repeats 5]
            [--src ../parent/src]
@@ -48,12 +51,25 @@ def run(env: dict, argv: tuple[str, ...], *flags: str) -> subprocess.CompletedPr
     return done
 
 
-def loaded(env: dict, argv: tuple[str, ...]) -> list[str]:
-    """The ptspin modules a process imports, as -X importtime lists them."""
-    stderr = run(env, argv, "-X", "importtime").stderr
-    names = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:")}
-    return sorted(name.split(".", 1)[1] for name in names if name.startswith("ptspin."))
+def imported(stderr: str) -> set[str]:
+    """The module names that an -X importtime log lists."""
+    return {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def numpy_modules(env: dict) -> set[str]:
+    """The modules that a bare `python -c "import numpy"` imports."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", "import numpy"],
+                          env=env, capture_output=True, text=True, check=True)
+    return imported(done.stderr)
+
+
+def loaded(env: dict, argv: tuple[str, ...], baseline: set[str]) -> tuple[list[str], list[str]]:
+    """The ptspin modules a process imports, and its other modules beyond `baseline`."""
+    names = imported(run(env, argv, "-X", "importtime").stderr)
+    extra = {name for name in names - baseline if name.split(".")[0] != "ptspin"}
+    return (sorted(name.split(".", 1)[1] for name in names if name.startswith("ptspin.")),
+            sorted(name for name in extra if name.rpartition(".")[0] not in extra))
 
 
 def median_ms(env: dict, argv: tuple[str, ...], repeats: int) -> float:
@@ -85,10 +101,12 @@ def main(argv=None):
         env = {**os.environ, "PYTHONPATH": scratch, "PYTHONDONTWRITEBYTECODE": "1",
                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         env.pop("PTSPIN_TOL", None)
-        print(f"{'command':<15}  {'ms':>8}  modules")
+        baseline = numpy_modules(env)
+        print(f"{'command':<15}  {'ms':>8}  modules  extra")
         for name in commands:
             ms = median_ms(env, COMMANDS[name], args.repeats)
-            print(f"{name:<15}  {ms:>8.1f}  {','.join(loaded(env, COMMANDS[name]))}")
+            modules, extra = loaded(env, COMMANDS[name], baseline)
+            print(f"{name:<15}  {ms:>8.1f}  {','.join(modules)}  {','.join(extra)}")
     return 0
 
 

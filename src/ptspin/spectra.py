@@ -24,6 +24,11 @@ stencil and read back for every center.
 Cached per process, as read-only arrays in bounded caches: the sector basis
 per (n, N, sign), and the FD stencil's distinct profile arguments with one
 index row per distinct center stencil, per (N, grid half-width, spacing).
+Both builders dedupe by sorting: np.unique only ever runs with
+return_inverse, and repeats in an already sorted array are dropped with one
+np.diff mask.  numpy 2.4's np.unique without an optional output calls
+np.ma.is_masked, which imports numpy.ma (about 13 ms and 1 MB), so no path of
+this package imports it.
 """
 from __future__ import annotations
 
@@ -223,9 +228,12 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     for Λ^N) in lexicographic order: the normalized sum of e_{a_1} x ... x
     e_{a_N} over every ordering of the labels, signed by the ordering's parity
     for Λ^N.  Each label row a adds its stabiliser size prod_b m_b! (Sym^N)
-    or, for distinct labels, its parity (Λ^N) to column sort(a).  Built once
-    per process for each (n, N, sign) and returned read-only, since every
-    caller shares it; an entry holds n^N rows, so the cache is bounded.
+    or, for distinct labels, its parity (Λ^N) to column sort(a).  Columns are
+    found by np.unique with return_inverse on one base-n integer key per
+    sorted label row; the key is below n^N, so it fits int64, and orders the
+    rows lexicographically.  Built once per process for each (n, N, sign) and
+    returned read-only, since every caller shares it; an entry holds n^N rows,
+    so the cache is bounded.
     """
     labels = np.indices((n,) * N).reshape(N, -1).T
     keys = np.sort(labels, axis=1)
@@ -233,9 +241,9 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
                if exchange_sign > 0 else
                permutation_sign(labels) * (np.diff(keys, axis=1) > 0).all(axis=1))
     rows = np.flatnonzero(weights)
-    columns, inverse = np.unique(keys[rows], axis=0, return_inverse=True)
+    columns, inverse = np.unique(keys[rows] @ n ** np.arange(N - 1, -1, -1), return_inverse=True)
     S = np.zeros((n ** N, len(columns)))
-    S[rows, inverse.reshape(-1)] = weights[rows]
+    S[rows, inverse] = weights[rows]
     S /= np.linalg.norm(S, axis=0)
     S.flags.writeable = False
     return S
@@ -434,13 +442,18 @@ def _stencil(N: int, m_max: int, spacing: float) -> tuple[np.ndarray, np.ndarray
     each has the stencil x0, then x0 + h e_a and x0 - h e_a for every axis a.
     The profile depends on a point only through sum_{i>j} |x_i - x_j|, here in
     extended precision: `args` holds its distinct values (ascending), and
-    `rows` (2N+1 by one column per distinct center stencil) indexes into them.
-    Both are read-only and hold geometry only, no decay rate; m_max follows the
-    decay rate, so only recent grids are kept (a few kB each).
+    `rows` (2N+1 by one column per distinct center stencil) indexes into them,
+    its columns in lexicographic order.  The rounded lattice is ascending, so
+    one np.diff mask drops its repeats; the center stencils are deduped by one
+    np.lexsort of their index columns and a mask of the columns that differ
+    from their predecessor.  Both arrays are read-only and hold geometry only,
+    no decay rate; m_max follows the decay rate, so only recent grids are kept
+    (a few kB each).
     """
     per_axis = _AXIS_SAMPLES[N]
     h = np.longdouble(spacing)
-    cand = np.unique(np.round(np.linspace(-m_max, m_max, per_axis)).astype(np.int64))
+    lattice = np.round(np.linspace(-m_max, m_max, per_axis)).astype(np.int64)
+    cand = lattice[np.r_[True, np.diff(lattice) > 0]]
     pts = np.stack([g.ravel() for g in np.meshgrid(*([cand] * N), indexing="ij")], axis=1)
     x0 = pts[(np.diff(pts, axis=1) >= _MIN_INDEX_GAP).all(axis=1)].astype(np.longdouble) * h
     steps = np.eye(N, dtype=np.longdouble) * h
@@ -450,7 +463,9 @@ def _stencil(N: int, m_max: int, spacing: float) -> tuple[np.ndarray, np.ndarray
         for j in range(i):
             total += np.abs(points[..., i] - points[..., j])
     args, index = np.unique(total, return_inverse=True)
-    rows = np.unique(index.reshape(total.shape), axis=1)
+    index = index.reshape(total.shape)
+    stencils = index.T[np.lexsort(index[::-1])]
+    rows = stencils[np.r_[True, np.diff(stencils, axis=0).any(axis=1)]].T
     args.flags.writeable = rows.flags.writeable = False
     return args, rows
 

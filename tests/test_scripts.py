@@ -97,9 +97,18 @@ def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
 
 
 def test_startup_cost_times_fresh_processes_and_lists_their_modules(capsys):
-    assert load_script("startup_cost").main(["--commands", "validate,bound", "--repeats", "1"]) == 0
+    assert load_script("startup_cost").main(
+        ["--commands", "validate,bound,sweep-validate", "--repeats", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["command", "ms", "modules"]
-    assert [(row.split()[0], row.split()[2]) for row in rows] == [
-        ("validate", "boundary,cli,linalg"), ("bound", "boundary,cli,linalg,spectra")]
-    assert all(float(row.split()[1]) > 0.0 for row in rows)
+    assert header.split() == ["command", "ms", "modules", "extra"]
+    cells = {row.split()[0]: row.split()[1:] for row in rows}
+    assert {name: modules for name, (_, modules, _) in cells.items()} == {
+        "validate": "boundary,cli,linalg", "bound": "boundary,cli,linalg,spectra",
+        "sweep-validate": "boundary,cli,linalg"}
+    assert all(float(ms) > 0.0 for ms, _, _ in cells.values())
+    # Beyond numpy's own modules: the cli's argparse and json, csv only where a
+    # sweep writes it, submodules folded into their package, never numpy.ma.
+    extra = {name: set(names.split(",")) for name, (_, _, names) in cells.items()}
+    assert all({"argparse", "json"} <= names and "json.decoder" not in names
+               and not names & {"numpy", "numpy.ma"} for names in extra.values())
+    assert {name for name, names in extra.items() if "csv" in names} == {"sweep-validate"}

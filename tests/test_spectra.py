@@ -1,7 +1,10 @@
 """Spectral classification, bound-state construction, and decay verification."""
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -647,6 +650,62 @@ def test_stencil_rows_reproduce_every_center_stencil(N, lam):
     center_rows = {tuple(column) for column in at.T}
     assert center_rows == {tuple(column) for column in rows.T}
     assert len(center_rows) == rows.shape[1] < len(x0)
+
+
+def np_unique_stencil(N, m_max, spacing):
+    """The stencil builder deduped with generic np.unique, kept as a reference."""
+    per_axis = {2: 48, 3: 17}[N]
+    h = np.longdouble(spacing)
+    cand = np.unique(np.round(np.linspace(-m_max, m_max, per_axis)).astype(np.int64))
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([cand] * N), indexing="ij")], axis=1)
+    x0 = pts[(np.diff(pts, axis=1) >= 3).all(axis=1)].astype(np.longdouble) * h
+    steps = np.eye(N, dtype=np.longdouble) * h
+    points = x0 + np.concatenate([np.zeros((1, N), dtype=np.longdouble), steps, -steps])[:, None, :]
+    total = np.zeros(points.shape[:2], dtype=np.longdouble)
+    for i in range(1, N):
+        for j in range(i):
+            total += np.abs(points[..., i] - points[..., j])
+    args, index = np.unique(total, return_inverse=True)
+    return args, np.unique(index.reshape(total.shape), axis=1)
+
+
+_STENCIL_M_MAX = sorted({*np.geomspace(20, 3000, 12).astype(int).tolist(), 999, 9999,
+                         *(int(8.0001 / abs(lam) / 1e-3) - 1 for lam in (-0.5, -1.0, -2.0, -3.0))})
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_stencil_equals_the_np_unique_reference_column_for_column(N):
+    """The sort-and-mask dedupe gives np.unique's values, dtypes and column order."""
+    for m_max in _STENCIL_M_MAX:
+        _stencil.cache_clear()
+        args, rows = _stencil(N, m_max, 1e-3)
+        want_args, want_rows = np_unique_stencil(N, m_max, 1e-3)
+        assert (args.dtype, rows.dtype, rows.shape) == (want_args.dtype, want_rows.dtype, want_rows.shape)
+        assert np.array_equal(args, want_args) and np.array_equal(rows, want_rows), m_max
+
+
+# Runs the bound-state path in a fresh interpreter: argv[1] is the hspin_diag
+# fixture, argv[2] an output path; prints whether numpy.ma got imported.
+_BOUND_PATH = """
+import sys
+from ptspin import cli, load_boundary_condition
+from ptspin.spectra import bound_states, verify_bound_state_fd
+bc = load_boundary_condition(sys.argv[1])
+for N in (2, 3):
+    states = [s for stats in ("boson", "fermion") for s in bound_states(bc, N, stats)]
+    assert verify_bound_state_fd(states[0], 8.0001 / abs(states[0].lam), 1e-3) <= 1e-4
+assert cli.main(["--output", sys.argv[2], "bound", sys.argv[1], "--particles", "3"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_bound_state_path_never_imports_numpy_ma(tmp_path):
+    """numpy 2.4's np.unique without optional outputs imports numpy.ma; no bound-state step may."""
+    fixture = Path(__file__).parent / "fixtures" / "hspin_diag.json"
+    proc = subprocess.run([sys.executable, "-c", _BOUND_PATH, str(fixture), str(tmp_path / "out.json")],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+    assert (tmp_path / "out.json").stat().st_size > 0
 
 
 def test_fd_degenerate_flat_profile_is_exact():
