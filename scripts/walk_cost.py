@@ -1,7 +1,7 @@
-"""Planned work and wall time of the path-consistency walk per (n, N).
+"""Planned work and wall time of the path-consistency walk per (n, N), and planning cost per N.
 
 For each (n, N) of the bethe-scan mix and n=2 N=7, prints what this
-checkout's `bethe._plan(N)` plans for the walk: the pair applications by
+checkout's walk program (`bethe._plans(N, walk=True)`) holds: the pair applications by
 block size k (the block is n^k x n^k), the widens, the apply work (the sum of
 n^(2k+2) over applications) and the entries read by the max-abs ops, both
 relative to a walk that holds every array as a full n^N x n^N matrix.  It
@@ -12,8 +12,17 @@ row each (`len(buffers) * n^(2N)` complex entries), then the buffers' counts
 by block width k (k0 is the identity).  Then it times `path_consistency` in
 fresh processes with one BLAS thread: each process makes one warm-up call
 and times --calls calls, and the median over --repeats processes is
-printed.  With --src the timed program is imported from another checkout's
-src, so two trees can be timed on the same machine.
+printed.
+
+Then, for N = 6, 7 and 8, it prints the cost of planning both products, the
+coefficient plan and the walk program, in fresh processes with one BLAS
+thread: each process warms numpy on N = 4, times one build of N, clears the
+cache and builds N again under tracemalloc, for the MiB the products retain
+and the peak of the build.  The medians over --repeats processes are printed.
+A tree from before the two products builds its one `bethe._plan(N)`.
+
+With --src the timed program is imported from another checkout's src, so
+two trees can be timed on the same machine.
 
 Usage: PYTHONPATH=src python3 scripts/walk_cost.py [--cases 2x4,3x5,2x8] [--repeats 3] [--calls 5]
            [--src ../parent/src]
@@ -27,10 +36,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plan, _schedule
+from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plans, _schedule
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ((2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5))
+PLANNED = (6, 7, 8)
 MOMENTA = (1.0, 0.3, -0.7, -1.6, 2.2, -2.9, 0.45, 1.3)
 MIB = 2 ** 20
 
@@ -59,12 +69,36 @@ for _ in range(calls):
 print(1e3 * statistics.median(times))
 """
 
+# Prints the seconds of one build of both products for N after numpy is
+# warmed, then the MiB they retain and the peak MiB of a traced rebuild.
+PLANNER = """
+import gc, sys, time, tracemalloc
+from ptspin import bethe
+N = int(sys.argv[1])
+if hasattr(bethe, "_plans"):
+    build = lambda N: bethe._plans(N, coefficients=True, walk=True)
+    clear = lambda: [cache.clear() for cache in bethe._PLANS]
+else:
+    build, clear = bethe._plan, bethe._plan.cache_clear
+build(4)
+clear()
+start = time.perf_counter()
+build(N)
+seconds = time.perf_counter() - start
+clear()
+gc.collect()
+tracemalloc.start()
+build(N)
+retained, peak = tracemalloc.get_traced_memory()
+print(seconds, retained / 2 ** 20, peak / 2 ** 20)
+"""
+
 
 def planned(n: int, N: int) -> dict:
     """Applications by block size, widens, the work and max-abs entries of
     this checkout's plan relative to the full-matrix walk, and its memory."""
-    plan, schedule = _plan(N), _schedule(N, n)
-    ops = plan.ops
+    program, schedule = _plans(N, walk=True)[1], _schedule(N, n)
+    ops = program.ops
     sizes = collections.Counter(hi - lo + 1 for kind, *_, lo, hi in ops if kind in (_APPLY, _COPY))
     maxed = [hi - lo + 1 for kind, *_, lo, hi in ops if kind == _MAX]
     applies = sum(sizes.values())
@@ -77,20 +111,20 @@ def planned(n: int, N: int) -> dict:
         "entries": sum(n ** (2 * k) for k in maxed) / (len(maxed) * n ** (2 * N)),
         "arena": 16 * schedule.arena / MIB,
         "magnitude": 8 * max(schedule.magnitudes) / MIB,
-        "rows": 16 * len(plan.buffers) * n ** (2 * N) / MIB,
-        "widths": dict(sorted(collections.Counter(plan.buffers).items())),
+        "rows": 16 * len(program.buffers) * n ** (2 * N) / MIB,
+        "widths": dict(sorted(collections.Counter(program.buffers).items())),
     }
 
 
-def time_child(src: Path, n: int, N: int, calls: int) -> float:
-    """Median ms of one fresh process's path_consistency calls; raises if it fails."""
+def child(src: Path, code: str, *args) -> list[float]:
+    """The numbers one fresh process of code prints, with one BLAS thread; raises if it fails."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", TIMER, str(n), str(N), str(calls),
-                           json.dumps(MOMENTA)], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"n={n} N={N} exited {done.returncode}: {done.stderr}")
-    return float(done.stdout)
+        raise RuntimeError(f"{args} exited {done.returncode}: {done.stderr}")
+    return [float(value) for value in done.stdout.split()]
 
 
 def main(argv=None):
@@ -116,13 +150,18 @@ def main(argv=None):
           f"{'buffers by width k':<40}  {'ms':>8}")
     for n, N in cases:
         plan = planned(n, N)
-        ms = statistics.median(time_child(args.src.resolve(), n, N, args.calls)
-                               for _ in range(args.repeats))
+        ms = statistics.median(child(args.src.resolve(), TIMER, n, N, args.calls,
+                                     json.dumps(MOMENTA))[0] for _ in range(args.repeats))
         sizes = " ".join(f"k{k}:{count}" for k, count in plan["sizes"].items())
         widths = ",".join(f"k{k}:{count}" for k, count in plan["widths"].items())
         print(f"{f'n{n}N{N}':>5}  {sizes:<42}  {plan['widens']:>6}  {plan['work']:>5.2f}  "
               f"{plan['entries']:>6.2f}  {plan['arena']:>9.4f}  {plan['magnitude']:>9.4f}  "
               f"{plan['rows']:>9.4f}  {widths:<40}  {ms:>8.3f}")
+    print(f"\n{'N':>5}  {'plan_ms':>8}  {'retained_mib':>12}  {'peak_mib':>8}")
+    for N in PLANNED:
+        runs = [child(args.src.resolve(), PLANNER, N) for _ in range(args.repeats)]
+        seconds, retained, peak = (statistics.median(column) for column in zip(*runs))
+        print(f"{N:>5}  {1e3 * seconds:>8.1f}  {retained:>12.2f}  {peak:>8.2f}")
     return 0
 
 

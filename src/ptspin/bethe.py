@@ -19,15 +19,20 @@ Y^{j,j+1} is never built as an n^N x n^N matrix.  A pair operator touches two
 of the N tensor slots, so it is applied as one n^2 x n^2 product on the
 (n^(j-1), n^2, rest) view of a coefficient vector or transport matrix, and
 the C(N,2) exchange operators are built by one stacked Cayley solve.  The
-canonical words of N particles form a trie (27, 155, 1045, 8029 nodes for
-N = 4, 5, 6, 7; from N = 4 on, some interior nodes are not words).  Its
-shape, the slot labels of every edge and its braid sites depend only on N,
-so one plan per N (`_plan`) builds the trie once and keeps what both passes
-need.  A node's depth is its word length, so `bethe_coefficients` propagates
-the trie one depth at a time: the nodes of a depth that swap at one slot are
-one stacked np.matmul on their parents' rows (15, 34, 65, 111 products for
-N = 4..7), each making the per-node n^2 x n^2 products, and word rows land in
-one (N!, n^N) array, which the BetheState holds read-only.
+canonical words of N particles form a trie (27, 155, 1045, 8029, 69265
+nodes for N = 4..8; from N = 4 on, some interior nodes are not words).  Its
+shape, the slot labels of every edge and its braid sites depend only on N.
+`_word_trie` numbers its nodes one depth at a time with array operations
+and plans two products from it, each cached per N (`_plans`): the
+coefficient plan, which `bethe_coefficients` and the BetheState read, and
+the walk program, which `path_consistency` reads.  The trie itself lives
+only while they are built, and a call that needs both (`ptspin bethe`)
+builds it once.  N >= 10 is refused before planning.  A node's depth is its
+word length, so `bethe_coefficients` propagates the trie one depth at a
+time: the nodes of a depth that swap at one slot are one stacked np.matmul
+on their parents' rows (15, 34, 65, 111 products for N = 4..7), each making
+the per-node n^2 x n^2 products, and word rows land in one (N!, n^N) array,
+which the BetheState holds read-only.
 `path_consistency` walks, depth-first, only the trie rows that carry a
 transport or a braid difference, holding the arrays of the current path.  It
 reuses the transport as the canonical braid of each braid site (a node whose
@@ -37,7 +42,7 @@ one swap at a time: both braids leave the same slot labels, so every word
 through the site shares the suffix.  Each array of the walk is I (x) R (x) I,
 where R acts on the hull of the slots its word touched, so it is held as the
 n^k x n^k block R of those k slots, and a product whose pair leaves the hull
-first widens the block.  The plan holds this walk as a buffer program
+first widens the block.  The walk program is this walk as a buffer program
 (`_program`): the hulls decide each op's block, and the rows' liveness
 fields decide, once per N, which numbered buffer each product writes, taken
 from an idle pool for its block width k, so a buffer is n^k x n^k and the
@@ -63,7 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -117,25 +122,28 @@ class BetheState:
 
     @property
     def coefficients(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        return _ByPerm(_plan(self.dims.N).index, self.array)
+        return _ByPerm(_plans(self.dims.N, coefficients=True)[0].index, self.array)
 
     @property
     def words(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-        return _plan(self.dims.N).words
+        return _plans(self.dims.N, coefficients=True)[0].words
 
     @functools.cached_property
     def _slot_momenta(self) -> np.ndarray:
         """The (N!, N) momentum at each slot of every permutation, in long double."""
-        return np.asarray(self.momenta, dtype=np.longdouble)[_plan(self.dims.N).slots]
+        slots = _plans(self.dims.N, coefficients=True)[0].slots
+        return np.asarray(self.momenta, dtype=np.longdouble)[slots]
 
 
-def _canonical_words(perms: np.ndarray) -> list[tuple[int, ...]]:
-    """Reduced words of adjacent swaps taking the identity to each row of perms.
+def _canonical_words(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced words of adjacent swaps taking the identity to each row of perms,
+    and their lengths.
 
     Bubble sort every row back to the identity at once (largest displaced
     labels drift rightward; N - 1 passes sort any row), recording which rows
-    swap at each slot, then read each row's swaps in reverse.  The word
-    length equals the inversion count, so the word is reduced.
+    swap at each slot, then append the swaps in reverse to each row's word,
+    padded with 0 to the longest length N(N-1)/2.  The word length equals
+    the inversion count, so the word is reduced.
     """
     seq = perms.T.copy()
     N = len(seq)
@@ -145,10 +153,12 @@ def _canonical_words(perms: np.ndarray) -> list[tuple[int, ...]]:
             swapped.append(seq[j] > seq[j + 1])
             slots.append(j + 1)
             seq[j:j + 2] = np.minimum(seq[j], seq[j + 1]), np.maximum(seq[j], seq[j + 1])
-    mask = np.stack(swapped[::-1], axis=1)
-    flat = np.array(slots[::-1])[np.nonzero(mask)[1]].tolist()
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+    words = np.zeros((len(perms), N * (N - 1) // 2), dtype=np.int8)
+    lengths = np.zeros(len(perms), dtype=np.intp)
+    for rows, slot in zip(swapped[::-1], slots[::-1]):
+        words[rows, lengths[rows]] = slot
+        lengths += rows
+    return words, lengths
 
 
 class _TrieNode(NamedTuple):
@@ -195,163 +205,184 @@ class _Level(NamedTuple):
     words: np.ndarray
 
 
-class _Plan(NamedTuple):
-    """The canonical-word trie of N particles, planned for both passes.
+class _CoefficientPlan(NamedTuple):
+    """What `_propagate` and `BetheState` read of the trie of N particles.
 
-    levels is the trie by depth, for `_propagate`; rows lists depth-first the
-    nodes that carry a transport, start a braid difference or inherit one (no
-    other node does consistency work), and ops is their walk as a program on
-    the blocks of numbered buffers, for `_walk` (`_program`), and buffers
-    the block width k of each (buffer b holds an n^k x n^k block);
-    pairs lists the momentum pairs in order of first use.
-    index maps each permutation to its position in itertools.permutations
-    order, words to its canonical word, and slots holds the 0-based momentum
-    at each slot of every permutation.
+    levels is the trie by depth; pairs lists the momentum pairs in order of
+    first use (a node creates its pair's entry, nodes being created word by
+    word in permutations order).  index maps each permutation to its
+    position in itertools.permutations order, words to its canonical word,
+    and slots holds the 0-based momentum at each slot of every permutation.
     """
 
     levels: tuple[_Level, ...]
-    rows: tuple[_TrieNode, ...]
     pairs: tuple[tuple[int, int], ...]
-    ops: tuple[tuple[int, int, int, int, int, int, int], ...]
-    buffers: tuple[int, ...]
     index: Mapping[tuple[int, ...], int]
     words: Mapping[tuple[int, ...], tuple[int, ...]]
     slots: np.ndarray
 
 
-def _swap(labels: tuple[int, ...], slot: int) -> tuple[tuple[int, tuple[int, int]], tuple[int, ...]]:
-    """The step (slot, (alpha, beta)) of one swap at slot, and the labels after it."""
-    alpha, beta = labels[slot - 1], labels[slot]
-    return (slot, (alpha, beta)), labels[:slot - 1] + (beta, alpha) + labels[slot + 1:]
+class _WalkProgram(NamedTuple):
+    """What `_schedule` reads: the consistency walk of N particles as ops on
+    the blocks of numbered buffers (`_program`), the block width k of each
+    buffer (buffer b holds an n^k x n^k block), and the momentum pairs the
+    ops' pair indices point into, as in the coefficient plan."""
+
+    pairs: tuple[tuple[int, int], ...]
+    ops: tuple[tuple[int, int, int, int, int, int, int], ...]
+    buffers: tuple[int, ...]
 
 
-def _indices(values) -> np.ndarray:
+def _frozen(values: np.ndarray) -> np.ndarray:
     """A read-only index array, safe to share from a cache."""
-    out = np.array(list(values), dtype=np.intp)
+    out = np.asarray(values, dtype=np.intp)
     out.flags.writeable = False
     return out
 
 
-@functools.cache
-def _plan(N: int) -> _Plan:
-    """Build the trie of the canonical words for N particles once, and plan both passes on it.
+def _word_trie(N: int, coefficients: bool = True
+               ) -> tuple[tuple[tuple[int, int], ...], _CoefficientPlan | None, Iterator[_TrieNode]]:
+    """The trie of the canonical words of N particles, planned with array operations.
 
-    Each node's slot labels come from its parent's by one swap, so no prefix
-    is replayed from the identity.  Children are visited lightest subtree
-    first, so the arrays a node keeps for its children are released before
-    its heaviest subtree is entered.  Within a depth, the nodes are grouped
-    by slot in depth-first order.
+    Returns the momentum pairs in order of first use, the coefficient plan
+    (None unless coefficients) and an iterator over the rows of the walk:
+    depth-first, the nodes that carry a transport, start a braid difference
+    or inherit one (no other node does consistency work), made one at a time
+    as `_program` reads them.  Nodes are numbered one depth at a time by
+    np.unique of (parent number, slot) over the padded words, so the numbers
+    run depth by depth from the root 0.  Children are visited lightest
+    subtree first, so the arrays a node keeps for its children are released
+    before its heaviest subtree is entered; within a depth, the levels group
+    the nodes by slot in depth-first order.
     """
     perms = list(itertools.permutations(range(1, N + 1)))
-    slots = _indices(itertools.permutations(range(N)))
-    words = tuple(_canonical_words(slots))
-    # Nodes by id in creation order, parents first and the root 0: parent,
-    # depth, slot labels after the prefix, step (slot, pair) and children by slot.
-    parent, depth = [0], [0]
-    labels, steps, children = [perms[0]], [None], [{}]
-    word_at: dict[int, int] = {}
+    slots = _frozen(np.array(perms) - 1)
+    words, lengths = _canonical_words(slots)
+    # Per node: parent, slot, the first word through it (in permutations
+    # order, which creates it) and the code (alpha - 1) * N + beta - 1 of the
+    # momentum pair it swaps, read from its parent's slot labels.
+    ids = np.zeros(len(perms), dtype=np.intp)
+    nodes, labels, offsets = [(np.zeros(1, np.intp),) * 4], np.arange(1, N + 1)[None], [0, 1]
+    for d in range(words.shape[1]):
+        alive = np.flatnonzero(lengths > d)
+        keys, at, ids[alive] = np.unique(ids[alive] * N + words[alive, d], return_index=True,
+                                         return_inverse=True)
+        up, j = np.divmod(keys, N)
+        labels, rows = labels[up], np.arange(len(keys))
+        alpha, beta = labels[rows, j - 1], labels[rows, j]
+        labels[rows, j - 1], labels[rows, j] = beta, alpha
+        nodes.append((up + offsets[-2], j, alive[at], (alpha - 1) * N + beta - 1))
+        offsets.append(offsets[-1] + len(keys))
+    parent, slot, first, code = map(np.concatenate, zip(*nodes))
+    depth = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    word = np.full(len(depth), -1)
+    word[np.asarray(offsets)[lengths] + ids] = np.arange(len(perms))
     # A momentum pair's id is its order of first use, where its first node is created.
-    pairs: dict[tuple[int, int], int] = {}
-    for i, word in enumerate(words):
-        node = 0
-        for slot in word:
-            child = children[node].get(slot)
-            if child is None:
-                child = children[node][slot] = len(parent)
-                step, after = _swap(labels[node], slot)
-                parent.append(node)
-                depth.append(depth[node] + 1)
-                labels.append(after)
-                steps.append(step)
-                children.append({})
-                pairs.setdefault(step[1], len(pairs))
-            node = child
-        word_at[node] = i
-    weight = [0] * len(parent)
-    for node in range(len(parent) - 1, 0, -1):
-        weight[parent[node]] += weight[node] + 1
-    order, stack = [], [0]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(sorted(children[node].values(), key=lambda c: (weight[c], steps[c][0]),
-                            reverse=True))
-    del order[0]
+    created = code[1:][np.lexsort((depth[1:], first[1:]))]
+    _, at = np.unique(created, return_index=True)
+    used = created[np.sort(at)]
+    pairs = tuple((int(c) // N + 1, int(c) % N + 1) for c in used)
+    pair = np.zeros(N * N, dtype=np.intp)
+    pair[used] = np.arange(len(used))
+    pair = pair[code]
     # A braid node's base is the node three levels up, where its last three
-    # swaps (a, b, a) with |a - b| = 1 start.  A node inherits differences if
-    # a braid node lies above it.
-    base, inherits = [None] * len(parent), [False] * len(parent)
-    for node in range(1, len(parent)):
-        p1 = parent[node]
-        p2 = parent[p1]
-        inherits[node] = inherits[p1] or base[p1] is not None
-        slot = steps[node][0]
-        if depth[node] >= 3 and slot == steps[p2][0] and abs(slot - steps[p1][0]) == 1:
-            base[node] = parent[p2]
-    # A node's transport is needed where a braid node lies below it.  It is
-    # dead after its last use: by a child's transport, by a braid node three
-    # levels down, or by the node itself.  A node's differences are dead
-    # after its last child.
-    transport = set()
-    for node in reversed(order):
-        if node in transport or base[node] is not None:
-            transport.update((node, parent[node]))
-    last_child: dict[int, int] = {}
-    last_use: dict[int, int] = {}
-    for i, node in enumerate(order):
-        last_child[parent[node]] = i
-        if node in transport:
-            last_use[node] = last_use[parent[node]] = i
-        if base[node] is not None:
-            last_use[base[node]] = i
-    free: dict[int, list[int]] = {}
-    for node, i in last_use.items():
-        free.setdefault(i, []).append(depth[node])
-    rows = []
-    for i, node in enumerate(order):
-        if node not in transport and not inherits[node]:
-            continue
-        braid = None
-        if base[node] is not None:
-            a, b = steps[node][0], steps[parent[node]][0]
-            seq, braid = labels[base[node]], []
-            for slot in (b, a, b):
-                step, seq = _swap(seq, slot)
-                braid.append(step)
-            braid = tuple(braid)
-        rows.append(_TrieNode(depth=depth[node], step=steps[node],
-                              perm=perms[word_at[node]] if node in word_at else None,
-                              braid=braid, transport=node in transport,
-                              last=last_child[parent[node]] == i,
-                              free=tuple(sorted(free.get(i, ())))))
-    position = {0: 0}
+    # swaps (a, b, a) with |a - b| = 1 start.  Bottom-up: subtree sizes
+    # (weight) and braid counts.  Top-down: the depth-first positions of the
+    # children, sorted by (weight, slot), and whether a braid node lies above.
+    braid = (depth >= 3) & (slot == slot[parent[parent]]) & (np.abs(slot - slot[parent]) == 1)
+    weight, braids = np.zeros(len(depth), dtype=np.intp), braid.astype(np.intp)
+    for d in range(len(offsets) - 2, 0, -1):
+        level = slice(offsets[d], offsets[d + 1])
+        np.add.at(weight, parent[level], weight[level] + 1)
+        np.add.at(braids, parent[level], braids[level])
+    position = np.zeros(len(depth), dtype=np.intp)
+    last, inherits = np.zeros((2, len(depth)), dtype=bool)
+    for d in range(1, len(offsets) - 1):
+        level = np.arange(offsets[d], offsets[d + 1])
+        level = level[np.lexsort((slot[level], weight[level], parent[level]))]
+        up, size = parent[level], weight[level] + 1
+        before = np.cumsum(size) - size
+        position[level] = position[up] + 1 + before - before[np.searchsorted(up, up)]
+        last[level] = np.append(up[1:] != up[:-1], True)
+        inherits[level] = inherits[up] | braid[up]
+
+    def walk():
+        # A node's transport is needed where a braid node lies in its subtree,
+        # and dead after its last use: by a child's transport, by a braid node
+        # three levels down, or by the node itself.  The flipped braid (b, a, b)
+        # swaps the pairs of the node's last three swaps in reverse order.
+        transport, use = braids > 0, np.full(len(depth), -1)
+        carried, sites = np.flatnonzero(transport[1:]) + 1, np.flatnonzero(braid)
+        for owner, user in ((carried, carried), (parent[carried], carried),
+                            (parent[parent[parent[sites]]], sites)):
+            np.maximum.at(use, owner, position[user])
+        order = np.argsort(position)[1:]
+        order = order[(transport | inherits)[order]]
+        up = parent[order]
+        # Whether the transports of the base, the parent and the node itself
+        # (depths d - 3, d - 1, d) are last used at this row.
+        dead = (braid[order] & (use[parent[parent[up]]] == position[order]),
+                use[up] == position[order], use[order] == position[order])
+        for d, j, p, w, t, final, b, jp, pp, pgp, *free in zip(*(a.tolist() for a in (
+                depth[order], slot[order], pair[order], word[order], transport[order], last[order],
+                braid[order], slot[up], pair[up], pair[parent[up]], *dead))):
+            yield _TrieNode(depth=d, step=(j, pairs[p]), perm=perms[w] if w >= 0 else None,
+                            braid=((jp, pairs[p]), (j, pairs[pp]), (jp, pairs[pgp])) if b else None,
+                            transport=t, last=final,
+                            free=tuple(d - k for k, f in zip((3, 1, 0), free) if f))
+
+    if not coefficients:
+        return pairs, None, walk()
+    # A level lists its depth's nodes by slot, each group in depth-first
+    # order; rank is a node's position in its level.
+    by_level = np.lexsort((position, slot, depth))
+    rank = np.empty(len(depth), dtype=np.intp)
+    rank[by_level] = np.arange(len(depth)) - np.asarray(offsets)[depth[by_level]]
     levels = []
-    by_depth = sorted(order, key=lambda node: (depth[node], steps[node][0]))
-    for _, members in itertools.groupby(by_depth, key=depth.__getitem__):
-        members = list(members)
-        position.update((node, pos) for pos, node in enumerate(members))
-        groups = []
-        for slot, group in itertools.groupby(members, key=lambda node: steps[node][0]):
-            group = list(group)
-            groups.append(_Group(slot=slot,
-                                 parents=_indices(position[parent[node]] for node in group),
-                                 pairs=_indices(pairs[steps[node][1]] for node in group),
-                                 stop=position[group[-1]] + 1))
-        found = [node for node in members if node in word_at]
-        levels.append(_Level(groups=tuple(groups),
-                             rows=_indices(position[node] for node in found),
-                             words=_indices(word_at[node] for node in found)))
+    for d in range(1, len(offsets) - 1):
+        members = by_level[offsets[d]:offsets[d + 1]]
+        groups = tuple(_Group(slot=int(slot[g[0]]), parents=_frozen(rank[parent[g]]),
+                              pairs=_frozen(pair[g]), stop=int(rank[g[-1]]) + 1)
+                       for g in np.split(members, np.flatnonzero(np.diff(slot[members])) + 1))
+        found = np.flatnonzero(word[members] >= 0)
+        levels.append(_Level(groups=groups, rows=_frozen(found), words=_frozen(word[members][found])))
     index = MappingProxyType({perm: i for i, perm in enumerate(perms)})
-    rows, pairs = tuple(rows), tuple(pairs)
-    ops, buffers = _program(rows, pairs)
-    return _Plan(levels=tuple(levels), rows=rows, pairs=pairs, ops=ops, buffers=buffers,
-                 index=index, words=_ByPerm(index, words), slots=slots)
+    flat, ends = words[words > 0].tolist(), np.cumsum(lengths).tolist()
+    canonical = [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+    return pairs, _CoefficientPlan(levels=tuple(levels), pairs=pairs, index=index,
+                                   words=_ByPerm(index, canonical), slots=slots), walk()
+
+
+_PLANS: tuple[dict[int, _CoefficientPlan], dict[int, _WalkProgram]] = ({}, {})
+
+
+def _plans(N: int, coefficients: bool = False, walk: bool = False
+           ) -> tuple[_CoefficientPlan | None, _WalkProgram | None]:
+    """The coefficient plan and the walk program of N particles, each cached
+    once built, or None where not asked for.  Those asked for and not cached
+    yet are built from one trie (`_word_trie`), which is then dropped.
+
+    The trie holds N! words.  Planning both products takes about 0.3 s at
+    N = 8 and 3 s at N = 9 (400 MB max RSS), about ten times more per
+    particle, so N >= 10 (3628800 words and up) is refused before planning.
+    """
+    wanted = (coefficients, walk)
+    if any(want and N not in cache for want, cache in zip(wanted, _PLANS)):
+        if N > 9:
+            raise ValueError(f"planning N={N} particles builds a trie of {math.factorial(N)} words; "
+                             f"at most 9 particles ({math.factorial(9)} words) are planned")
+        pairs, plan, rows = _word_trie(N, coefficients and N not in _PLANS[0])
+        if plan is not None:
+            _PLANS[0][N] = plan
+        if walk and N not in _PLANS[1]:
+            _PLANS[1][N] = _WalkProgram(pairs, *_program(rows, pairs))
+    return tuple(cache[N] if want else None for want, cache in zip(wanted, _PLANS))
 
 
 _COPY, _APPLY, _WIDEN, _SUBTRACT, _MAX = range(5)
 
 
-def _program(rows: tuple[_TrieNode, ...], pairs: tuple[tuple[int, int], ...]
+def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
              ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The consistency walk over rows as ops on numbered buffers, and their block widths.
 
@@ -485,7 +516,7 @@ def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) 
     `apply_pair` per node.  Only two levels are held.  The filled array is
     returned read-only.
     """
-    plan = _plan(N)
+    plan, _ = _plans(N, coefficients=True)
     above = coefficients[:1]
     for level in plan.levels:
         nodes = np.empty((level.groups[-1].stop, coefficients.shape[1]), dtype=np.complex128)
@@ -502,7 +533,7 @@ def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) 
 
 
 class _Schedule(NamedTuple):
-    """A plan's walk program for spin dimension n, with every view resolved.
+    """The walk program of N particles for spin dimension n, with every view resolved.
 
     arena is the number of complex entries of the walk's one arena, which
     holds the buffers' blocks end to end, buffer b of width k in n^(2k)
@@ -510,8 +541,8 @@ class _Schedule(NamedTuple):
     (start, stop, shape), a buffer's whole block as a view of the arena's
     entries [start, stop); widens lists the distinct (shape, offset, strides)
     of the widens' strided views of their destinations, in bytes of the
-    arena; magnitudes lists the sizes the max-abs ops read.  steps is
-    plan.ops as (kind, a, b, c) on indices into these lists and the
+    arena; magnitudes lists the sizes the max-abs ops read.  steps is the
+    program's ops as (kind, a, b, c) on indices into these lists and the
     operators (`_walk`).
     """
 
@@ -524,13 +555,13 @@ class _Schedule(NamedTuple):
 
 @functools.cache
 def _schedule(N: int, n: int) -> _Schedule:
-    """Resolve `_plan(N)`.ops for spin dimension n once: the buffers' offsets
+    """Resolve the walk program's ops for spin dimension n once: the buffers' offsets
     in the arena, each op's block shapes and a widen's strides depend only on
     (N, n), so a call builds just the views the ops use, once each, and runs
     the steps on them."""
     item = np.dtype(np.complex128).itemsize
-    plan = _plan(N)
-    starts = list(itertools.accumulate((n ** (2 * width) for width in plan.buffers), initial=0))
+    _, program = _plans(N, walk=True)
+    starts = list(itertools.accumulate((n ** (2 * width) for width in program.buffers), initial=0))
     blocks: dict[tuple[int, int, tuple[int, ...]], int] = {}
     widens: dict[tuple[tuple[int, ...], int, tuple[int, ...]], int] = {}
     magnitudes: dict[int, int] = {}
@@ -540,7 +571,7 @@ def _schedule(N: int, n: int) -> _Schedule:
         start, stop = starts[buffer], starts[buffer + 1]
         return blocks.setdefault((start, stop, shape or (stop - start,)), len(blocks))
 
-    for kind, pair, slot, src, dst, lo, hi in plan.ops:
+    for kind, pair, slot, src, dst, lo, hi in program.ops:
         k = hi - lo + 1
         size = n ** (2 * k)
         if kind == _APPLY:
@@ -566,7 +597,7 @@ def _schedule(N: int, n: int) -> _Schedule:
 
 
 def _walk(N: int, operators: np.ndarray, n: int) -> float:
-    """Path consistency: the plan's buffer program, run on one arena.
+    """Path consistency: the walk program of N, run on one arena.
 
     The program (`_program`) replays, depth-first, the trie rows that do
     consistency work: every row with a braid node below it carries its
@@ -611,7 +642,8 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
 def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
     """The BetheState and, if asked and N >= 3, the path consistency (else None).
 
-    Both use one stack of exchange operators, built once.
+    Both use one stack of exchange operators, built once, and plans built
+    from one trie.
     """
     momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
     stats = as_statistics(statistics)
@@ -619,7 +651,8 @@ def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
     # memory fails at once, naming the (N!, n^N) array.
     coefficients = np.empty((math.factorial(dims.N), dims.total_dim), dtype=np.complex128)
     coefficients[0] = u
-    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
+    plan, _ = _plans(dims.N, coefficients=True, walk=consistency and dims.N >= 3)
+    operators = _exchange_operators(bc, momenta, plan.pairs)
     state = BetheState(dims=dims, momenta=momenta, statistics=stats,
                        array=_propagate(dims.N, operators, coefficients, dims.n))
     worst = _walk(dims.N, operators, dims.n) if consistency and dims.N >= 3 else None
@@ -646,14 +679,15 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     (every initial coefficient at once), so it vanishes exactly when the
     Yang-Baxter identity holds on the visited relative momenta; u_init is
     validated but the returned number does not depend on it.  The walk is the
-    plan's buffer program, run on one arena, with each transport and
-    difference held as its block on the slots its word touched (`_walk`).
+    buffer program of N (the walk program), run on one arena, with each
+    transport and difference held as its block on the slots its word touched
+    (`_walk`).  Like the coefficient pass, it refuses N >= 10 before planning.
     """
     momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
+    operators = _exchange_operators(bc, momenta, _plans(dims.N, walk=True)[1].pairs)
     return _walk(dims.N, operators, dims.n)
 
 

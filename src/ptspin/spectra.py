@@ -363,8 +363,9 @@ def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) 
     conjugate in S_N, so they carry one common sign: only the two uniform sign
     patterns can have a non-empty parity sector, Sym^N(C^n) or Λ^N(C^n).  For
     every clustered negative real eigenvalue of F and both signs the solutions
-    in that sector get their canonical basis (`_sector_solutions`).  N = 2
-    emits one state per basis vector, N >= 3 only the first, if any.
+    in that sector get their canonical basis (`_sector_solutions`); an empty
+    sector is skipped.  N = 2 emits one state per basis vector, N >= 3 only
+    the first, if any.
     """
     if N < 2:
         raise ValueError(f"need at least two particles, got N={N}")
@@ -374,6 +375,8 @@ def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) 
         return []
     clusters, tol = negative_real_eigenvalues(bc.F, tol)
     sectors = {eps: _sector_basis(bc.n, N, stats.sign * eps) for eps in (-1, 1)}
+    # An empty sector (Λ^N with n < N) has nothing to solve.
+    sectors = {eps: sector for eps, sector in sectors.items() if sector.shape[1]}
     states = []
     for lam in clusters:
         for eps, sector in sectors.items():
@@ -432,6 +435,15 @@ class BoundState:
 
 _AXIS_SAMPLES = {2: 48, 3: 17}
 _MIN_INDEX_GAP = 3
+# The profile's extended-precision rounding, relative eps = finfo(longdouble)
+# .eps, enters the second difference as about eps / spacing^2 (times a few
+# dozen stencil terms, for any decay rate: the grid's half-width scales as
+# 1 / |lam|), while the O(spacing^2) truncation it checks shrinks.  Below
+# eps^(1/4) (1.8e-5 for x87 long double, 1.2e-4 where long double is double)
+# the rounding exceeds sqrt(eps) and grows as the grid is refined: at lam =
+# -1, N = 2 the residual is 7.8e-10 at spacing 5e-5, 3.8e-6 at 1e-6 and 3.6
+# at 1e-9, which would blame the energy for the grid.
+_FINEST_SPACING = float(np.finfo(np.longdouble).eps) ** 0.25
 
 
 @functools.lru_cache(maxsize=64)
@@ -484,7 +496,8 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
     the distinct stencil arguments of `_stencil`, and every residual is taken
     on one center per distinct stencil row, so the result equals the maximum
     over all centers.  A grid whose lattice index would not fit int64, or
-    whose profile would underflow extended precision, is refused.
+    whose profile would underflow extended precision, is refused, and so is
+    a spacing below _FINEST_SPACING (see there).
     """
     N = state.n_particles
     if N not in _AXIS_SAMPLES:
@@ -501,6 +514,10 @@ def verify_bound_state_fd(state: BoundState, half_width: float, spacing: float) 
     if half_width / spacing >= np.iinfo(np.int64).max:
         raise ValueError(
             f"grid too fine: spacing {spacing} puts half_width {half_width} past the int64 lattice index")
+    if spacing < _FINEST_SPACING:
+        raise ValueError(
+            f"grid too fine: spacing {spacing} < {_FINEST_SPACING:.3g}, where the "
+            f"extended-precision second difference is mostly rounding")
     if state.lam == 0.0:
         return 0.0
     if half_width < 8.0 / abs(state.lam):

@@ -1,14 +1,18 @@
 """Coefficient propagation, wavefunction assembly, and interface defects."""
 import collections
+import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
                       separated_momenta)
+from ptspin import bethe
 from ptspin.bethe import (
     _APPLY,
     _COPY,
@@ -18,9 +22,10 @@ from ptspin.bethe import (
     _WIDEN,
     _exchange_operators,
     _one_sided_weights,
-    _plan,
+    _plans,
     _schedule,
     _walk,
+    _word_trie,
     bethe_coefficients,
     boundary_jump_residual,
     evaluate_wavefunction,
@@ -371,6 +376,84 @@ def test_trie_walk_matches_prefix_memo_reference_on_dirichlet(rng, N):
     assert_matches_prefix_memo(rng, SeparatedBC(2, None), N, "boson")
 
 
+# -- the two plans of the canonical-word trie -------------------------------
+
+@functools.cache
+def _plan(N):
+    """The coefficient plan and the walk program of N, and the trie rows they
+    are built from, as one record under their field names (pairs is shared)."""
+    plan, program = _plans(N, coefficients=True, walk=True)
+    assert plan.pairs == program.pairs
+    return SimpleNamespace(**plan._asdict() | program._asdict(), rows=tuple(_word_trie(N)[2]))
+
+
+def plan_digest(N):
+    """A digest of every field of both plans of N, arrays as lists."""
+    plan, program = _plans(N, coefficients=True, walk=True)
+    levels = [[(group.slot, group.parents.tolist(), group.pairs.tolist(), group.stop)
+               for group in level.groups] + [level.rows.tolist(), level.words.tolist()]
+              for level in plan.levels]
+    fields = (levels, plan.pairs, list(plan.index.items()), list(plan.words.items()),
+              plan.slots.tolist(), program.ops, program.buffers)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
+# Digests of the same fields as the dict-of-dicts trie planner built them,
+# which walked each word down the trie from the root (about 1 s at N = 8).
+DICT_TRIE_DIGESTS = {2: "fe8ede30cb48bfb8", 3: "7773ef33bb07f68f", 4: "e3a48d1d3f23f875",
+                     5: "a45c01c87f930ed6", 6: "5f5ce8eaaa5dbaea", 7: "24794776df8b3063",
+                     8: "ba274876605f20a2"}
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_array_planner_equals_the_dict_trie_planner(N):
+    """Both plans are the dict-trie planner's, field for field and array for array."""
+    assert plan_digest(N) == DICT_TRIE_DIGESTS[N]
+
+
+def test_each_pass_caches_only_the_plan_it_reads(monkeypatch, rng):
+    """A pass builds the trie once for the plans it reads and keeps only
+    those (the walk alone skips the coefficient plan); `ptspin bethe`, which
+    reads both, builds it once."""
+    built = []
+
+    def counted(N, coefficients):
+        built.append((N, coefficients))
+        return _word_trie(N, coefficients)
+
+    monkeypatch.setattr(bethe, "_PLANS", ({}, {}))
+    monkeypatch.setattr(bethe, "_word_trie", counted)
+    bc = random_hspin(rng)
+    u = np.ones(2 ** 5, complex)
+    path_consistency(bc, separated_momenta(rng, 5), u, "boson")
+    bethe_coefficients(bc, separated_momenta(rng, 4), u[:16], "boson").words
+    assert built == [(5, False), (4, True)]
+    assert [sorted(cache) for cache in bethe._PLANS] == [[4], [5]]
+    state, worst = bethe._bethe(bc, separated_momenta(rng, 3), u[:8], "boson", consistency=True)
+    assert built[2:] == [(3, True)] and [sorted(cache) for cache in bethe._PLANS] == [[3, 4], [3, 5]]
+    assert math.isfinite(worst) and len(state.words) == 6
+    bethe._bethe(bc, separated_momenta(rng, 5), u, "boson", consistency=True)
+    assert built[3:] == [(5, True)]
+    assert [sorted(cache) for cache in bethe._PLANS] == [[3, 4, 5], [3, 5]]
+    path_consistency(bc, separated_momenta(rng, 4), u[:16], "boson")
+    assert built[4:] == [(4, False)]
+    assert [sorted(cache) for cache in bethe._PLANS] == [[3, 4, 5], [3, 4, 5]]
+
+
+def test_ten_particles_are_refused_before_planning(monkeypatch, rng):
+    """The trie of 10 particles (3628800 words) is refused before it is built,
+    by the coefficient pass and the walk alike."""
+    def unreachable(N, coefficients):
+        raise AssertionError(f"the trie of N={N} was reached")
+
+    monkeypatch.setattr(bethe, "_word_trie", unreachable)
+    momenta = [0.3 * i for i in range(10)]
+    for n, run in ((2, path_consistency), (1, bethe_coefficients)):
+        bc = SeparatedBC(n, -np.eye(n * n))
+        with pytest.raises(ValueError, match="N=10 particles builds a trie of 3628800 words"):
+            run(bc, momenta, np.ones(n ** 10), "boson")
+
+
 # -- full-matrix reference walk ---------------------------------------------
 #
 # The walk in ptspin.bethe holds each array as its n^k x n^k block on the hull
@@ -512,8 +595,8 @@ def reference_word_tree(N):
 
     Returns every trie row depth-first, the (perm, word) pairs in
     itertools.permutations order and the momentum pairs in order of first
-    use.  `_plan` carries the slot labels down the trie instead; its rows
-    must be the consistency rows of this planner, row for row.
+    use.  `_word_trie` numbers the trie with array operations instead; its
+    rows must be the consistency rows of this planner, row for row.
     """
     words = tuple((perm, reference_word(perm)) for perm in itertools.permutations(range(1, N + 1)))
     pairs, perm_at = {}, {}
@@ -571,7 +654,7 @@ def row_prefixes(rows):
     return prefixes
 
 
-@pytest.mark.parametrize("N", range(2, 8))
+@pytest.mark.parametrize("N", range(2, 9))
 def test_word_tree_equals_the_replaying_planner(N):
     """The plan's rows are the reference rows that carry a transport, start a
     braid difference or have a braid node above them (they inherit one)."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ptspin import cli
-from ptspin.bethe import _bethe, _plan
+from ptspin.bethe import _bethe, _plans
 from ptspin.boundary import load_boundary_condition, lower
 from ptspin.linalg import SpinDims, matrix_to_json, vector_from_json
 
@@ -105,7 +105,7 @@ def test_bethe_output_memory_stays_near_the_coefficient_array(tmp_path):
     """The n=2 N=6 bethe --output call may hold the (720, 64) coefficient array
     and the path-consistency workspace, but not a document of Python objects
     (a nested-list document peaks near 14x the array)."""
-    _plan(6)
+    _plans(6, coefficients=True, walk=True)
     cli._build_parser()
     coefficients = math.factorial(6) * 2 ** 6 * 16
     argv = ["--output", str(tmp_path / "bethe.json"), "bethe", DIAG,

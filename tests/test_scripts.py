@@ -83,7 +83,7 @@ def test_bethe_memory_measures_one_fresh_process_per_particle_count(capsys):
 
 def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
     assert load_script("walk_cost").main(["--cases", "2x4", "--repeats", "1", "--calls", "1"]) == 0
-    header, row = capsys.readouterr().out.splitlines()
+    header, row, blank, plan_header, *plans = capsys.readouterr().out.splitlines()
     assert header.split()[0] == "case" and header.split()[-1] == "ms"
     case, *sizes, widens, work, maxabs, arena, magnitude, rows, widths, ms = row.split()
     # N=4: 22 applications, 8 of them after a widen and 12 on less than the full 16x16
@@ -94,17 +94,24 @@ def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
     assert widths == "k0:1,k2:2,k3:4,k4:3"
     assert (arena, magnitude, rows) == tuple(f"{size / 2**20:.4f}" for size in (
         16 * (1 + 2 * 16 + 4 * 64 + 3 * 256), 8 * 256, 16 * 10 * 256))
+    # Planning both products of N = 6, 7, 8: each build costs more, and its
+    # products retain more, than the last, and retain no more than its peak.
+    assert blank == "" and plan_header.split() == ["N", "plan_ms", "retained_mib", "peak_mib"]
+    costs = {int(N): tuple(map(float, rest)) for N, *rest in map(str.split, plans)}
+    assert list(costs) == [6, 7, 8]
+    assert all(0.0 < retained <= peak for _, retained, peak in costs.values())
+    assert costs[6] < costs[7] < costs[8] and costs[6][1] < costs[7][1] < costs[8][1]
 
 
 def test_startup_cost_times_fresh_processes_and_lists_their_modules(capsys):
     assert load_script("startup_cost").main(
-        ["--commands", "validate,bound,sweep-validate", "--repeats", "1"]) == 0
+        ["--commands", "validate,bound,bethe,sweep-validate", "--repeats", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["command", "ms", "modules", "extra"]
     cells = {row.split()[0]: row.split()[1:] for row in rows}
     assert {name: modules for name, (_, modules, _) in cells.items()} == {
         "validate": "boundary,cli,linalg", "bound": "boundary,cli,linalg,spectra",
-        "sweep-validate": "boundary,cli,linalg"}
+        "bethe": "bethe,boundary,cli,linalg,scattering", "sweep-validate": "boundary,cli,linalg"}
     assert all(float(ms) > 0.0 for ms, _, _ in cells.values())
     # Beyond numpy's own modules: the cli's argparse and json, csv only where a
     # sweep writes it, submodules folded into their package, never numpy.ma.

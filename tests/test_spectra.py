@@ -11,6 +11,7 @@ import pytest
 
 from conftest import embed_pair, random_hspin
 from ptspin.boundary import SeparatedBC, hspin, validate
+from ptspin import spectra
 from ptspin.linalg import SpinDims, Statistics, exchange_operator, max_abs
 from ptspin.spectra import (
     _sector_basis,
@@ -476,6 +477,22 @@ def test_bound_search_stays_in_the_sector():
     assert peak < 2_000_000
 
 
+def test_bound_states_skip_the_empty_sector(monkeypatch):
+    """Λ^3(C^2) has no columns, so only the Sym^3 sector is solved, and each
+    statistics finds its one state there."""
+    widths = []
+
+    def recorded(F, n, lam, S, tol):
+        widths.append(S.shape[1])
+        return _sector_solutions(F, n, lam, S, tol)
+
+    monkeypatch.setattr(spectra, "_sector_solutions", recorded)
+    found = {stats: [s.epsilon.values() for s in bound_states(SeparatedBC(2, -np.eye(4)), 3, stats)]
+             for stats in ("boson", "fermion")}
+    assert found == {"boson": [(1, 1, 1)], "fermion": [(-1, -1, -1)]}
+    assert widths == [4, 4]
+
+
 def dense_parity_stack(epsilon: SignPattern, stats: Statistics, dims: SpinDims) -> np.ndarray:
     """Reference: blocks P_kl - sign(statistics) * epsilon_kl * I, n^N wide,
     stacked in `epsilon.pairs` order."""
@@ -713,6 +730,19 @@ def test_fd_degenerate_flat_profile_is_exact():
                        epsilon=SignPattern.uniform(2), energy=0.0,
                        statistics="boson")
     assert verify_bound_state_fd(state, half_width=10.0, spacing=1e-3) == 0.0
+
+
+def test_fd_refuses_a_grid_too_fine_to_measure():
+    """Below eps^(1/4) of long double the second difference is mostly rounding
+    (3.6 at spacing 1e-9); every spacing the tests and the bound search use
+    stays accepted, and keeps its O(spacing^2) residual."""
+    state = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    for spacing in (1e-3, 2e-3, 3e-3, 4e-3):
+        assert verify_bound_state_fd(state, half_width=10.0, spacing=spacing) <= 0.2 * spacing ** 2
+    assert verify_bound_state_fd(state, half_width=10.0, spacing=2 * spectra._FINEST_SPACING) < 1e-7
+    for fine in (1e-9, 0.5 * spectra._FINEST_SPACING):
+        with pytest.raises(ValueError, match=f"grid too fine: spacing {fine} < "):
+            verify_bound_state_fd(state, half_width=10.0, spacing=fine)
 
 
 @pytest.mark.filterwarnings("error")
