@@ -1,7 +1,7 @@
 """Planned work and wall time of the path-consistency walk per (n, N), and planning cost per N.
 
 For each (n, N) of the bethe-scan mix and n=2 N=7, prints what this
-checkout's walk program (`bethe._plans(N, walk=True)`) holds: the pair applications by
+checkout's walk program (the ops of `bethe._plan(N)`) holds: the pair applications by
 block size k (the block is n^k x n^k), the widens, the apply work (the sum of
 n^(2k+2) over applications) and the entries read by the max-abs ops, both
 relative to a walk that holds every array as a full n^N x n^N matrix.  It
@@ -14,12 +14,13 @@ fresh processes with one BLAS thread: each process makes one warm-up call
 and times --calls calls, and the median over --repeats processes is
 printed.
 
-Then, for N = 6, 7 and 8, it prints the cost of planning both products, the
-coefficient plan and the walk program, in fresh processes with one BLAS
-thread: each process warms numpy on N = 4, times one build of N, clears the
-cache and builds N again under tracemalloc, for the MiB the products retain
-and the peak of the build.  The medians over --repeats processes are printed.
-A tree from before the two products builds its one `bethe._plan(N)`.
+Then, for N = 6, 7 and 8, it prints the cost of planning, in fresh
+processes with one BLAS thread: each process warms numpy on N = 4, times one
+build of N, clears the cache and builds N again under tracemalloc, for the
+MiB the plan retains and the peak of the build.  The medians over --repeats
+processes are printed.  This checkout plans one `bethe._plan(N)` per N; a
+tree that caches the coefficient plan and the walk program apart
+(`bethe._plans`, `bethe._PLANS`) builds both.
 
 With --src the timed program is imported from another checkout's src, so
 two trees can be timed on the same machine.
@@ -36,7 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plans, _schedule
+from ptspin.bethe import _APPLY, _COPY, _MAX, _WIDEN, _plan, _schedule
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = ((2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5))
@@ -69,8 +70,8 @@ for _ in range(calls):
 print(1e3 * statistics.median(times))
 """
 
-# Prints the seconds of one build of both products for N after numpy is
-# warmed, then the MiB they retain and the peak MiB of a traced rebuild.
+# Prints the seconds of one build of the plan of N after numpy is warmed,
+# then the MiB it retains and the peak MiB of a traced rebuild.
 PLANNER = """
 import gc, sys, time, tracemalloc
 from ptspin import bethe
@@ -97,8 +98,8 @@ print(seconds, retained / 2 ** 20, peak / 2 ** 20)
 def planned(n: int, N: int) -> dict:
     """Applications by block size, widens, the work and max-abs entries of
     this checkout's plan relative to the full-matrix walk, and its memory."""
-    program, schedule = _plans(N, walk=True)[1], _schedule(N, n)
-    ops = program.ops
+    program, schedule = _plan(N), _schedule(N, n)
+    ops = program.ops.tolist()
     sizes = collections.Counter(hi - lo + 1 for kind, *_, lo, hi in ops if kind in (_APPLY, _COPY))
     maxed = [hi - lo + 1 for kind, *_, lo, hi in ops if kind == _MAX]
     applies = sum(sizes.values())

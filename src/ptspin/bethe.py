@@ -22,17 +22,19 @@ the C(N,2) exchange operators are built by one stacked Cayley solve.  The
 canonical words of N particles form a trie (27, 155, 1045, 8029, 69265
 nodes for N = 4..8; from N = 4 on, some interior nodes are not words).  Its
 shape, the slot labels of every edge and its braid sites depend only on N.
-`_word_trie` numbers its nodes one depth at a time with array operations
-and plans two products from it, each cached per N (`_plans`): the
-coefficient plan, which `bethe_coefficients` and the BetheState read, and
-the walk program, which `path_consistency` reads.  The trie itself lives
-only while they are built, and a call that needs both (`ptspin bethe`)
-builds it once.  N >= 10 is refused before planning.  A node's depth is its
-word length, so `bethe_coefficients` propagates the trie one depth at a
-time: the nodes of a depth that swap at one slot are one stacked np.matmul
-on their parents' rows (15, 34, 65, 111 products for N = 4..7), each making
-the per-node n^2 x n^2 products, and word rows land in one (N!, n^N) array,
-which the BetheState holds read-only.
+`_word_trie` numbers its nodes one depth at a time with array operations,
+once per N, and `_plan` caches what every pass reads of it as arrays: the
+levels and momentum pairs of the coefficient pass, the padded canonical
+words and the slot index of the BetheState, and the ops and buffer widths
+of the walk.  The trie itself lives only while the plan is built.  No
+permutation is stored: `BetheState.coefficients` and `.words` find a
+permutation's row by its rank in itertools.permutations order, which is
+lexicographic (`_rank`).  N >= 10 is refused before planning.  A node's
+depth is its word length, so `bethe_coefficients` propagates the trie one
+depth at a time: the nodes of a depth that swap at one slot are one stacked
+np.matmul on their parents' rows (15, 34, 65, 111 products for N = 4..7),
+each making the per-node n^2 x n^2 products, and word rows land in one
+(N!, n^N) array, which the BetheState holds read-only.
 `path_consistency` walks, depth-first, only the trie rows that carry a
 transport or a braid difference, holding the arrays of the current path.  It
 reuses the transport as the canonical braid of each braid site (a node whose
@@ -66,9 +68,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import ItemsView, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,19 +91,44 @@ COINCIDENCE_RTOL = 1e-13
 
 
 class _ByPerm(Mapping):
-    """Read-only perm -> values[i], where i is the perm's position in index."""
+    """Read-only perm -> value(rank), where rank is the perm's position in
+    itertools.permutations order (`_rank`); no perm is stored."""
 
-    def __init__(self, index: Mapping[tuple[int, ...], int], values):
-        self._index, self._values = index, values
+    def __init__(self, N: int, value):
+        self._N, self._value = N, value
 
     def __getitem__(self, perm):
-        return self._values[self._index[perm]]
+        return self._value(_rank(perm, self._N))
 
     def __iter__(self):
-        return iter(self._index)
+        return itertools.permutations(range(1, self._N + 1))
 
     def __len__(self):
-        return len(self._index)
+        return math.factorial(self._N)
+
+    def items(self):
+        return _InOrder(self)
+
+
+class _InOrder(ItemsView):
+    """The items in permutations order, each value read by position instead of by rank."""
+
+    def __iter__(self):
+        return zip(self._mapping, map(self._mapping._value, itertools.count()))
+
+
+def _rank(perm, N: int) -> int:
+    """The position of perm among itertools.permutations(range(1, N + 1)), which
+    lists them in lexicographic order: its Lehmer code read in the factorial
+    number system.  KeyError unless perm is a tuple equal to one of them."""
+    try:
+        labels = [int(label) for label in perm] if isinstance(perm, tuple) else []
+    except (TypeError, ValueError, OverflowError):
+        raise KeyError(perm) from None
+    if sorted(labels) != list(range(1, N + 1)) or tuple(labels) != perm:
+        raise KeyError(perm)
+    return sum(math.factorial(N - 1 - i) * sum(later < label for later in labels[i + 1:])
+               for i, label in enumerate(labels))
 
 
 @dataclass(frozen=True)
@@ -122,17 +149,16 @@ class BetheState:
 
     @property
     def coefficients(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        return _ByPerm(_plans(self.dims.N, coefficients=True)[0].index, self.array)
+        return _ByPerm(self.dims.N, self.array.__getitem__)
 
     @property
     def words(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-        return _plans(self.dims.N, coefficients=True)[0].words
+        return _ByPerm(self.dims.N, _plan(self.dims.N).word)
 
     @functools.cached_property
     def _slot_momenta(self) -> np.ndarray:
         """The (N!, N) momentum at each slot of every permutation, in long double."""
-        slots = _plans(self.dims.N, coefficients=True)[0].slots
-        return np.asarray(self.momenta, dtype=np.longdouble)[slots]
+        return np.asarray(self.momenta, dtype=np.longdouble)[_plan(self.dims.N).slots]
 
 
 def _canonical_words(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +173,14 @@ def _canonical_words(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     seq = perms.T.copy()
     N = len(seq)
-    swapped, slots = [], []
+    swaps = []
     for _ in range(N - 1):
         for j in range(N - 1):
-            swapped.append(seq[j] > seq[j + 1])
-            slots.append(j + 1)
+            swaps.append((seq[j] > seq[j + 1], j + 1))
             seq[j:j + 2] = np.minimum(seq[j], seq[j + 1]), np.maximum(seq[j], seq[j + 1])
     words = np.zeros((len(perms), N * (N - 1) // 2), dtype=np.int8)
     lengths = np.zeros(len(perms), dtype=np.intp)
-    for rows, slot in zip(swapped[::-1], slots[::-1]):
+    for rows, slot in reversed(swaps):
         words[rows, lengths[rows]] = slot
         lengths += rows
     return words, lengths
@@ -205,58 +230,57 @@ class _Level(NamedTuple):
     words: np.ndarray
 
 
-class _CoefficientPlan(NamedTuple):
-    """What `_propagate` and `BetheState` read of the trie of N particles.
+class _Plan(NamedTuple):
+    """What the passes read of the trie of N particles, held as arrays.
 
-    levels is the trie by depth; pairs lists the momentum pairs in order of
-    first use (a node creates its pair's entry, nodes being created word by
-    word in permutations order).  index maps each permutation to its
-    position in itertools.permutations order, words to its canonical word,
-    and slots holds the 0-based momentum at each slot of every permutation.
+    pairs lists the momentum pairs in order of first use (a node creates its
+    pair's entry, nodes being created word by word in permutations order);
+    levels is the trie by depth, which `_propagate` reads.  Row i of the
+    int8 words is the canonical word of the i-th permutation in
+    itertools.permutations order, padded with 0 (no slot is 0); slots holds
+    the 0-based momentum at each slot of every permutation.  ops is the
+    consistency walk as (kind, pair, slot, src, dst, lo, hi) rows of ops on
+    numbered buffers (`_program`), which `_schedule` reads, and buffers the
+    block width k of each buffer (buffer b holds an n^k x n^k block).  The
+    arrays are read-only.
     """
 
+    pairs: tuple[tuple[int, int], ...]
     levels: tuple[_Level, ...]
-    pairs: tuple[tuple[int, int], ...]
-    index: Mapping[tuple[int, ...], int]
-    words: Mapping[tuple[int, ...], tuple[int, ...]]
+    words: np.ndarray
     slots: np.ndarray
-
-
-class _WalkProgram(NamedTuple):
-    """What `_schedule` reads: the consistency walk of N particles as ops on
-    the blocks of numbered buffers (`_program`), the block width k of each
-    buffer (buffer b holds an n^k x n^k block), and the momentum pairs the
-    ops' pair indices point into, as in the coefficient plan."""
-
-    pairs: tuple[tuple[int, int], ...]
-    ops: tuple[tuple[int, int, int, int, int, int, int], ...]
+    ops: np.ndarray
     buffers: tuple[int, ...]
 
+    def word(self, rank: int) -> tuple[int, ...]:
+        """The canonical word of the permutation at that position."""
+        return tuple(filter(None, self.words[rank].tolist()))
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """A read-only index array, safe to share from a cache."""
-    out = np.asarray(values, dtype=np.intp)
+
+def _frozen(values, dtype=np.intp) -> np.ndarray:
+    """A read-only array, safe to share from a cache."""
+    out = np.asarray(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
 
-def _word_trie(N: int, coefficients: bool = True
-               ) -> tuple[tuple[tuple[int, int], ...], _CoefficientPlan | None, Iterator[_TrieNode]]:
+def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarray, Iterator[_TrieNode]]:
     """The trie of the canonical words of N particles, planned with array operations.
 
-    Returns the momentum pairs in order of first use, the coefficient plan
-    (None unless coefficients) and an iterator over the rows of the walk:
-    depth-first, the nodes that carry a transport, start a braid difference
-    or inherit one (no other node does consistency work), made one at a time
-    as `_program` reads them.  Nodes are numbered one depth at a time by
-    np.unique of (parent number, slot) over the padded words, so the numbers
-    run depth by depth from the root 0.  Children are visited lightest
-    subtree first, so the arrays a node keeps for its children are released
-    before its heaviest subtree is entered; within a depth, the levels group
-    the nodes by slot in depth-first order.
+    Returns the momentum pairs in order of first use, the levels, the padded
+    words and the slots (the fields of `_Plan` so named), and an iterator
+    over the rows of the walk: depth-first, the nodes that carry a
+    transport, start a braid difference or inherit one (no other node does
+    consistency work), made one at a time as `_program` reads them.  Nodes
+    are numbered one depth at a time by np.unique of (parent number, slot)
+    over the padded words, so the numbers run depth by depth from the root
+    0.  Children are visited lightest subtree first, so the arrays a node
+    keeps for its children are released before its heaviest subtree is
+    entered; within a depth, the levels group the nodes by slot in
+    depth-first order.
     """
     perms = list(itertools.permutations(range(1, N + 1)))
-    slots = _frozen(np.array(perms) - 1)
+    slots = _frozen(np.array(perms) - 1, np.int8)
     words, lengths = _canonical_words(slots)
     # Per node: parent, slot, the first word through it (in permutations
     # order, which creates it) and the code (alpha - 1) * N + beta - 1 of the
@@ -331,8 +355,6 @@ def _word_trie(N: int, coefficients: bool = True
                             transport=t, last=final,
                             free=tuple(d - k for k, f in zip((3, 1, 0), free) if f))
 
-    if not coefficients:
-        return pairs, None, walk()
     # A level lists its depth's nodes by slot, each group in depth-first
     # order; rank is a node's position in its level.
     by_level = np.lexsort((position, slot, depth))
@@ -346,45 +368,34 @@ def _word_trie(N: int, coefficients: bool = True
                        for g in np.split(members, np.flatnonzero(np.diff(slot[members])) + 1))
         found = np.flatnonzero(word[members] >= 0)
         levels.append(_Level(groups=groups, rows=_frozen(found), words=_frozen(word[members][found])))
-    index = MappingProxyType({perm: i for i, perm in enumerate(perms)})
-    flat, ends = words[words > 0].tolist(), np.cumsum(lengths).tolist()
-    canonical = [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
-    return pairs, _CoefficientPlan(levels=tuple(levels), pairs=pairs, index=index,
-                                   words=_ByPerm(index, canonical), slots=slots), walk()
+    return pairs, tuple(levels), _frozen(words, np.int8), slots, walk()
 
 
-_PLANS: tuple[dict[int, _CoefficientPlan], dict[int, _WalkProgram]] = ({}, {})
+@functools.cache
+def _plan(N: int) -> _Plan:
+    """The plan of N particles, built once from one numbering of its trie
+    (`_word_trie`), which is then dropped.
 
-
-def _plans(N: int, coefficients: bool = False, walk: bool = False
-           ) -> tuple[_CoefficientPlan | None, _WalkProgram | None]:
-    """The coefficient plan and the walk program of N particles, each cached
-    once built, or None where not asked for.  Those asked for and not cached
-    yet are built from one trie (`_word_trie`), which is then dropped.
-
-    The trie holds N! words.  Planning both products takes about 0.3 s at
-    N = 8 and 3 s at N = 9 (400 MB max RSS), about ten times more per
-    particle, so N >= 10 (3628800 words and up) is refused before planning.
+    The trie holds N! words.  Planning takes about 0.03 s at N = 7, 0.24 s
+    at N = 8 and 3 s at N = 9, about ten times more per particle, and the
+    plan retains 0.65, 4.0 and 36 MiB (tracemalloc; the build peaks at 2.2,
+    18 and 167 MiB, and a process that plans N = 9 reaches about 230 MB max
+    RSS).  So N >= 10 (3628800 words and up) is refused before planning.
     """
-    wanted = (coefficients, walk)
-    if any(want and N not in cache for want, cache in zip(wanted, _PLANS)):
-        if N > 9:
-            raise ValueError(f"planning N={N} particles builds a trie of {math.factorial(N)} words; "
-                             f"at most 9 particles ({math.factorial(9)} words) are planned")
-        pairs, plan, rows = _word_trie(N, coefficients and N not in _PLANS[0])
-        if plan is not None:
-            _PLANS[0][N] = plan
-        if walk and N not in _PLANS[1]:
-            _PLANS[1][N] = _WalkProgram(pairs, *_program(rows, pairs))
-    return tuple(cache[N] if want else None for want, cache in zip(wanted, _PLANS))
+    if N > 9:
+        raise ValueError(f"planning N={N} particles builds a trie of {math.factorial(N)} words; "
+                         f"at most 9 particles ({math.factorial(9)} words) are planned")
+    pairs, levels, words, slots, rows = _word_trie(N)
+    return _Plan(pairs, levels, words, slots, *_program(rows, pairs))
 
 
 _COPY, _APPLY, _WIDEN, _SUBTRACT, _MAX = range(5)
 
 
 def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
-             ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The consistency walk over rows as ops on numbered buffers, and their block widths.
+             ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The consistency walk over rows as ops on numbered buffers, one int16 row
+    per op, and the buffers' block widths.
 
     Every array of the walk is a product of pair operators on the identity,
     or a difference of two such products with the same slots touched, so it
@@ -470,7 +481,7 @@ def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
         if row.perm:
             ops.extend((_MAX, 0, 0, diff, diff, *hull[diff]) for diff in moved)
         diffs.append(moved)
-    return tuple(ops), tuple(widths)
+    return _frozen(ops, np.int16).reshape(-1, 7), tuple(widths)
 
 
 def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
@@ -516,9 +527,8 @@ def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) 
     `apply_pair` per node.  Only two levels are held.  The filled array is
     returned read-only.
     """
-    plan, _ = _plans(N, coefficients=True)
     above = coefficients[:1]
-    for level in plan.levels:
+    for level in _plan(N).levels:
         nodes = np.empty((level.groups[-1].stop, coefficients.shape[1]), dtype=np.complex128)
         start = 0
         for group in level.groups:
@@ -560,8 +570,7 @@ def _schedule(N: int, n: int) -> _Schedule:
     (N, n), so a call builds just the views the ops use, once each, and runs
     the steps on them."""
     item = np.dtype(np.complex128).itemsize
-    _, program = _plans(N, walk=True)
-    starts = list(itertools.accumulate((n ** (2 * width) for width in program.buffers), initial=0))
+    starts = list(itertools.accumulate((n ** (2 * width) for width in _plan(N).buffers), initial=0))
     blocks: dict[tuple[int, int, tuple[int, ...]], int] = {}
     widens: dict[tuple[tuple[int, ...], int, tuple[int, ...]], int] = {}
     magnitudes: dict[int, int] = {}
@@ -571,7 +580,7 @@ def _schedule(N: int, n: int) -> _Schedule:
         start, stop = starts[buffer], starts[buffer + 1]
         return blocks.setdefault((start, stop, shape or (stop - start,)), len(blocks))
 
-    for kind, pair, slot, src, dst, lo, hi in program.ops:
+    for kind, pair, slot, src, dst, lo, hi in _plan(N).ops.tolist():
         k = hi - lo + 1
         size = n ** (2 * k)
         if kind == _APPLY:
@@ -642,8 +651,8 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
 def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
     """The BetheState and, if asked and N >= 3, the path consistency (else None).
 
-    Both use one stack of exchange operators, built once, and plans built
-    from one trie.
+    Both use one stack of exchange operators, built once, and the one plan
+    of N.
     """
     momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
     stats = as_statistics(statistics)
@@ -651,8 +660,7 @@ def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
     # memory fails at once, naming the (N!, n^N) array.
     coefficients = np.empty((math.factorial(dims.N), dims.total_dim), dtype=np.complex128)
     coefficients[0] = u
-    plan, _ = _plans(dims.N, coefficients=True, walk=consistency and dims.N >= 3)
-    operators = _exchange_operators(bc, momenta, plan.pairs)
+    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
     state = BetheState(dims=dims, momenta=momenta, statistics=stats,
                        array=_propagate(dims.N, operators, coefficients, dims.n))
     worst = _walk(dims.N, operators, dims.n) if consistency and dims.N >= 3 else None
@@ -687,8 +695,7 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    operators = _exchange_operators(bc, momenta, _plans(dims.N, walk=True)[1].pairs)
-    return _walk(dims.N, operators, dims.n)
+    return _walk(dims.N, _exchange_operators(bc, momenta, _plan(dims.N).pairs), dims.n)
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:

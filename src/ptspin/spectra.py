@@ -227,21 +227,34 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     One column per sorted label tuple (non-decreasing for Sym^N, increasing
     for Λ^N) in lexicographic order: the normalized sum of e_{a_1} x ... x
     e_{a_N} over every ordering of the labels, signed by the ordering's parity
-    for Λ^N.  Each label row a adds its stabiliser size prod_b m_b! (Sym^N)
-    or, for distinct labels, its parity (Λ^N) to column sort(a).  Columns are
-    found by np.unique with return_inverse on one base-n integer key per
-    sorted label row; the key is below n^N, so it fits int64, and orders the
-    rows lexicographically.  Built once per process for each (n, N, sign) and
-    returned read-only, since every caller shares it; an entry holds n^N rows,
-    so the cache is bounded.
+    for Λ^N.  Row r's labels a are the N base-n digits of r.  Each label row
+    adds its stabiliser size prod_b m_b! (Sym^N) or, for distinct labels, its
+    parity (Λ^N) to column sort(a).  The stabiliser size is kept as its
+    mantissa, renormalized after each factor: a column's rows share their
+    size, so a power of two per row leaves the normalized column bit for bit,
+    while N! itself overflows at N = 171 and its square already at N = 99.
+    Columns are found by np.unique with return_inverse on one base-n integer
+    key per sorted label row; the key is below n^N, and orders the rows
+    lexicographically.  An n^N past int64 is refused, since the digits and
+    keys would wrap.  Built once per process for each (n, N, sign) and
+    returned read-only, since every caller shares it; an entry holds n^N
+    rows, so the cache is bounded.
     """
-    labels = np.indices((n,) * N).reshape(N, -1).T
+    if n ** N > np.iinfo(np.int64).max:
+        raise ValueError(f"n^N = {n}^{N} spin components pass the int64 index range")
+    powers = n ** np.arange(N - 1, -1, -1)
+    # The (n^N, N) labels are allocated first, so a space too large for memory
+    # fails at once, before the n^N row numbers are written.
+    labels = np.empty((n ** N, N), dtype=np.int64)
+    np.floor_divide(np.arange(n ** N)[:, None], powers, out=labels)
+    labels %= n
     keys = np.sort(labels, axis=1)
-    weights = (np.tril(labels[:, :, None] == labels[:, None, :]).sum(axis=2).prod(axis=1, dtype=float)
+    weights = (functools.reduce(lambda weight, size: np.frexp(weight * size)[0],
+                                np.tril(labels[:, :, None] == labels[:, None, :]).sum(axis=2).T, 1.0)
                if exchange_sign > 0 else
                permutation_sign(labels) * (np.diff(keys, axis=1) > 0).all(axis=1))
     rows = np.flatnonzero(weights)
-    columns, inverse = np.unique(keys[rows] @ n ** np.arange(N - 1, -1, -1), return_inverse=True)
+    columns, inverse = np.unique(keys[rows] @ powers, return_inverse=True)
     S = np.zeros((n ** N, len(columns)))
     S[rows, inverse] = weights[rows]
     S /= np.linalg.norm(S, axis=0)

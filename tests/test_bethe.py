@@ -4,7 +4,10 @@ import functools
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,9 +15,10 @@ import pytest
 
 from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
                       separated_momenta)
-from ptspin import bethe
+from ptspin import bethe, cli
 from ptspin.bethe import (
     _APPLY,
+    _ByPerm,
     _COPY,
     _MAX,
     _SUBTRACT,
@@ -22,7 +26,6 @@ from ptspin.bethe import (
     _WIDEN,
     _exchange_operators,
     _one_sided_weights,
-    _plans,
     _schedule,
     _walk,
     _word_trie,
@@ -376,25 +379,30 @@ def test_trie_walk_matches_prefix_memo_reference_on_dirichlet(rng, N):
     assert_matches_prefix_memo(rng, SeparatedBC(2, None), N, "boson")
 
 
-# -- the two plans of the canonical-word trie -------------------------------
+# -- the plan of the canonical-word trie ------------------------------------
 
 @functools.cache
 def _plan(N):
-    """The coefficient plan and the walk program of N, and the trie rows they
-    are built from, as one record under their field names (pairs is shared)."""
-    plan, program = _plans(N, coefficients=True, walk=True)
-    assert plan.pairs == program.pairs
-    return SimpleNamespace(**plan._asdict() | program._asdict(), rows=tuple(_word_trie(N)[2]))
+    """The plan of N and the trie rows it is built from, as one record under
+    their field names: ops as tuples, index the perm -> row mapping and words
+    the perm -> word mapping of the BetheState."""
+    plan = bethe._plan(N)
+    return SimpleNamespace(**plan._asdict() | {"ops": tuple(map(tuple, plan.ops.tolist())),
+                                               "index": _ByPerm(N, int),
+                                               "words": _ByPerm(N, plan.word)},
+                           rows=tuple(_word_trie(N)[-1]))
 
 
 def plan_digest(N):
-    """A digest of every field of both plans of N, arrays as lists."""
-    plan, program = _plans(N, coefficients=True, walk=True)
+    """A digest of every field of the plan of N, arrays as lists, with each
+    permutation's row and word looked up by the permutation."""
+    plan = _plan(N)
     levels = [[(group.slot, group.parents.tolist(), group.pairs.tolist(), group.stop)
                for group in level.groups] + [level.rows.tolist(), level.words.tolist()]
               for level in plan.levels]
-    fields = (levels, plan.pairs, list(plan.index.items()), list(plan.words.items()),
-              plan.slots.tolist(), program.ops, program.buffers)
+    fields = (levels, plan.pairs, [(perm, plan.index[perm]) for perm in plan.index],
+              [(perm, plan.words[perm]) for perm in plan.words],
+              plan.slots.tolist(), plan.ops, plan.buffers)
     return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
 
 
@@ -411,39 +419,38 @@ def test_array_planner_equals_the_dict_trie_planner(N):
     assert plan_digest(N) == DICT_TRIE_DIGESTS[N]
 
 
-def test_each_pass_caches_only_the_plan_it_reads(monkeypatch, rng):
-    """A pass builds the trie once for the plans it reads and keeps only
-    those (the walk alone skips the coefficient plan); `ptspin bethe`, which
-    reads both, builds it once."""
+def test_each_trie_is_numbered_once_per_N(monkeypatch, rng, capsys):
+    """The coefficient pass, the walk, the wavefunction and `ptspin bethe` all
+    read the one plan of N, so each N's trie is numbered once per process."""
     built = []
 
-    def counted(N, coefficients):
-        built.append((N, coefficients))
-        return _word_trie(N, coefficients)
+    def counted(N):
+        built.append(N)
+        return _word_trie(N)
 
-    monkeypatch.setattr(bethe, "_PLANS", ({}, {}))
+    monkeypatch.setattr(bethe, "_plan", functools.cache(bethe._plan.__wrapped__))
     monkeypatch.setattr(bethe, "_word_trie", counted)
     bc = random_hspin(rng)
     u = np.ones(2 ** 5, complex)
     path_consistency(bc, separated_momenta(rng, 5), u, "boson")
-    bethe_coefficients(bc, separated_momenta(rng, 4), u[:16], "boson").words
-    assert built == [(5, False), (4, True)]
-    assert [sorted(cache) for cache in bethe._PLANS] == [[4], [5]]
-    state, worst = bethe._bethe(bc, separated_momenta(rng, 3), u[:8], "boson", consistency=True)
-    assert built[2:] == [(3, True)] and [sorted(cache) for cache in bethe._PLANS] == [[3, 4], [3, 5]]
-    assert math.isfinite(worst) and len(state.words) == 6
-    bethe._bethe(bc, separated_momenta(rng, 5), u, "boson", consistency=True)
-    assert built[3:] == [(5, True)]
-    assert [sorted(cache) for cache in bethe._PLANS] == [[3, 4, 5], [3, 5]]
+    state = bethe_coefficients(bc, separated_momenta(rng, 5), u, "boson")
+    evaluate_wavefunction(state, np.arange(5.0), "boson")
+    assert built == [5] and state.words[(2, 1, 3, 4, 5)] == (1,)
+    state = bethe_coefficients(bc, separated_momenta(rng, 4), u[:16], "boson")
+    evaluate_wavefunction(state, np.arange(4.0), "boson")
     path_consistency(bc, separated_momenta(rng, 4), u[:16], "boson")
-    assert built[4:] == [(4, False)]
-    assert [sorted(cache) for cache in bethe._PLANS] == [[3, 4, 5], [3, 4, 5]]
+    assert built == [5, 4]
+    fixture = Path(__file__).parent / "fixtures" / "hspin_diag.json"
+    for _ in range(2):
+        assert cli.main(["bethe", str(fixture), "--k", "1.0,0.3,-0.7"]) == 0
+    assert '"perm":[3,2,1],"word":[1,2,1]' in capsys.readouterr().out
+    assert built == [5, 4, 3]
 
 
 def test_ten_particles_are_refused_before_planning(monkeypatch, rng):
     """The trie of 10 particles (3628800 words) is refused before it is built,
     by the coefficient pass and the walk alike."""
-    def unreachable(N, coefficients):
+    def unreachable(N):
         raise AssertionError(f"the trie of N={N} was reached")
 
     monkeypatch.setattr(bethe, "_word_trie", unreachable)
@@ -997,6 +1004,58 @@ def test_coefficient_rows_are_read_only_views_of_one_array(rng, N):
         state.words[perms[0]] = ()
     with pytest.raises(KeyError):
         state.coefficients[tuple(range(N + 1))]
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_perm_mappings_find_rows_by_rank(N):
+    """coefficients and words hold no permutation: a key finds its row by its
+    rank in permutations order.  They answer len, in, iteration and lookups
+    as a dict over the permutations would, so a tuple equal to a permutation
+    (numpy ints, equal floats) finds its row, and any other key is missing."""
+    momenta = [0.3 * i for i in range(N)]
+    state = bethe_coefficients(SeparatedBC(1, -np.eye(1)), momenta, np.ones(1), "boson")
+    perms = list(itertools.permutations(range(1, N + 1)))
+    words = [reference_word(perm) for perm in perms]
+    coefficients, mapped = state.coefficients, state.words
+    for mapping in (coefficients, mapped):
+        assert len(mapping) == len(perms) and list(mapping) == perms
+        assert [perm for perm, _ in mapping.items()] == perms
+    assert [word for _, word in mapped.items()] == words
+    assert all(np.shares_memory(row, state.array[i]) and row.shape == (1,)
+               for i, (_, row) in enumerate(coefficients.items()))
+    for i, perm in enumerate(perms):
+        for key in (perm, tuple(np.array(perm)), tuple(map(float, perm))):
+            assert key in coefficients and key in mapped
+            assert np.shares_memory(coefficients[key], state.array[i]) and mapped[key] == words[i]
+    perm = perms[-1]
+    for key in (perm[:-1], perm + (N + 1,), (1,) * N, tuple(p - 1 for p in perm),
+                tuple(p + 1 for p in perm), (1.5,) + perm[1:], list(perm), np.array(perm),
+                str(perm), None):
+        for mapping in (coefficients, mapped):
+            assert key not in mapping
+            with pytest.raises(KeyError):
+                mapping[key]
+
+
+_PLAN_MEMORY = """
+import tracemalloc
+from ptspin import bethe
+bethe._plan(4)
+bethe._plan.cache_clear()
+tracemalloc.start()
+bethe._plan(8)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_the_plan_of_eight_particles_retains_arrays_only():
+    """The plan of N = 8 retains at most 8 MiB in a fresh process: about 4 MiB
+    of arrays, where the perm tuples with their index dict, the 40320 word
+    tuples and the walk's op tuples held 20.0 MiB."""
+    proc = subprocess.run([sys.executable, "-c", _PLAN_MEMORY], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 8 * 2 ** 20
 
 
 def test_path_consistency_memory_stays_local(rng):

@@ -79,6 +79,10 @@ def test_bethe_memory_measures_one_fresh_process_per_particle_count(capsys):
     assert N == "4" and float(rss) > 1.0 and float(wall) > 0.0
     # 24 coefficient rows of 16 [re, im] pairs each
     assert 0.001 < float(size) < 0.1
+    scalar = Path(__file__).parent / "fixtures" / "scalar_pt2.json"
+    assert load_script("bethe_memory").main(["--particles", "4", "--fixture", str(scalar)]) == 0
+    # the same 24 rows of one [re, im] pair each
+    assert float(capsys.readouterr().out.split()[-1]) < float(size) / 2
 
 
 def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):

@@ -1,5 +1,6 @@
 """Spectral classification, bound-state construction, and decay verification."""
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import embed_pair, random_hspin
 from ptspin.boundary import SeparatedBC, hspin, validate
-from ptspin import spectra
+from ptspin import cli, spectra
 from ptspin.linalg import SpinDims, Statistics, exchange_operator, max_abs
 from ptspin.spectra import (
     _sector_basis,
@@ -338,6 +339,35 @@ def test_sector_basis_matches_the_ordering_sum(n):
     for N in range(1, 7):
         for sign in (1, -1):
             assert np.array_equal(_sector_basis(n, N, sign), ordering_sector_basis(n, N, sign))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [64, 170, 200])
+def test_one_spin_component_binds_any_number_of_particles(tmp_path, capsys, N):
+    """At n = 1 the spin space stays one-dimensional however many particles
+    there are: the sector basis takes its labels from digits, not from an
+    N-dimensional index grid (numpy stops at 64 dimensions), and keeps the
+    stabiliser size N! (past float from N = 171) as a mantissa, so F = -1
+    binds every N at lam = -1 with v = [1], without NaN or a warning."""
+    document = tmp_path / "pt2.json"
+    document.write_text('{"kind":"scalar_pt_type2","theta":3.141592653589793,"h0":1,"h1":1}')
+    for statistics, sign in (("boson", 1), ("fermion", -1)):
+        assert cli.main(["bound", str(document), "--particles", str(N), "--statistics", statistics]) == 0
+        [state] = json.loads(capsys.readouterr().out)
+        assert (state["lambda"], state["v"]) == (-1.0, [[1.0, 0.0]])
+        assert state["energy"] == bound_energy(-1.0, N)
+        assert state["epsilon"] == [sign] * (N * (N - 1) // 2)
+
+
+def test_a_spin_space_past_int64_is_refused_before_it_is_built():
+    """n^N rows are numbered in int64; past it the digits would wrap, so the
+    request is refused by name (2^64 used to fail in np.indices instead)."""
+    for n, N in ((2, 64), (3, 40), (10, 19)):
+        with pytest.raises(ValueError, match=f"n\\^N = {n}\\^{N} spin components pass the int64"):
+            _sector_basis(n, N, 1)
+    bc = SeparatedBC(2, -np.eye(4))
+    with pytest.raises(ValueError, match="pass the int64 index range"):
+        bound_states(bc, 64, "boson")
 
 
 def test_cached_sector_bases_and_stencils_are_shared_read_only():
