@@ -14,14 +14,14 @@ import numpy as np
 from ptspin.boundary import SeparatedBC
 from ptspin.spectra import (
     SignPattern,
+    bound_states,
     n_particle_bound_state,
-    two_particle_bound_states,
     verify_bound_state_fd,
 )
 
 
 def build_states():
-    two = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    two = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")[0]
     three = n_particle_bound_state(SeparatedBC(2, -2.0 * np.eye(4)), 3, -2.0,
                                    SignPattern.uniform(3), "boson")
     return [("N=2, lam=-1", two, 10.0), ("N=3, lam=-2", three, 5.0)]

@@ -9,8 +9,8 @@ up in `_EXPORTS`, and its defining module is imported on first use
 from importlib import import_module
 
 _EXPORTS = {name: module for module, names in {
-    "linalg": ("SingularMatrixError", "SpinDims", "Statistics", "exchange_operator", "inverse",
-               "max_abs", "statistics_swap", "swap_pair"),
+    "linalg": ("SingularMatrixError", "SpinDims", "Statistics", "inverse", "max_abs",
+               "statistics_swap", "swap_pair"),
     "boundary": ("NonseparatedBC", "ParseError", "ScalarBC", "SeparatedBC", "ValidationReport",
                  "boundary_condition_to_json", "compatibility_residual", "delta_prime_type",
                  "delta_type", "hspin", "lift_scalar", "load_boundary_condition",
@@ -22,8 +22,7 @@ _EXPORTS = {name: module for module, names in {
               "evaluate_wavefunction", "path_consistency"),
     "spectra": ("BoundState", "BoundStateNotFound", "SignPattern", "SpectrumReport",
                 "bound_energy", "bound_states", "classify_spectrum", "n_particle_bound_state",
-                "negative_real_eigenvalues", "two_particle_bound_states",
-                "verify_bound_state_fd"),
+                "negative_real_eigenvalues", "verify_bound_state_fd"),
 }.items() for name in names}
 
 __version__ = "0.1.0"

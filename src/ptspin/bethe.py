@@ -500,7 +500,7 @@ def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
 
 
 def _check_state_inputs(bc, momenta, u_init):
-    require_separated(bc, "coefficient propagation")
+    bc = require_separated(bc, "coefficient propagation")
     momenta = tuple(float(k) for k in momenta)
     if len(momenta) < 2:
         raise ValueError(f"need at least two momenta, got {len(momenta)}")
@@ -515,7 +515,7 @@ def _check_state_inputs(bc, momenta, u_init):
         )
     if not np.isfinite(u).all() or max_abs(u) == 0.0:
         raise ValueError("initial coefficient must be finite and non-zero")
-    return momenta, dims, u
+    return bc, momenta, dims, u
 
 
 def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) -> np.ndarray:
@@ -648,25 +648,6 @@ def _walk(N: int, operators: np.ndarray, n: int) -> float:
     return worst
 
 
-def _bethe(bc: SeparatedBC, momenta, u_init, statistics, consistency: bool):
-    """The BetheState and, if asked and N >= 3, the path consistency (else None).
-
-    Both use one stack of exchange operators, built once, and the one plan
-    of N.
-    """
-    momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
-    stats = as_statistics(statistics)
-    # The output is allocated before the plan, so a request too large for
-    # memory fails at once, naming the (N!, n^N) array.
-    coefficients = np.empty((math.factorial(dims.N), dims.total_dim), dtype=np.complex128)
-    coefficients[0] = u
-    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
-    state = BetheState(dims=dims, momenta=momenta, statistics=stats,
-                       array=_propagate(dims.N, operators, coefficients, dims.n))
-    worst = _walk(dims.N, operators, dims.n) if consistency and dims.N >= 3 else None
-    return state, worst
-
-
 def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheState:
     """Propagate the identity-permutation coefficient to all N! permutations.
 
@@ -674,7 +655,15 @@ def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheSta
     canonical words is propagated one depth at a time, with one stacked
     product per slot of each depth (`_propagate`).
     """
-    return _bethe(bc, momenta, u_init, statistics, consistency=False)[0]
+    bc, momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
+    stats = as_statistics(statistics)
+    # The output is allocated before the plan, so a request too large for
+    # memory fails at once, naming the (N!, n^N) array.
+    coefficients = np.empty((math.factorial(dims.N), dims.total_dim), dtype=np.complex128)
+    coefficients[0] = u
+    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
+    return BetheState(dims=dims, momenta=momenta, statistics=stats,
+                      array=_propagate(dims.N, operators, coefficients, dims.n))
 
 
 def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
@@ -691,7 +680,7 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     transport and difference held as its block on the slots its word touched
     (`_walk`).  Like the coefficient pass, it refuses N >= 10 before planning.
     """
-    momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
+    bc, momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
@@ -772,7 +761,7 @@ def boundary_jump_residual(state: BetheState, bc: SeparatedBC, j: int, probe: fl
         raise ValueError(f"interface check is limited to two particles, got N={state.dims.N}")
     if j != 1:
         raise IndexError(f"pair index must be 1 for two particles, got {j}")
-    require_separated(bc, "interface check")
+    bc = require_separated(bc, "interface check")
     if bc.n != state.dims.n:
         raise ValueError("boundary condition and state have different spin dimensions")
     probe = float(probe)

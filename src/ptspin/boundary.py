@@ -351,7 +351,8 @@ def lower(bc):
 
 
 def require_separated(bc, what: str) -> SeparatedBC:
-    """Return bc if it is a SeparatedBC; otherwise raise TypeError naming what needs it."""
+    """Return `lower(bc)` if it is a SeparatedBC; otherwise raise TypeError naming what needs it."""
+    bc = lower(bc)
     if not isinstance(bc, SeparatedBC):
         raise TypeError(f"{what} requires a separated boundary condition")
     return bc

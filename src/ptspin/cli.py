@@ -88,7 +88,7 @@ def _dumps(doc) -> str:
 
 def _require_separated(bc, what: str) -> SeparatedBC:
     try:
-        return require_separated(lower(bc), what)
+        return require_separated(bc, what)
     except TypeError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -110,8 +110,7 @@ def cmd_validate(args, tol) -> tuple[int, str]:
 def cmd_yop(args, tol) -> tuple[int, str]:
     from .scattering import make_y_factory, relative_momentum
     k12 = relative_momentum(*_require_finite("--k1 and --k2", (args.k1, args.k2)))
-    bc = lower(load_boundary_condition(args.input))
-    y = make_y_factory(bc, args.statistics)(k12)
+    y = make_y_factory(load_boundary_condition(args.input), args.statistics)(k12)
     return EXIT_OK, _dumps({"k12": k12, "Y": matrix_to_json(y)})
 
 
@@ -131,7 +130,7 @@ def cmd_ybe(args, tol) -> tuple[int, str]:
 
 
 def cmd_bethe(args, tol) -> tuple[int, Iterator[str]]:
-    from .bethe import _bethe
+    from .bethe import bethe_coefficients, path_consistency
     momenta = _momenta(args, minimum=2)
     bc = _require_separated(load_boundary_condition(args.input), "coefficient propagation")
     dims = SpinDims(bc.n, len(momenta))
@@ -143,7 +142,9 @@ def cmd_bethe(args, tol) -> tuple[int, Iterator[str]]:
             u_init = vector_from_json(json.loads(args.u_init))
         except (json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"--u-init: {exc}") from None
-    state, consistency = _bethe(bc, momenta, u_init, args.statistics, consistency=True)
+    state = bethe_coefficients(bc, momenta, u_init, args.statistics)
+    # The walk's operators come from the stack the coefficients kept (`y_separated`).
+    consistency = path_consistency(bc, momenta, u_init, args.statistics) if dims.N >= 3 else None
     return EXIT_OK, _bethe_pieces(state, consistency)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "apply_pair",
     "permute_slots",
     "permutation_sign",
-    "exchange_operator",
     "inverse",
     "cayley",
     "complex_to_json",
@@ -116,7 +115,7 @@ def max_abs(m) -> float:
 
 def swap_pair(n: int) -> np.ndarray:
     """Permutation operator p on C^n x C^n with p(e_a x e_b) = e_b x e_a."""
-    return exchange_operator(1, 2, SpinDims(n, 2))
+    return permute_slots(np.eye(SpinDims(n, 2).pair_dim, dtype=np.complex128), (1, 0), n)
 
 
 class Statistics(enum.Enum):
@@ -178,16 +177,6 @@ def permutation_sign(orders) -> np.ndarray:
     first, second = _slot_pairs(orders.shape[-1])
     inversions = (orders[..., first] > orders[..., second]).sum(axis=-1)
     return 1 - 2 * (inversions & 1)
-
-
-def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:
-    """Operator exchanging tensor factors i and j (1-based, any distinct pair)."""
-    if not (1 <= i <= dims.N and 1 <= j <= dims.N):
-        raise IndexError(f"factor indices ({i},{j}) out of range for N={dims.N}")
-    if i == j:
-        raise ValueError("exchange requires two distinct factors")
-    order = [{i - 1: j - 1, j - 1: i - 1}.get(a, a) for a in range(dims.N)]
-    return permute_slots(np.eye(dims.total_dim, dtype=np.complex128), order, dims.n)
 
 
 def inverse(m, role: str = "matrix") -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import NonseparatedBC, SeparatedBC
+from .boundary import NonseparatedBC, SeparatedBC, lower, require_separated
 from .linalg import (
     DEFAULT_TOL,
     SingularMatrixError,
@@ -80,7 +80,9 @@ def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
     A 1-D array k12 gives the (P, n^2, n^2) stack of the operators at its
     entries from one stacked inverse, equal to one call per entry; the first
     singular entry raises what its own call raises, with its position as the
-    error's index.  A non-finite k12 (or entry) is refused with a ValueError.
+    error's index.  A non-finite k12 (or entry) is refused with a ValueError,
+    and a coupling that does not lower to a SeparatedBC with a TypeError
+    (`require_separated`).
 
     The operators of the last successful stacked solve are kept, keyed by
     F's bytes and the exact value of each k12 (`float.hex`, so -0.0 is not 0.0).
@@ -93,6 +95,7 @@ def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
     across problems.
     """
     global _last_stack
+    bc = require_separated(bc, "the Cayley exchange operator")
     stacked = isinstance(k12, np.ndarray) and k12.ndim > 0
     if stacked:
         if k12.ndim > 1:
@@ -163,6 +166,7 @@ def y_inverse_residual(bc: SeparatedBC, k12: float) -> float:
     Y(k) and Y(-k) come from one stacked call, equal to one call each; a
     singular ik - F raises what the first failing call would raise.
     """
+    bc = require_separated(bc, "the exchange inversion check")
     k12 = _finite(float(k12))
     try:
         y_plus, y_minus = y_separated(bc, np.array([k12, -k12]))
@@ -172,7 +176,8 @@ def y_inverse_residual(bc: SeparatedBC, k12: float) -> float:
 
 
 def make_y_factory(bc, statistics=Statistics.BOSON) -> Callable[[float], np.ndarray]:
-    """Uniform factory interface k12 -> Y for either boundary-condition form."""
+    """Uniform factory interface k12 -> Y for either boundary-condition form (after `lower`)."""
+    bc = lower(bc)
     if isinstance(bc, SeparatedBC):
         return lambda k12: y_separated(bc, k12)
     if isinstance(bc, NonseparatedBC):

@@ -58,7 +58,6 @@ __all__ = [
     "BoundState",
     "classify_spectrum",
     "negative_real_eigenvalues",
-    "two_particle_bound_states",
     "n_particle_bound_state",
     "bound_states",
     "bound_energy",
@@ -198,11 +197,22 @@ def classify_spectrum(F, tol: float | None = None) -> SpectrumReport:
     )
 
 
+def _particle_count(N) -> int:
+    """N as an int, refused with a ValueError unless it is an integral value of at least 2."""
+    try:
+        count = int(N)
+    except (OverflowError, ValueError):  # inf, nan
+        count = None
+    if count != N:
+        raise ValueError(f"particle count must be an integer, got N={N!r}")
+    if count < 2:
+        raise ValueError(f"need at least two particles, got N={count}")
+    return count
+
+
 def bound_energy(lam: float, N: int) -> float:
     """Energy of the N-particle bound state with decay rate lam."""
-    N = int(N)
-    if N < 2:
-        raise ValueError(f"need at least two particles, got N={N}")
+    N = _particle_count(N)
     lam = float(lam)
     return -(lam * lam) * (N * (N * N - 1) // 3)
 
@@ -309,17 +319,6 @@ def negative_real_eigenvalues(F, tol: float | None = None) -> tuple[tuple[float,
     return tuple(clusters), tol
 
 
-def two_particle_bound_states(bc: SeparatedBC, statistics, tol: float | None = None) -> list["BoundState"]:
-    """All two-particle bound states of a separated coupling: `bound_states(bc, 2, ...)`.
-
-    For every clustered real eigenvalue lam < 0 of F and every exchange sign
-    epsilon in {+1, -1}, one state is emitted per vector of the canonical
-    basis of the joint nullspace of F - lam, conj(F) - lam and
-    p - sign(statistics)*epsilon; the list is sorted by (lam, epsilon).
-    """
-    return bound_states(bc, 2, statistics, tol)
-
-
 def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPattern,
                            statistics, tol: float | None = None) -> "BoundState":
     """One N-particle bound state with prescribed decay rate and sign pattern.
@@ -333,7 +332,7 @@ def n_particle_bound_state(bc: SeparatedBC, N: int, lam: float, epsilon: SignPat
     """
     bc = require_separated(bc, "bound-state construction")
     F, n = bc.F, bc.n
-    N = int(N)
+    N = _particle_count(N)
     lam = float(lam)
     if not lam < 0:
         raise ValueError(f"decay rate must be negative, got {lam}")
@@ -380,8 +379,7 @@ def bound_states(bc: SeparatedBC, N: int, statistics, tol: float | None = None) 
     sector is skipped.  N = 2 emits one state per basis vector, N >= 3 only
     the first, if any.
     """
-    if N < 2:
-        raise ValueError(f"need at least two particles, got N={N}")
+    N = _particle_count(N)
     stats = as_statistics(statistics)
     bc = require_separated(bc, "bound-state construction")
     if bc.dirichlet:

@@ -47,6 +47,15 @@ def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
     return np.kron(np.kron(left, np.asarray(m, dtype=np.complex128)), right)
 
 
+def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:
+    """Dense reference: the n^N x n^N permutation exchanging tensor factors i and j
+    (1-based) of (C^n)^N, read off the base-n digits of each basis index."""
+    shape = (dims.n,) * dims.N
+    digits = np.indices(shape).reshape(dims.N, -1)
+    digits[[i - 1, j - 1]] = digits[[j - 1, i - 1]]
+    return np.eye(dims.total_dim, dtype=np.complex128)[np.ravel_multi_index(tuple(digits), shape)]
+
+
 def fresh_y_separated(bc, k12):
     """y_separated(bc, k12) from its own solve: the kept stack is dropped first,
     so a reference never comes from the stack of the call it checks."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_hspin, separated_momenta
+from conftest import exchange_operator, random_hspin, separated_momenta
 from ptspin.bethe import bethe_coefficients, path_consistency
 from ptspin.boundary import (
     NonseparatedBC,
@@ -27,7 +27,7 @@ from ptspin.boundary import (
     validate_separated_pt,
 )
 from ptspin.cli import main
-from ptspin.linalg import SpinDims, exchange_operator, max_abs, swap_pair
+from ptspin.linalg import SpinDims, max_abs, swap_pair
 from ptspin.scattering import (
     make_y_factory,
     statistics_swap,
@@ -38,9 +38,9 @@ from ptspin.scattering import (
 from ptspin.spectra import (
     SignPattern,
     bound_energy,
+    bound_states,
     classify_spectrum,
     n_particle_bound_state,
-    two_particle_bound_states,
     verify_bound_state_fd,
 )
 
@@ -196,7 +196,7 @@ def test_criterion_6_bound_state_energies_and_fd():
         and bound_energy(lam, 3) == -(lam * lam) * 8
         for lam in (-0.5, -1.0, -2.0, -3.37)
     )
-    s2 = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    s2 = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")[0]
     r2 = verify_bound_state_fd(s2, half_width=10.0, spacing=1e-3)
     ratio2 = verify_bound_state_fd(s2, half_width=10.0, spacing=2e-3) / r2
     s3 = n_particle_bound_state(SeparatedBC(2, -2.0 * np.eye(4)), 3, -2.0,
@@ -241,7 +241,7 @@ def test_criterion_7_spectral_classification():
 def test_criterion_8_two_particle_bound_state_suite():
     diag = hspin(a=-1.0, b=-2.0, c=0.0, d=0.0, f=-3.0, g=0.0,
                  e1=0.0, e2=0.0, e3=0.0, e4=0.0)
-    states = two_particle_bound_states(diag, "boson")
+    states = bound_states(diag, 2, "boson")
     pairs = {(s.lam, s.energy) for s in states}
     pairs_ok = pairs == {(-1.0, -2.0), (-2.0, -8.0), (-3.0, -18.0)}
     p = exchange_operator(1, 2, SpinDims(2, 2))
@@ -257,7 +257,7 @@ def test_criterion_8_two_particle_bound_state_suite():
     )
     cd = hspin(a=0.0, b=0.0, c=1.0, d=-1.0, f=0.0, g=0.0,
                e1=0.0, e2=0.0, e3=0.0, e4=0.0)
-    empty_ok = two_particle_bound_states(cd, "boson") == []
+    empty_ok = bound_states(cd, 2, "boson") == []
     _report(8, pairs_ok and admissible and symmetric and empty_ok,
             f"(lam,E) set {sorted(pairs)}, all eigenvectors admissible, "
             f"complex-spectrum case empty")

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
-                      separated_momenta)
+from conftest import (dense_complex_coupling, embed_pair, exchange_operator, fresh_y_separated,
+                      random_hspin, separated_momenta)
 from ptspin import bethe, cli
 from ptspin.bethe import (
     _APPLY,
@@ -35,7 +35,7 @@ from ptspin.bethe import (
     path_consistency,
 )
 from ptspin.boundary import SeparatedBC, delta_type, hspin
-from ptspin.linalg import SingularMatrixError, SpinDims, exchange_operator, max_abs
+from ptspin.linalg import SingularMatrixError, SpinDims, max_abs
 from ptspin.scattering import make_y_factory, y_separated, ybe_residual
 from ptspin.spectra import SignPattern
 

@@ -30,8 +30,10 @@ from ptspin.boundary import (
     validate_separated_pt,
     validate,
 )
+from ptspin.bethe import bethe_coefficients, boundary_jump_residual, path_consistency
 from ptspin.linalg import SpinDims, max_abs, swap_pair
-from ptspin.scattering import ybe_residual
+from ptspin.scattering import make_y_factory, y_inverse_residual, y_separated, ybe_residual
+from ptspin.spectra import SignPattern, bound_states, n_particle_bound_state
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -332,3 +334,26 @@ def test_lower_reaches_operator_ready_forms():
     assert isinstance(lifted, NonseparatedBC) and lifted.n == 1
     separated = lower(ScalarBC("pt_type2", {"theta": 0.0, "h0": 1.0, "h1": -2.0}))
     assert isinstance(separated, SeparatedBC) and separated.F[0, 0] == -2.0
+
+
+def test_library_paths_lower_a_parsed_pt_type2_document():
+    """A parsed scalar_pt_type2 document is a separated condition on every
+    library path: each output equals the output on lower(document)."""
+    doc = parse_boundary_condition({"kind": "scalar_pt_type2", "theta": 0.0, "h0": 1.0, "h1": -2.0})
+    momenta, u = (1.0, 0.3, -0.7), np.ones(1)
+
+    def outputs(bc):
+        pair = bethe_coefficients(bc, momenta[:2], u, "boson")
+        states = bound_states(bc, 2, "boson")
+        return [bethe_coefficients(bc, momenta, u, "boson").array.tobytes(),
+                path_consistency(bc, momenta, u, "boson"),
+                boundary_jump_residual(pair, bc, 1, 0.3),
+                [(s.lam, s.v.tobytes()) for s in states],
+                n_particle_bound_state(bc, 3, -2.0, SignPattern.uniform(3), "boson").v.tobytes(),
+                y_separated(bc, 0.4).tobytes(),
+                y_inverse_residual(bc, 0.4),
+                make_y_factory(bc)(0.4).tobytes()]
+
+    assert isinstance(doc, ScalarBC)
+    got = outputs(doc)
+    assert got == outputs(lower(doc)) and len(got[3]) == 1

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import exchange_operator
 from ptspin import cli, scattering
 from ptspin.cli import main
-from ptspin.linalg import SpinDims, exchange_operator, max_abs, vector_from_json
+from ptspin.linalg import SpinDims, max_abs, vector_from_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

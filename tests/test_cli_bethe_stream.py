@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ptspin import cli
-from ptspin.bethe import _bethe, _plan
+from ptspin.bethe import _plan, bethe_coefficients, path_consistency
 from ptspin.boundary import load_boundary_condition, lower
 from ptspin.linalg import SpinDims, matrix_to_json, vector_from_json
 
@@ -38,7 +38,8 @@ def one_document(path, k, statistics, u_init):
         u[0] = 1.0
     else:
         u = vector_from_json(json.loads(u_init))
-    state, consistency = _bethe(bc, momenta, u, statistics, consistency=True)
+    state = bethe_coefficients(bc, momenta, u, statistics)
+    consistency = path_consistency(bc, momenta, u, statistics) if len(momenta) >= 3 else None
     doc = {
         "momenta": [float(k) for k in momenta],
         "statistics": state.statistics.value,

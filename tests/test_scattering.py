@@ -6,7 +6,7 @@ from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, ran
                       separated_momenta)
 from ptspin import scattering
 from ptspin.bethe import bethe_coefficients, path_consistency
-from ptspin.boundary import SeparatedBC, delta_type, hspin
+from ptspin.boundary import NonseparatedBC, SeparatedBC, delta_type, hspin
 from ptspin.linalg import (
     SingularMatrixError,
     SpinDims,
@@ -336,6 +336,22 @@ def test_alternating_couplings_solve_once_per_call(rng, solves):
         ybe_residual(make_y_factory(bc), *momenta[:3], SpinDims(2, 3))
         y_inverse_residual(bc, 0.5 * (momenta[0] - momenta[1]))
     assert solves == [6, 6, 6, 6, 1, 1, 1, 2, 1, 1, 1, 2]
+
+
+# -- non-separated couplings ----------------------------------------------------
+
+@pytest.mark.parametrize("bc", [
+    NonseparatedBC(2, np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)), np.eye(4)),
+    delta_type(np.eye(4), 2),
+], ids=["connection_matrix", "delta_type"])
+@pytest.mark.parametrize("call,what", [
+    (lambda bc: y_separated(bc, 0.5), "the Cayley exchange operator"),
+    (lambda bc: y_separated(bc, np.array([0.5, -0.5])), "the Cayley exchange operator"),
+    (lambda bc: y_inverse_residual(bc, 0.5), "the exchange inversion check"),
+], ids=["y_separated", "y_separated_stack", "y_inverse_residual"])
+def test_non_separated_coupling_is_refused_by_name(bc, call, what):
+    with pytest.raises(TypeError, match=f"^{what} requires a separated boundary condition$"):
+        call(bc)
 
 
 # -- non-finite relative momenta ------------------------------------------------

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import embed_pair, random_hspin
+from conftest import embed_pair, exchange_operator, random_hspin
 from ptspin.boundary import SeparatedBC, hspin, validate
 from ptspin import cli, spectra
-from ptspin.linalg import SpinDims, Statistics, exchange_operator, max_abs
+from ptspin.linalg import SpinDims, Statistics, max_abs
 from ptspin.spectra import (
     _sector_basis,
     _sector_solutions,
@@ -26,7 +26,6 @@ from ptspin.spectra import (
     classify_spectrum,
     n_particle_bound_state,
     negative_real_eigenvalues,
-    two_particle_bound_states,
     verify_bound_state_fd,
 )
 
@@ -102,7 +101,7 @@ def test_classify_real_matrix_pairs_everything(rng):
 @pytest.mark.parametrize("call", [
     lambda tol: classify_spectrum(np.eye(2), tol=tol),
     lambda tol: negative_real_eigenvalues(-np.eye(4), tol),
-    lambda tol: two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson", tol),
+    lambda tol: bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson", tol),
     lambda tol: bound_states(SeparatedBC(2, -np.eye(4)), 3, "boson", tol=tol),
     lambda tol: n_particle_bound_state(SeparatedBC(2, -np.eye(4)), 3, -1.0,
                                        SignPattern.uniform(3), "boson", tol),
@@ -134,10 +133,32 @@ def test_bound_energy_closed_form():
         bound_energy(-1.0, 1)
 
 
+@pytest.mark.parametrize("N", [2.5, np.float64(3.5), np.nan, np.inf])
+def test_non_integral_particle_counts_are_refused(N):
+    bc = SeparatedBC(2, -np.eye(4))
+    for call in (lambda: bound_energy(-1.0, N),
+                 lambda: bound_states(bc, N, "boson"),
+                 lambda: n_particle_bound_state(bc, N, -1.0, SignPattern.uniform(2), "boson")):
+        with pytest.raises(ValueError, match="particle count must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("N", [3, np.int64(3), 3.0])
+def test_integral_particle_counts_of_any_type_are_accepted(N):
+    bc = SeparatedBC(2, -np.eye(4))
+    assert bound_energy(-1.0, N) == -8.0
+    want = bound_states(bc, 3, "boson")
+    got = bound_states(bc, N, "boson")
+    assert [(s.n_particles, s.lam, s.v.tobytes()) for s in got] == \
+        [(s.n_particles, s.lam, s.v.tobytes()) for s in want]
+    state = n_particle_bound_state(bc, N, -1.0, SignPattern.uniform(3), "boson")
+    assert state.n_particles == 3 and state.v.tobytes() == want[0].v.tobytes()
+
+
 # -- two-particle bound states ----------------------------------------------
 
 def test_two_particle_states_diagonal_coupling():
-    states = two_particle_bound_states(diag_hspin(), "boson")
+    states = bound_states(diag_hspin(), 2, "boson")
     assert [(s.lam, s.energy) for s in states] == [
         (-3.0, -18.0), (-3.0, -18.0), (-2.0, -8.0), (-1.0, -2.0)]
     assert [s.epsilon.values() for s in states] == [(-1,), (1,), (1,), (1,)]
@@ -150,22 +171,22 @@ def test_two_particle_states_diagonal_coupling():
 
 
 def test_two_particle_states_fermion_flips_signs():
-    boson = two_particle_bound_states(diag_hspin(), "boson")
-    fermion = two_particle_bound_states(diag_hspin(), "fermion")
+    boson = bound_states(diag_hspin(), 2, "boson")
+    fermion = bound_states(diag_hspin(), 2, "fermion")
     assert sorted(s.epsilon.values()[0] for s in boson) == [-1, 1, 1, 1]
     assert sorted(s.epsilon.values()[0] for s in fermion) == [-1, -1, -1, 1]
 
 
 def test_two_particle_states_require_real_negative_eigenvalues():
-    assert two_particle_bound_states(cd_hspin(), "boson") == []
+    assert bound_states(cd_hspin(), 2, "boson") == []
 
 
 def test_two_particle_states_dirichlet_has_none():
-    assert two_particle_bound_states(SeparatedBC(2, None), "boson") == []
+    assert bound_states(SeparatedBC(2, None), 2, "boson") == []
 
 
 def test_two_particle_states_scalar_coupling_split_by_parity():
-    states = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")
+    states = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")
     assert len(states) == 4
     assert all(s.lam == pytest.approx(-1.0) for s in states)
     assert all(s.energy == pytest.approx(-2.0) for s in states)
@@ -179,7 +200,7 @@ def test_emitted_states_satisfy_their_defining_relations(rng):
     for _ in range(10):
         bc = random_hspin(rng, symmetric=True)
         for stats, sign in (("boson", 1.0), ("fermion", -1.0)):
-            for s in two_particle_bound_states(bc, stats):
+            for s in bound_states(bc, 2, stats):
                 assert s.lam < 0
                 assert max_abs(bc.F @ s.v - s.lam * s.v) <= 1e-8
                 assert max_abs(np.conj(bc.F) @ s.v - s.lam * s.v) <= 1e-8
@@ -295,15 +316,9 @@ def test_bound_states_match_exhaustive_search(rng):
 
 
 def test_bound_states_two_particles_and_edge_cases():
-    bc = diag_hspin()
-    for stats in ("boson", "fermion"):
-        got = bound_states(bc, 2, stats)
-        want = two_particle_bound_states(bc, stats)
-        assert [(s.lam, s.epsilon.values()) for s in got] == \
-            [(s.lam, s.epsilon.values()) for s in want]
     assert bound_states(SeparatedBC(2, None), 3, "boson") == []
     with pytest.raises(ValueError):
-        bound_states(bc, 1, "boson")
+        bound_states(diag_hspin(), 1, "boson")
 
 
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 3), (3, 2), (3, 4)])
@@ -598,7 +613,7 @@ def test_n_particle_input_validation():
 # -- finite-difference verification ------------------------------------------
 
 def test_fd_residual_two_particles():
-    states = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")
+    states = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")
     state = states[0]
     r = verify_bound_state_fd(state, half_width=10.0, spacing=1e-3)
     assert r <= 1e-4
@@ -658,7 +673,7 @@ def test_stacked_fd_check_equals_the_per_axis_reference():
 
 def test_fd_check_equals_the_reference_across_grids_and_cache_states():
     """The stencil cache is keyed by spacing too, and a warm call equals a cold one."""
-    two = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    two = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")[0]
     _stencil.cache_clear()
     # Both grids have m_max = 9999: a cache keyed without the spacing reuses the first.
     for half_width, spacing in ((10.0, 1e-3), (20.0, 2e-3), (10.0, 1e-3)):
@@ -766,7 +781,7 @@ def test_fd_refuses_a_grid_too_fine_to_measure():
     """Below eps^(1/4) of long double the second difference is mostly rounding
     (3.6 at spacing 1e-9); every spacing the tests and the bound search use
     stays accepted, and keeps its O(spacing^2) residual."""
-    state = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    state = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")[0]
     for spacing in (1e-3, 2e-3, 3e-3, 4e-3):
         assert verify_bound_state_fd(state, half_width=10.0, spacing=spacing) <= 0.2 * spacing ** 2
     assert verify_bound_state_fd(state, half_width=10.0, spacing=2 * spectra._FINEST_SPACING) < 1e-7
@@ -777,7 +792,7 @@ def test_fd_refuses_a_grid_too_fine_to_measure():
 
 @pytest.mark.filterwarnings("error")
 def test_fd_rejects_unusable_grids():
-    state = two_particle_bound_states(SeparatedBC(2, -np.eye(4)), "boson")[0]
+    state = bound_states(SeparatedBC(2, -np.eye(4)), 2, "boson")[0]
     with pytest.raises(ValueError, match="coarse"):
         verify_bound_state_fd(state, half_width=10.0, spacing=0.05)
     with pytest.raises(ValueError, match="small"):

@@ -1,6 +1,6 @@
-"""Structure guard over src/ptspin: where the dense tensor operators may be used,
-which private names may cross module boundaries, and where each public name
-is defined."""
+"""Structure guard over src/ptspin: no module defines or uses the dense tensor
+operators, no private name crosses from bethe or spectra, and each public name
+comes from the module that defines it."""
 import ast
 from pathlib import Path
 
@@ -11,7 +11,6 @@ import ptspin
 PACKAGE = Path(ptspin.__file__).parent
 DENSE = {"exchange_operator", "embed_pair"}
 PRIVATE_SOURCES = {"bethe", "spectra"}
-PRIVATE_IMPORTS = {("cli", "bethe", "_bethe")}
 
 
 def modules():
@@ -46,9 +45,10 @@ def listed(tree):
             yield from (element.value for element in node.value.elts)
 
 
-def test_dense_operators_stay_in_linalg():
-    found = [(module, name) for module, tree in modules() if module != "linalg"
-             for name in names_used(tree) if name in DENSE]
+def test_no_module_defines_or_uses_the_dense_operators():
+    """The dense references live in tests/conftest.py only."""
+    found = [(module, name) for module, tree in modules()
+             for name in (*names_used(tree), *definitions(tree)) if name in DENSE]
     assert found == []
 
 
@@ -86,4 +86,4 @@ def test_no_private_names_cross_from_bethe_or_spectra():
                 source = node.module.rsplit(".", 1)[-1]
                 found += [(module, source, alias.name) for alias in node.names
                           if source in PRIVATE_SOURCES and alias.name.startswith("_")]
-    assert set(found) <= PRIVATE_IMPORTS
+    assert found == []
