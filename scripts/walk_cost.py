@@ -18,9 +18,8 @@ Then, for N = 6, 7 and 8, it prints the cost of planning, in fresh
 processes with one BLAS thread: each process warms numpy on N = 4, times one
 build of N, clears the cache and builds N again under tracemalloc, for the
 MiB the plan retains and the peak of the build.  The medians over --repeats
-processes are printed.  This checkout plans one `bethe._plan(N)` per N; a
-tree that caches the coefficient plan and the walk program apart
-(`bethe._plans`, `bethe._PLANS`) builds both.
+processes are printed.  The build is one `bethe._plan(N)`, which holds the
+coefficient plan and the walk program of N.
 
 With --src the timed program is imported from another checkout's src, so
 two trees can be timed on the same machine.
@@ -76,20 +75,15 @@ PLANNER = """
 import gc, sys, time, tracemalloc
 from ptspin import bethe
 N = int(sys.argv[1])
-if hasattr(bethe, "_plans"):
-    build = lambda N: bethe._plans(N, coefficients=True, walk=True)
-    clear = lambda: [cache.clear() for cache in bethe._PLANS]
-else:
-    build, clear = bethe._plan, bethe._plan.cache_clear
-build(4)
-clear()
+bethe._plan(4)
+bethe._plan.cache_clear()
 start = time.perf_counter()
-build(N)
+bethe._plan(N)
 seconds = time.perf_counter() - start
-clear()
+bethe._plan.cache_clear()
 gc.collect()
 tracemalloc.start()
-build(N)
+bethe._plan(N)
 retained, peak = tracemalloc.get_traced_memory()
 print(seconds, retained / 2 ** 20, peak / 2 ** 20)
 """

@@ -29,9 +29,9 @@ words and the slot index of the BetheState, and the ops and buffer widths
 of the walk.  The trie itself lives only while the plan is built.  No
 permutation is stored: `BetheState.coefficients` and `.words` find a
 permutation's row by its rank in itertools.permutations order, which is
-lexicographic (`_rank`).  N >= 10 is refused before planning.  A node's
-depth is its word length, so `bethe_coefficients` propagates the trie one
-depth at a time: the nodes of a depth that swap at one slot are one stacked
+lexicographic (`_rank`).  N >= 10 is refused before anything is allocated
+or planned.  A node's depth is its word length, so `bethe_coefficients`
+propagates the trie one depth at a time: the nodes of a depth that swap at one slot are one stacked
 np.matmul on their parents' rows (15, 34, 65, 111 products for N = 4..7),
 each making the per-node n^2 x n^2 products, and word rows land in one
 (N!, n^N) array, which the BetheState holds read-only.
@@ -45,11 +45,12 @@ through the site shares the suffix.  Each array of the walk is I (x) R (x) I,
 where R acts on the hull of the slots its word touched, so it is held as the
 n^k x n^k block R of those k slots, and a product whose pair leaves the hull
 first widens the block.  The walk program is this walk as a buffer program
-(`_program`): the hulls decide each op's block, and the rows' liveness
-fields decide, once per N, which numbered buffer each product writes, taken
-from an idle pool for its block width k, so a buffer is n^k x n^k and the
-walk keeps only as many of each width as it holds at once (at N = 5, one
-of width 0 for the identity, and 2, 4, 3 and 3 of widths 2 to 5).  A call
+(`_program`), read straight from the trie's walk columns: the hulls decide
+each op's block, and the liveness columns decide, once per N, which
+numbered buffer each product writes, taken from an idle pool for its block
+width k, so a buffer is n^k x n^k and the walk keeps only as many of each
+width as it holds at once (at N = 5, one of width 0 for the identity, and
+2, 4, 3 and 3 of widths 2 to 5).  A call
 allocates one arena, the buffers' blocks laid end to end (3.05 MiB at
 n = 3, N = 5), and one real magnitude buffer, and runs np.matmul,
 np.subtract and np.abs on block views of it with out=, allocating nothing
@@ -68,7 +69,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,28 +187,6 @@ def _canonical_words(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, lengths
 
 
-class _TrieNode(NamedTuple):
-    """One node of the canonical-word trie: a word prefix, one swap past its parent.
-
-    Rows are listed depth-first, so a node's parent is the nearest earlier row
-    of depth `depth - 1`.  step is the slot j of the swap and the labels
-    (alpha, beta) at slots j, j+1 before it; perm is the permutation if the
-    prefix is a canonical word.  If the last three swaps are a braid (a, b, a)
-    with |a - b| = 1, braid holds the steps of (b, a, b) from depth - 3.
-    transport says a braid node lies in the subtree (self included), last
-    that the node is its parent's last child, and free lists the depths on
-    the path whose transports are dead after this node.
-    """
-
-    depth: int
-    step: tuple[int, tuple[int, int]]
-    perm: tuple[int, ...] | None
-    braid: tuple[tuple[int, tuple[int, int]], ...] | None
-    transport: bool
-    last: bool
-    free: tuple[int, ...]
-
-
 class _Group(NamedTuple):
     """The nodes of one depth that swap at one slot: one stacked product.
 
@@ -264,28 +243,35 @@ def _frozen(values, dtype=np.intp) -> np.ndarray:
     return out
 
 
-def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarray, Iterator[_TrieNode]]:
+def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarray,
+                                tuple[np.ndarray, ...]]:
     """The trie of the canonical words of N particles, planned with array operations.
 
     Returns the momentum pairs in order of first use, the levels, the padded
-    words and the slots (the fields of `_Plan` so named), and an iterator
-    over the rows of the walk: depth-first, the nodes that carry a
-    transport, start a braid difference or inherit one (no other node does
-    consistency work), made one at a time as `_program` reads them.  Nodes
-    are numbered one depth at a time by np.unique of (parent number, slot)
-    over the padded words, so the numbers run depth by depth from the root
-    0.  Children are visited lightest subtree first, so the arrays a node
+    words and the slots (the fields of `_Plan` so named), and the walk as
+    columns with one entry per row.  The rows are, depth-first, the nodes
+    that carry a transport, start a braid difference or inherit one (no
+    other node does consistency work).  The columns are a row's depth, slot,
+    pair (its position in pairs) and word (the rank of its permutation, or
+    -1 if the node is not a canonical word); whether it carries a transport,
+    is its parent's last child and is a braid node (its last three swaps
+    are (a, b, a) with |a - b| = 1); its parent's slot and pair and its
+    grandparent's pair, which give the steps of the flipped braid (b, a, b);
+    and whether the transports of its base three levels up, of its parent
+    and of itself are dead after this row.  Nodes are numbered one depth at
+    a time by np.unique of (parent number, slot) over the padded words, so
+    the numbers run depth by depth from the root 0.  Children are visited lightest subtree first, so the arrays a node
     keeps for its children are released before its heaviest subtree is
     entered; within a depth, the levels group the nodes by slot in
     depth-first order.
     """
-    perms = list(itertools.permutations(range(1, N + 1)))
-    slots = _frozen(np.array(perms) - 1, np.int8)
+    slots = _frozen(np.fromiter(itertools.permutations(range(N)), np.dtype((np.int8, N)),
+                                math.factorial(N)), np.int8)
     words, lengths = _canonical_words(slots)
     # Per node: parent, slot, the first word through it (in permutations
     # order, which creates it) and the code (alpha - 1) * N + beta - 1 of the
     # momentum pair it swaps, read from its parent's slot labels.
-    ids = np.zeros(len(perms), dtype=np.intp)
+    ids = np.zeros(len(slots), dtype=np.intp)
     nodes, labels, offsets = [(np.zeros(1, np.intp),) * 4], np.arange(1, N + 1)[None], [0, 1]
     for d in range(words.shape[1]):
         alive = np.flatnonzero(lengths > d)
@@ -300,7 +286,7 @@ def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarra
     parent, slot, first, code = map(np.concatenate, zip(*nodes))
     depth = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     word = np.full(len(depth), -1)
-    word[np.asarray(offsets)[lengths] + ids] = np.arange(len(perms))
+    word[np.asarray(offsets)[lengths] + ids] = np.arange(len(slots))
     # A momentum pair's id is its order of first use, where its first node is created.
     created = code[1:][np.lexsort((depth[1:], first[1:]))]
     _, at = np.unique(created, return_index=True)
@@ -329,32 +315,20 @@ def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarra
         position[level] = position[up] + 1 + before - before[np.searchsorted(up, up)]
         last[level] = np.append(up[1:] != up[:-1], True)
         inherits[level] = inherits[up] | braid[up]
-
-    def walk():
-        # A node's transport is needed where a braid node lies in its subtree,
-        # and dead after its last use: by a child's transport, by a braid node
-        # three levels down, or by the node itself.  The flipped braid (b, a, b)
-        # swaps the pairs of the node's last three swaps in reverse order.
-        transport, use = braids > 0, np.full(len(depth), -1)
-        carried, sites = np.flatnonzero(transport[1:]) + 1, np.flatnonzero(braid)
-        for owner, user in ((carried, carried), (parent[carried], carried),
-                            (parent[parent[parent[sites]]], sites)):
-            np.maximum.at(use, owner, position[user])
-        order = np.argsort(position)[1:]
-        order = order[(transport | inherits)[order]]
-        up = parent[order]
-        # Whether the transports of the base, the parent and the node itself
-        # (depths d - 3, d - 1, d) are last used at this row.
-        dead = (braid[order] & (use[parent[parent[up]]] == position[order]),
-                use[up] == position[order], use[order] == position[order])
-        for d, j, p, w, t, final, b, jp, pp, pgp, *free in zip(*(a.tolist() for a in (
-                depth[order], slot[order], pair[order], word[order], transport[order], last[order],
-                braid[order], slot[up], pair[up], pair[parent[up]], *dead))):
-            yield _TrieNode(depth=d, step=(j, pairs[p]), perm=perms[w] if w >= 0 else None,
-                            braid=((jp, pairs[p]), (j, pairs[pp]), (jp, pairs[pgp])) if b else None,
-                            transport=t, last=final,
-                            free=tuple(d - k for k, f in zip((3, 1, 0), free) if f))
-
+    # A node's transport is needed where a braid node lies in its subtree,
+    # and dead after its last use: by a child's transport, by a braid node
+    # three levels down, or by the node itself.
+    transport, use = braids > 0, np.full(len(depth), -1)
+    carried, sites = np.flatnonzero(transport[1:]) + 1, np.flatnonzero(braid)
+    for owner, user in ((carried, carried), (parent[carried], carried),
+                        (parent[parent[parent[sites]]], sites)):
+        np.maximum.at(use, owner, position[user])
+    order = np.argsort(position)[1:]
+    order = order[(transport | inherits)[order]]
+    up, at = parent[order], position[order]
+    walk = (depth[order], slot[order], pair[order], word[order], transport[order], last[order],
+            braid[order], slot[up], pair[up], pair[parent[up]],
+            braid[order] & (use[parent[parent[up]]] == at), use[up] == at, use[order] == at)
     # A level lists its depth's nodes by slot, each group in depth-first
     # order; rank is a node's position in its level.
     by_level = np.lexsort((position, slot, depth))
@@ -368,7 +342,7 @@ def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarra
                        for g in np.split(members, np.flatnonzero(np.diff(slot[members])) + 1))
         found = np.flatnonzero(word[members] >= 0)
         levels.append(_Level(groups=groups, rows=_frozen(found), words=_frozen(word[members][found])))
-    return pairs, tuple(levels), _frozen(words, np.int8), slots, walk()
+    return pairs, tuple(levels), _frozen(words, np.int8), slots, walk
 
 
 @functools.cache
@@ -376,26 +350,23 @@ def _plan(N: int) -> _Plan:
     """The plan of N particles, built once from one numbering of its trie
     (`_word_trie`), which is then dropped.
 
-    The trie holds N! words.  Planning takes about 0.03 s at N = 7, 0.24 s
-    at N = 8 and 3 s at N = 9, about ten times more per particle, and the
-    plan retains 0.65, 4.0 and 36 MiB (tracemalloc; the build peaks at 2.2,
-    18 and 167 MiB, and a process that plans N = 9 reaches about 230 MB max
-    RSS).  So N >= 10 (3628800 words and up) is refused before planning.
+    The trie holds N! words.  Planning takes about 0.03 s at N = 7, 0.2 s
+    at N = 8 and 2 s at N = 9, about ten times more per particle, and the
+    plan retains 0.65, 3.8 and 35 MiB (tracemalloc; the build peaks at 1.8,
+    15 and 144 MiB, and a process that plans N = 9 reaches about 215 MB max
+    RSS).  So `_check_state_inputs` refuses N >= 10 (3628800 words and up)
+    before anything is allocated or planned.
     """
-    if N > 9:
-        raise ValueError(f"planning N={N} particles builds a trie of {math.factorial(N)} words; "
-                         f"at most 9 particles ({math.factorial(9)} words) are planned")
-    pairs, levels, words, slots, rows = _word_trie(N)
-    return _Plan(pairs, levels, words, slots, *_program(rows, pairs))
+    pairs, levels, words, slots, walk = _word_trie(N)
+    return _Plan(pairs, levels, words, slots, *_program(walk))
 
 
 _COPY, _APPLY, _WIDEN, _SUBTRACT, _MAX = range(5)
 
 
-def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
-             ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The consistency walk over rows as ops on numbered buffers, one int16 row
-    per op, and the buffers' block widths.
+def _program(walk: tuple[np.ndarray, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The consistency walk of `_word_trie`'s columns as ops on numbered
+    buffers, one int16 row per op, and the buffers' block widths.
 
     Every array of the walk is a product of pair operators on the identity,
     or a difference of two such products with the same slots touched, so it
@@ -405,20 +376,20 @@ def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
     src, dst, lo, hi) and works on the block [lo, hi]: _COPY writes the
     pair's Y, the block of Y at slot applied to the identity, into dst;
     _APPLY writes Y at slot applied to src into dst; _SUBTRACT writes
-    src - dst into dst; _MAX takes the max-abs of src (dst = src).  An apply whose pair leaves the
-    hull of its source is preceded by a _WIDEN, (kind, a, b, src, dst, lo,
-    hi), which writes I_(n^a) (x) R (x) I_(n^b), the full matrix on the
-    wider hull, into a scratch buffer of the apply's width taken for that
-    apply alone.  The rows are replayed depth-first, holding the transports
-    and differences of the current path: each result's buffer is the last
+    src - dst into dst; _MAX takes the max-abs of src (dst = src).  An apply
+    whose pair leaves the hull of its source is preceded by a _WIDEN, (kind,
+    a, b, src, dst, lo, hi), which writes I_(n^a) (x) R (x) I_(n^b), the
+    full matrix on the wider hull, into a scratch buffer of the apply's
+    width taken for that apply alone.  The rows are replayed depth-first,
+    one zipped entry of the columns at a time, holding the transports and
+    differences of the current path: each result's buffer is the last
     released buffer of its width, or a new one, taken before its source is
-    released, so no op writes what it reads, and the rows' free and last
-    fields release each array after its last use, so the buffers of each
-    width are the most arrays of that width the walk holds at once, a
-    widen's scratch included.  The identity is the root transport, buffer 0,
+    released, so no op writes what it reads, and the liveness columns (last
+    child, and the three dead flags) release each array after its last use,
+    so the buffers of each width are the most arrays of that width the walk
+    holds at once, a widen's scratch included.  The identity is the root transport, buffer 0,
     a block of width 0 (I = I (x) [1] (x) I) that no op reads or writes.
     """
-    pair_id = {pair: i for i, pair in enumerate(pairs)}
     idle, ops, widths = [], [], [0]
     hull: dict[int, tuple[int, int] | None] = {0: None}
 
@@ -430,13 +401,12 @@ def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
         widths.append(width)
         return len(widths) - 1
 
-    def apply(step, src):
-        slot, pair = step
+    def apply(slot, pair, src):
         lo, hi = hull[src] or (slot, slot + 1)
         lo, hi = min(lo, slot), max(hi, slot + 1)
         dst = take(hi - lo + 1)
         if hull[src] is None:
-            ops.append((_COPY, pair_id[pair], slot, src, dst, lo, hi))
+            ops.append((_COPY, pair, slot, src, dst, lo, hi))
         else:
             inner_lo, inner_hi = hull[src]
             if (lo, hi) != (inner_lo, inner_hi):
@@ -444,7 +414,7 @@ def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
                 ops.append((_WIDEN, inner_lo - lo, hi - inner_hi, src, wide, lo, hi))
                 idle.append(wide)
                 src = wide
-            ops.append((_APPLY, pair_id[pair], slot, src, dst, lo, hi))
+            ops.append((_APPLY, pair, slot, src, dst, lo, hi))
         hull[dst] = lo, hi
         return dst
 
@@ -453,32 +423,33 @@ def _program(rows: Iterable[_TrieNode], pairs: tuple[tuple[int, int], ...]
         transports[depth] = None
 
     transports, diffs = [0], [[]]
-    for row in rows:
-        d = row.depth
+    for (d, slot, pair, word, transport, last, braid, up_slot, up_pair, top_pair,
+         base_dead, up_dead, dead) in zip(*(column.tolist() for column in walk)):
         while len(transports) > d:
             idle.extend(diffs.pop())
             if transports[-1] is not None:
                 idle.append(transports[-1])
             del transports[-1]
-        moved = [apply(row.step, diff) for diff in diffs[-1]]
-        if row.last:
+        moved = [apply(slot, pair, diff) for diff in diffs[-1]]
+        if last:
             idle.extend(diffs[d - 1])
             diffs[d - 1] = []
-        transports.append(apply(row.step, transports[-1]) if row.transport else None)
-        if d - 1 in row.free:
+        transports.append(apply(slot, pair, transports[-1]) if transport else None)
+        if up_dead:
             release(d - 1)
-        if row.braid:
-            flipped = apply(row.braid[0], transports[d - 3])
-            if d - 3 in row.free:
+        if braid:
+            # The flipped braid (b, a, b) swaps the pairs of (a, b, a) in reverse order.
+            flipped = apply(up_slot, pair, transports[d - 3])
+            if base_dead:
                 release(d - 3)
-            for step in row.braid[1:]:
-                src, flipped = flipped, apply(step, flipped)
+            for step in ((slot, up_pair), (up_slot, top_pair)):
+                src, flipped = flipped, apply(*step, flipped)
                 idle.append(src)
             ops.append((_SUBTRACT, 0, 0, transports[d], flipped, *hull[flipped]))
             moved.append(flipped)
-        if d in row.free:
+        if dead:
             release(d)
-        if row.perm:
+        if word >= 0:
             ops.extend((_MAX, 0, 0, diff, diff, *hull[diff]) for diff in moved)
         diffs.append(moved)
     return _frozen(ops, np.int16).reshape(-1, 7), tuple(widths)
@@ -507,6 +478,9 @@ def _check_state_inputs(bc, momenta, u_init):
     if not all(np.isfinite(momenta)):
         raise ValueError("momenta must be finite")
     dims = SpinDims(bc.n, len(momenta))
+    if dims.N > 9:
+        raise ValueError(f"planning N={dims.N} particles builds a trie of {math.factorial(dims.N)} "
+                         f"words; at most 9 particles ({math.factorial(9)} words) are planned")
     u = np.asarray(u_init, dtype=np.complex128).reshape(-1)
     if u.shape[0] != dims.total_dim:
         raise ValueError(

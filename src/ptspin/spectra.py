@@ -246,11 +246,12 @@ def _sector_basis(n: int, N: int, exchange_sign: float) -> np.ndarray:
     Columns are found by np.unique with return_inverse on one base-n integer
     key per sorted label row; the key is below n^N, and orders the rows
     lexicographically.  An n^N past int64 is refused, since the digits and
-    keys would wrap.  Built once per process for each (n, N, sign) and
+    keys would wrap; from N = 64 on at n >= 2 that is known from N alone,
+    without the exact power.  Built once per process for each (n, N, sign) and
     returned read-only, since every caller shares it; an entry holds n^N
     rows, so the cache is bounded.
     """
-    if n ** N > np.iinfo(np.int64).max:
+    if n > 1 and N >= 64 or n ** N > np.iinfo(np.int64).max:
         raise ValueError(f"n^N = {n}^{N} spin components pass the int64 index range")
     powers = n ** np.arange(N - 1, -1, -1)
     # The (n^N, N) labels are allocated first, so a space too large for memory

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from ptspin.bethe import (
     _COPY,
     _MAX,
     _SUBTRACT,
-    _TrieNode,
     _WIDEN,
     _exchange_operators,
     _one_sided_weights,
@@ -381,6 +381,42 @@ def test_trie_walk_matches_prefix_memo_reference_on_dirichlet(rng, N):
 
 # -- the plan of the canonical-word trie ------------------------------------
 
+class TrieRow(NamedTuple):
+    """One node of the canonical-word trie: a word prefix, one swap past its parent.
+
+    Rows are listed depth-first, so a node's parent is the nearest earlier row
+    of depth `depth - 1`.  step is the slot j of the swap and the labels
+    (alpha, beta) at slots j, j+1 before it; perm is the permutation if the
+    prefix is a canonical word.  If the last three swaps are a braid (a, b, a)
+    with |a - b| = 1, braid holds the steps of (b, a, b) from depth - 3.
+    transport says a braid node lies in the subtree (self included), last
+    that the node is its parent's last child, and free lists the depths on
+    the path whose transports are dead after this node.
+    """
+
+    depth: int
+    step: tuple[int, tuple[int, int]]
+    perm: tuple[int, ...] | None
+    braid: tuple[tuple[int, tuple[int, int]], ...] | None
+    transport: bool
+    last: bool
+    free: tuple[int, ...]
+
+
+def planner_rows(N):
+    """The walk columns of `_word_trie(N)` read back as one TrieRow per row."""
+    pairs, *_, walk = _word_trie(N)
+    perms = list(itertools.permutations(range(1, N + 1)))
+    assert len({len(column) for column in walk}) == 1
+    return tuple(
+        TrieRow(depth=d, step=(j, pairs[p]), perm=perms[w] if w >= 0 else None,
+                braid=((jp, pairs[p]), (j, pairs[pp]), (jp, pairs[pgp])) if braid else None,
+                transport=transport, last=last,
+                free=tuple(d - k for k, dead in zip((3, 1, 0), deaths) if dead))
+        for d, j, p, w, transport, last, braid, jp, pp, pgp, *deaths
+        in zip(*(column.tolist() for column in walk)))
+
+
 @functools.cache
 def _plan(N):
     """The plan of N and the trie rows it is built from, as one record under
@@ -390,7 +426,7 @@ def _plan(N):
     return SimpleNamespace(**plan._asdict() | {"ops": tuple(map(tuple, plan.ops.tolist())),
                                                "index": _ByPerm(N, int),
                                                "words": _ByPerm(N, plan.word)},
-                           rows=tuple(_word_trie(N)[-1]))
+                           rows=planner_rows(N))
 
 
 def plan_digest(N):
@@ -449,16 +485,21 @@ def test_each_trie_is_numbered_once_per_N(monkeypatch, rng, capsys):
 
 def test_ten_particles_are_refused_before_planning(monkeypatch, rng):
     """The trie of 10 particles (3628800 words) is refused before it is built,
-    by the coefficient pass and the walk alike."""
+    by the coefficient pass and the walk alike, and before the coefficient
+    pass allocates its (N!, n^N) array (55.4 GiB at n = 2).  Up to N = 9 that
+    array is allocated before planning, so a request too large for memory
+    (1.4 TiB at n = 4) names it at once."""
     def unreachable(N):
         raise AssertionError(f"the trie of N={N} was reached")
 
     monkeypatch.setattr(bethe, "_word_trie", unreachable)
-    momenta = [0.3 * i for i in range(10)]
-    for n, run in ((2, path_consistency), (1, bethe_coefficients)):
-        bc = SeparatedBC(n, -np.eye(n * n))
+    bc = SeparatedBC(2, -np.eye(4))
+    for run in (path_consistency, bethe_coefficients):
         with pytest.raises(ValueError, match="N=10 particles builds a trie of 3628800 words"):
-            run(bc, momenta, np.ones(n ** 10), "boson")
+            run(bc, [0.3 * i for i in range(10)], np.ones(2 ** 10), "boson")
+    with pytest.raises(MemoryError, match="Unable to allocate 1.38 TiB"):
+        bethe_coefficients(SeparatedBC(4, -np.eye(16)), [0.3 * i for i in range(9)],
+                           np.ones(4 ** 9), "boson")
 
 
 # -- full-matrix reference walk ---------------------------------------------
@@ -642,10 +683,10 @@ def reference_word_tree(N):
         if is_braid(prefix):
             a, b = prefix[-2:]
             braid = tuple(label_steps(prefix[:-3] + (a, b, a), N)[0][-3:])
-        rows.append(_TrieNode(depth=len(prefix), step=label_steps(prefix, N)[0][-1],
-                              perm=perm_at[prefix], braid=braid, transport=prefix in transport,
-                              last=last_child[prefix[:-1]] == i,
-                              free=tuple(sorted(free.get(i, ())))))
+        rows.append(TrieRow(depth=len(prefix), step=label_steps(prefix, N)[0][-1],
+                            perm=perm_at[prefix], braid=braid, transport=prefix in transport,
+                            last=last_child[prefix[:-1]] == i,
+                            free=tuple(sorted(free.get(i, ())))))
     return tuple(rows), words, tuple(pairs)
 
 
@@ -663,8 +704,9 @@ def row_prefixes(rows):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_word_tree_equals_the_replaying_planner(N):
-    """The plan's rows are the reference rows that carry a transport, start a
-    braid difference or have a braid node above them (they inherit one)."""
+    """The planner's walk columns, read back as rows, are the reference rows
+    that carry a transport, start a braid difference or have a braid node
+    above them (they inherit one)."""
     rows, words, pairs = reference_word_tree(N)
     consistency = tuple(row for row, prefix in zip(rows, row_prefixes(rows))
                         if row.transport or row.braid
@@ -1044,18 +1086,21 @@ bethe._plan(4)
 bethe._plan.cache_clear()
 tracemalloc.start()
 bethe._plan(8)
-print(tracemalloc.get_traced_memory()[0])
+print(*tracemalloc.get_traced_memory())
 """
 
 
 def test_the_plan_of_eight_particles_retains_arrays_only():
     """The plan of N = 8 retains at most 8 MiB in a fresh process: about 4 MiB
     of arrays, where the perm tuples with their index dict, the 40320 word
-    tuples and the walk's op tuples held 20.0 MiB."""
+    tuples and the walk's op tuples held 20.0 MiB.  Its build peaks below
+    16 MiB: the walk reaches `_program` as columns, not as one record per row
+    (17.4 MiB)."""
     proc = subprocess.run([sys.executable, "-c", _PLAN_MEMORY], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 8 * 2 ** 20
+    retained, peak = map(int, proc.stdout.split())
+    assert retained <= 8 * 2 ** 20 and peak <= 16 * 2 ** 20
 
 
 def test_path_consistency_memory_stays_local(rng):

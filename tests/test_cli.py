@@ -654,14 +654,17 @@ _EDGE_ARGVS = [
     (["sweep", fx("hspin_diag.json"), "--run", "classify", "--param", "g=-1e308:1e308:3"], 2,
      "--param span hi - lo must be finite"),
     (["bound", fx("hspin_diag.json"), "--particles", "40"], 1, "Unable to allocate"),
+    # 2^(10^100) spin components: refused from N alone, without the exact power.
+    (["bound", fx("hspin_diag.json"), "--particles", "1" + "0" * 100], 1,
+     "pass the int64 index range"),
     (["sweep", fx("hspin_diag.json"), "--run", "classify", "--param", "g=0:1:100000000000000"], 1,
      "Unable to allocate"),
-    # (N!, n^N) coefficients: allocated before the plan of N, which alone
-    # would take seconds and fail on an array of its own.
+    # N >= 10 is refused before the (N!, n^N) coefficients (55.4 GiB at
+    # N = 10) are allocated, whatever the host could reserve.
     (["bethe", fx("hspin_diag.json"), "--k", ",".join(str(0.3 * i) for i in range(10))], 1,
-     "Unable to allocate 55.4 GiB for an array with shape (3628800, 1024)"),
+     "planning N=10 particles builds a trie of 3628800 words"),
     (["bethe", fx("hspin_diag.json"), "--k", ",".join(str(0.3 * i) for i in range(12))], 1,
-     "for an array with shape (479001600, 4096)"),
+     "planning N=12 particles builds a trie of 479001600 words"),
 ]
 
 

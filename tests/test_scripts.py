@@ -98,8 +98,8 @@ def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
     assert widths == "k0:1,k2:2,k3:4,k4:3"
     assert (arena, magnitude, rows) == tuple(f"{size / 2**20:.4f}" for size in (
         16 * (1 + 2 * 16 + 4 * 64 + 3 * 256), 8 * 256, 16 * 10 * 256))
-    # Planning both products of N = 6, 7, 8: each build costs more, and its
-    # products retain more, than the last, and retain no more than its peak.
+    # Planning N = 6, 7, 8: each build costs more, and its plan retains more,
+    # than the last, and retains no more than its peak.
     assert blank == "" and plan_header.split() == ["N", "plan_ms", "retained_mib", "peak_mib"]
     costs = {int(N): tuple(map(float, rest)) for N, *rest in map(str.split, plans)}
     assert list(costs) == [6, 7, 8]
