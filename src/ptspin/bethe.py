@@ -479,7 +479,9 @@ def _check_state_inputs(bc, momenta, u_init):
         raise ValueError("momenta must be finite")
     dims = SpinDims(bc.n, len(momenta))
     if dims.N > 9:
-        raise ValueError(f"planning N={dims.N} particles builds a trie of {math.factorial(dims.N)} "
+        # The exact count is printed while it is short (20! has 19 digits).
+        words = math.factorial(dims.N) if dims.N <= 20 else f"{dims.N}!"
+        raise ValueError(f"planning N={dims.N} particles builds a trie of {words} "
                          f"words; at most 9 particles ({math.factorial(9)} words) are planned")
     u = np.asarray(u_init, dtype=np.complex128).reshape(-1)
     if u.shape[0] != dims.total_dim:

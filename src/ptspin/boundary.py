@@ -306,32 +306,28 @@ def validate_separated_pt(F, G, tol: float = DEFAULT_TOL) -> ValidationReport:
 def validate(bc, tol: float | None = None) -> ValidationReport:
     """Check any parsed boundary condition against the constraints of its family.
 
-    tol defaults to DEFAULT_TOL.
+    A scalar document reports its parameter-inequality residuals first; only
+    when all of them are zero are the residuals of `validate(lower(bc))`
+    added, so its PT residuals describe the matrix every other path computes
+    on (phases reduced modulo 2 pi).  A SeparatedBC reports the constant
+    G+conj(F) = 0, since G = -conj(F) is implied by F, not stored.  tol
+    defaults to DEFAULT_TOL.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if isinstance(bc, NonseparatedBC):
         return validate_nonseparated_pt(bc, tol)
     if isinstance(bc, SeparatedBC):
-        if bc.dirichlet:
-            return ValidationReport.from_residuals({"G+conj(F)": 0.0}, tol)
-        return validate_separated_pt(bc.F, -bc.F.conj(), tol)
-    if isinstance(bc, ScalarBC):
+        return ValidationReport.from_residuals({"G+conj(F)": 0.0}, tol)
+    if isinstance(bc, ScalarBC) and bc.kind in ("pt_type1", "pt_type2"):
+        p = bc.params
         if bc.kind == "pt_type1":
-            b, one_plus_bc = bc.params["b"], _one_plus_bc(bc.params["b"], bc.params["c"])
-            residuals = {
-                "b_nonnegative": max(0.0, -b),
-                "one_plus_bc_nonnegative": max(0.0, -one_plus_bc),
-            }
-            if one_plus_bc >= 0.0:
-                inner = validate_nonseparated_pt(lift_scalar(bc.connection_matrix(), 1), tol)
-                residuals.update(inner.residuals)
-            return ValidationReport.from_residuals(residuals, tol)
-        if bc.kind == "pt_type2":
-            degenerate = bc.params["h0"] == 0.0 and bc.params["h1"] == 0.0
-            residuals = {"h_nonzero": 1.0 if degenerate else 0.0}
-            if not degenerate:
-                residuals.update(validate(scalar_pt_type2(**bc.params), tol).residuals)
-            return ValidationReport.from_residuals(residuals, tol)
+            residuals = {"b_nonnegative": max(0.0, -p["b"]),
+                         "one_plus_bc_nonnegative": max(0.0, -_one_plus_bc(p["b"], p["c"]))}
+        else:
+            residuals = {"h_nonzero": 1.0 if p["h0"] == 0.0 and p["h1"] == 0.0 else 0.0}
+        if not any(residuals.values()):
+            residuals.update(validate(lower(bc), tol).residuals)
+        return ValidationReport.from_residuals(residuals, tol)
     raise TypeError(f"no validator for {type(bc).__name__}")
 
 

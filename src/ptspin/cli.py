@@ -9,6 +9,8 @@ form, ASCII-only escapes.  Exit codes: 0 success, 1 mathematical failure
 The decision tolerance defaults to 1e-10 for validate and to
 1e-10 * (1 + spectral radius of F) for classify and bound.  The PTSPIN_TOL
 environment variable overrides the default, and a --tol flag overrides both.
+Only the commands with --tol (validate, bound, classify, sweep) read
+PTSPIN_TOL; yop, ybe and bethe take no tolerance and ignore it.
 
 A command returns its exit code and its output, one string or an iterable of
 string pieces that `_emit` writes in order.  `bethe` streams: it computes the
@@ -68,9 +70,9 @@ class _UsageError(Exception):
 
 
 def _resolve_tol(args) -> float | None:
-    """--tol beats PTSPIN_TOL beats the library default (returned as None)."""
-    for source, value in (("--tol", getattr(args, "tol", None)),
-                          ("PTSPIN_TOL", os.environ.get("PTSPIN_TOL"))):
+    """--tol beats PTSPIN_TOL beats the library default (returned as None);
+    only for the commands that define --tol."""
+    for source, value in (("--tol", args.tol), ("PTSPIN_TOL", os.environ.get("PTSPIN_TOL"))):
         if value is not None:
             try:
                 return as_tolerance(value)
@@ -291,7 +293,8 @@ def _tol_flag(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="decision tolerance (default 1e-10 for validate, "
                              "1e-10*(1+spectral radius of F) for classify and bound; "
-                             "PTSPIN_TOL overrides the default, this flag overrides both)")
+                             "PTSPIN_TOL, read only by commands with this flag, overrides "
+                             "the default, and this flag overrides both)")
 
 
 @functools.cache
@@ -379,7 +382,7 @@ def _usage_error(exc) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tol = _resolve_tol(args)
+        tol = _resolve_tol(args) if "tol" in vars(args) else None
         code, text = _DISPATCH[args.command](args, tol)
     except (_UsageError, ParseError, OSError) as exc:
         return _usage_error(exc)

@@ -207,14 +207,22 @@ def cayley(F, k12, role: str = "ik-F") -> np.ndarray:
 
     A 1-D array k12 gives the (P, d, d) stack of the forms at its entries
     from one stacked `inverse`.  role names the inverted matrix ik - F in a
-    SingularMatrixError.
+    SingularMatrixError.  A form with non-finite entries (the factor ik + F
+    or the product overflowing) is refused with a ValueError naming its k12.
     """
     if isinstance(k12, np.ndarray):
         ik = 1j * k12.astype(np.float64)[..., None, None]
     else:
         ik = 1j * float(k12)
     eye = np.eye(F.shape[0], dtype=np.complex128)
-    return inverse(ik * eye - F, role=role) @ (ik * eye + F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = inverse(ik * eye - F, role=role) @ (ik * eye + F)
+    finite = np.isfinite(y).reshape(-1, F.size).all(axis=1)
+    if not finite.all():
+        index = int(finite.argmin())
+        where = f"k12[{index}]" if y.ndim == 3 else "k12"
+        raise ValueError(f"the Cayley form at relative momentum {where}={float(np.ravel(k12)[index])!r} has non-finite entries")
+    return y
 
 
 def complex_to_json(z) -> list[float]:

@@ -502,6 +502,16 @@ def test_ten_particles_are_refused_before_planning(monkeypatch, rng):
                            np.ones(4 ** 9), "boson")
 
 
+def test_the_refusal_of_many_particles_names_the_cap_not_a_huge_count():
+    """At n = 1 the initial coefficient has length 1 for any N, so 2000
+    momenta reach the refusal; 2000! has 5736 digits, beyond what int -> str
+    converts, and the refusal names the 9-particle cap instead."""
+    bc = SeparatedBC(1, np.array([[-1.0]]))
+    for run in (path_consistency, bethe_coefficients):
+        with pytest.raises(ValueError, match="2000! words; at most 9 particles"):
+            run(bc, [0.001 * i for i in range(2000)], np.ones(1), "boson")
+
+
 # -- full-matrix reference walk ---------------------------------------------
 #
 # The walk in ptspin.bethe holds each array as its n^k x n^k block on the hull

@@ -315,9 +315,12 @@ def test_load_reports_invalid_json(tmp_path):
         read_document(path)
 
 
-def test_validate_dispatches_on_family():
+def test_validate_dispatches_on_family(rng):
     assert validate(free_bc()).residuals == validate_nonseparated_pt(free_bc()).residuals
     assert validate(SeparatedBC(1, None)).residuals == {"G+conj(F)": 0.0}
+    for n in (1, 2, 3):
+        F = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        assert validate(SeparatedBC(n, F)).residuals == {"G+conj(F)": 0.0}
     report = validate(ScalarBC("pt_type1", {"theta": 0.0, "phi": 0.0, "b": -1.0, "c": 3.0}))
     assert not report.valid
     assert report.residuals["b_nonnegative"] == 1.0
@@ -325,6 +328,31 @@ def test_validate_dispatches_on_family():
     assert validate(SeparatedBC(1, [[1.0j]]), tol=0.5).tolerance == 0.5
     with pytest.raises(TypeError):
         validate(np.eye(2))
+
+
+def test_a_scalar_document_with_a_violated_inequality_reports_only_the_inequalities():
+    """b < 0 with 1 + bc >= 0 is refused by `lower`, so no PT residual is
+    reported, as for a scalar_pt_type2 document with h0 = h1 = 0."""
+    doc = {"kind": "scalar_pt_type1", "theta": 0.3, "phi": 0.7, "b": -0.5, "c": 1.0}
+    report = validate(parse_boundary_condition(doc))
+    assert report.residuals == {"b_nonnegative": 0.5, "one_plus_bc_nonnegative": 0.0}
+    assert not report.valid
+    degenerate = parse_boundary_condition({"kind": "scalar_pt_type2", "theta": 0.0, "h0": 0.0, "h1": 0.0})
+    assert validate(degenerate).residuals == {"h_nonzero": 1.0}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "scalar_pt_type1", "theta": 7.0, "phi": -4.0, "b": 2.0, "c": 3.0},
+    {"kind": "scalar_pt_type1", "theta": -30.0, "phi": 100.0, "b": 0.5, "c": -1.0},
+])
+def test_a_scalar_document_validates_the_condition_lower_builds(doc):
+    """Phases outside [0, 2 pi) are reduced by `lower`; the PT residuals of
+    the document are those of the lowered condition, bit for bit."""
+    bc = parse_boundary_condition(doc)
+    residuals = validate(bc).residuals
+    inner = validate(lower(bc)).residuals
+    assert {key: residuals[key] for key in inner} == inner
+    assert all(residuals[key] == 0.0 for key in set(residuals) - set(inner))
 
 
 def test_lower_reaches_operator_ready_forms():

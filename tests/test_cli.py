@@ -457,6 +457,18 @@ def test_tolerance_environment_is_read_on_every_call(capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["tol"] == 1e-10 * (1 + 3.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ("yop", fx("hspin_diag.json"), "--k1", "1", "--k2", "-1"),
+    ("ybe", fx("hspin_diag.json"), "--k", "1.0,0.3,-0.7"),
+    ("bethe", fx("hspin_diag.json"), "--k", "1.0,0.3,-0.7"),
+    ("yop", fx("hspin_complex_spectrum.json"), "--k1", "2.0", "--k2", "0.0"),
+], ids=["yop", "ybe", "bethe", "yop-singular"])
+def test_commands_without_a_tolerance_ignore_the_tolerance_environment(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("PTSPIN_TOL", "banana")
+    assert run_cli(capsys, *argv) == expected
+
+
 _ZERO = [0.0, 0.0]
 
 # (argv, PTSPIN_TOL or None, stderr fragment); "{doc}" in argv is replaced by
@@ -700,6 +712,29 @@ def test_memory_error_without_text_still_has_a_detail(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "yop", fx("hspin_diag.json"), "--k1", "1", "--k2", "0")
     assert (rc, err) == (1, "")
     assert json.loads(out) == {"error": "invalid", "detail": "out of memory"}
+
+
+# ik - F is finite and invertible at these momenta, but ik + F overflows.
+_OVERFLOWING_OPERATOR = {"kind": "separated", "n": 1, "F": [[[1e308, 1e308]]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("yop", "--k1=1e308", "--k2=-1e308"),
+    ("ybe", "--k=1e308,0,-1e308"),
+    ("bethe", "--k=1e308,-1e308,0"),
+], ids=["yop", "ybe", "bethe"])
+def test_an_overflowing_exchange_operator_is_one_error_line(capsys, tmp_path, argv):
+    """Not NaN coefficients, a non-JSON matrix or a blamed pair operator; a
+    RuntimeWarning fails the test (pytest turns it into an error)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_OVERFLOWING_OPERATOR))
+    command, *flags = argv
+    rc, out, err = run_cli(capsys, command, path, *flags)
+    assert (rc, err, out.count("\n")) == (1, "", 1)
+    assert strict_json(out) == {
+        "error": "invalid",
+        "detail": f"the Cayley form at relative momentum k12{'' if command == 'yop' else '[1]'}"
+                  f"=1e+308 has non-finite entries"}
 
 
 def test_edge_flags_and_oversized_requests_fail_cleanly():

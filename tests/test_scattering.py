@@ -371,6 +371,21 @@ def test_non_finite_relative_momentum_is_named(rng, bad):
         make_y_factory(delta_type(np.eye(4), 2), "fermion")(bad)
 
 
+def test_an_overflowing_exchange_operator_is_refused_by_its_momentum(solves):
+    """ik - F is finite and invertible, but the factor ik + F overflows at
+    k12 = 1e308, so the operator would hold NaN; it is refused, naming k12,
+    and the failed solve keeps the stack."""
+    bc = SeparatedBC(1, np.array([[1e308 + 1e308j]]))
+    kept = y_separated(bc, np.array([0.3, 0.5]))
+    with pytest.raises(ValueError, match=r"relative momentum k12=1e\+308 has non-finite"):
+        y_separated(bc, 1e308)
+    with pytest.raises(ValueError, match=r"relative momentum k12\[1\]=1e\+308 has non-finite"):
+        y_separated(bc, np.array([0.5, 1e308, 0.2]))
+    with pytest.raises(ValueError, match="has non-finite entries"):
+        path_consistency(bc, [1e308, -1e308, 0.0], np.ones(1), "boson")
+    assert y_separated(bc, np.array([0.5, 0.3])).tobytes() == kept[::-1].tobytes()
+
+
 def test_relative_momenta_beyond_one_axis_are_refused(rng):
     with pytest.raises(ValueError, match="1-D"):
         y_separated(dense_complex_coupling(rng, 2), np.zeros((2, 2)))
