@@ -18,15 +18,19 @@ depend on the word chosen.
 Y^{j,j+1} is never built as an n^N x n^N matrix.  A pair operator touches two
 of the N tensor slots, so it is applied as one n^2 x n^2 product on the
 (n^(j-1), n^2, rest) view of a coefficient vector or transport matrix, and
-the C(N,2) exchange operators are built by one stacked Cayley solve.  The
-canonical words of N particles form a trie (27, 155, 1045, 8029, 69265
-nodes for N = 4..8; from N = 4 on, some interior nodes are not words).  Its
-shape, the slot labels of every edge and its braid sites depend only on N.
-`_word_trie` numbers its nodes one depth at a time with array operations,
-once per N, and `_plan` caches what every pass reads of it as arrays: the
-levels and momentum pairs of the coefficient pass, the padded canonical
-words and the slot index of the BetheState, and the ops and buffer widths
-of the walk.  The trie itself lives only while the plan is built.  No
+the C(N,2) exchange operators are built by one stacked Cayley solve, one
+per momentum pair alpha < beta in lexicographic order
+(`scattering.pair_momenta`); that position is the pair's number everywhere
+in the plan, and a singular or non-finite operator is refused by its pair,
+the lexicographically first.  The canonical words of N particles form a
+trie (27, 155, 1045, 8029, 69265 nodes for N = 4..8; from N = 4 on, some
+interior nodes are not words).  Its shape, the slot labels of every edge
+and its braid sites depend only on N.  `_word_trie` numbers its nodes one
+depth at a time with array operations, once per N, building each depth's
+level as it numbers it, and `_plan` caches what every pass reads of it as
+arrays: the levels of the coefficient pass, the padded canonical words and
+the slot index of the BetheState, and the ops and buffer widths of the
+walk.  The trie itself lives only while the plan is built.  No
 permutation is stored: `BetheState.coefficients` and `.words` find a
 permutation's row by its rank in itertools.permutations order, which is
 lexicographic (`_rank`).  N >= 10 is refused before anything is allocated
@@ -76,9 +80,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import SeparatedBC, require_separated
-from .linalg import (SingularMatrixError, SpinDims, Statistics, as_statistics, max_abs,
-                     permutation_sign, permute_slots)
-from .scattering import relative_momentum, y_separated
+from .linalg import (MatrixError, SingularMatrixError, SpinDims, Statistics, as_statistics,
+                     max_abs, permutation_sign, permute_slots)
+from .scattering import pair_momenta, y_separated
 
 __all__ = [
     "BetheState",
@@ -191,8 +195,8 @@ class _Group(NamedTuple):
     """The nodes of one depth that swap at one slot: one stacked product.
 
     parents are their parents' positions in the depth above, pairs their
-    momentum pairs' positions in the plan's pairs, and stop the end of their
-    rows in the depth, which lists its groups one after another.
+    momentum pairs' positions in lexicographic order, and stop the end of
+    their rows in the depth, which lists its groups one after another.
     """
 
     slot: int
@@ -212,9 +216,9 @@ class _Level(NamedTuple):
 class _Plan(NamedTuple):
     """What the passes read of the trie of N particles, held as arrays.
 
-    pairs lists the momentum pairs in order of first use (a node creates its
-    pair's entry, nodes being created word by word in permutations order);
-    levels is the trie by depth, which `_propagate` reads.  Row i of the
+    levels is the trie by depth, which `_propagate` reads; a node's pair is
+    the position of its momentum pair (alpha, beta), alpha < beta, in
+    lexicographic order, the row of `_exchange_operators`.  Row i of the
     int8 words is the canonical word of the i-th permutation in
     itertools.permutations order, padded with 0 (no slot is 0); slots holds
     the 0-based momentum at each slot of every permutation.  ops is the
@@ -224,7 +228,6 @@ class _Plan(NamedTuple):
     arrays are read-only.
     """
 
-    pairs: tuple[tuple[int, int], ...]
     levels: tuple[_Level, ...]
     words: np.ndarray
     slots: np.ndarray
@@ -243,58 +246,61 @@ def _frozen(values, dtype=np.intp) -> np.ndarray:
     return out
 
 
-def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarray,
+def _word_trie(N: int) -> tuple[tuple[_Level, ...], np.ndarray, np.ndarray,
                                 tuple[np.ndarray, ...]]:
     """The trie of the canonical words of N particles, planned with array operations.
 
-    Returns the momentum pairs in order of first use, the levels, the padded
-    words and the slots (the fields of `_Plan` so named), and the walk as
-    columns with one entry per row.  The rows are, depth-first, the nodes
-    that carry a transport, start a braid difference or inherit one (no
-    other node does consistency work).  The columns are a row's depth, slot,
-    pair (its position in pairs) and word (the rank of its permutation, or
-    -1 if the node is not a canonical word); whether it carries a transport,
-    is its parent's last child and is a braid node (its last three swaps
-    are (a, b, a) with |a - b| = 1); its parent's slot and pair and its
-    grandparent's pair, which give the steps of the flipped braid (b, a, b);
-    and whether the transports of its base three levels up, of its parent
-    and of itself are dead after this row.  Nodes are numbered one depth at
-    a time by np.unique of (parent number, slot) over the padded words, so
-    the numbers run depth by depth from the root 0.  Children are visited lightest subtree first, so the arrays a node
-    keeps for its children are released before its heaviest subtree is
-    entered; within a depth, the levels group the nodes by slot in
-    depth-first order.
+    Returns the levels, the padded words and the slots (the fields of
+    `_Plan` so named), and the walk as columns with one entry per row.  A
+    node's pair is the position of its momentum pair (alpha, beta),
+    alpha < beta, among all pairs in lexicographic order (np.triu_indices).
+    Nodes are numbered one depth at a time by np.unique of (slot, parent
+    number) over the padded words, so the numbers run depth by depth from
+    the root 0, and the nodes of a depth that swap at one slot are
+    contiguous: each level's groups are cut from its numbering as it is
+    made.  The rows of the walk are, depth-first, the nodes that carry a
+    transport, start a braid difference or inherit one (no other node does
+    consistency work).  The columns are a row's depth, slot, pair and word
+    (the rank of its permutation, or -1 if the node is not a canonical
+    word); whether it carries a transport, is its parent's last child and is
+    a braid node (its last three swaps are (a, b, a) with |a - b| = 1); its
+    parent's slot and pair and its grandparent's pair, which give the steps
+    of the flipped braid (b, a, b); and whether the transports of its base
+    three levels up, of its parent and of itself are dead after this row.
+    Children are visited lightest subtree first, so the arrays a node keeps
+    for its children are released before its heaviest subtree is entered.
     """
     slots = _frozen(np.fromiter(itertools.permutations(range(N)), np.dtype((np.int8, N)),
                                 math.factorial(N)), np.int8)
     words, lengths = _canonical_words(slots)
-    # Per node: parent, slot, the first word through it (in permutations
-    # order, which creates it) and the code (alpha - 1) * N + beta - 1 of the
-    # momentum pair it swaps, read from its parent's slot labels.
+    pair_ids = np.zeros((N, N), dtype=np.intp)
+    pair_ids[np.triu_indices(N, 1)] = np.arange(N * (N - 1) // 2)
+    # Per node: parent, slot and the pair of the 0-based labels (alpha, beta)
+    # it swaps, read from its parent's slot labels.
     ids = np.zeros(len(slots), dtype=np.intp)
-    nodes, labels, offsets = [(np.zeros(1, np.intp),) * 4], np.arange(1, N + 1)[None], [0, 1]
+    nodes, labels, offsets, levels = [(np.zeros(1, np.intp),) * 3], np.arange(N)[None], [0, 1], []
     for d in range(words.shape[1]):
-        alive = np.flatnonzero(lengths > d)
-        keys, at, ids[alive] = np.unique(ids[alive] * N + words[alive, d], return_index=True,
-                                         return_inverse=True)
-        up, j = np.divmod(keys, N)
+        alive, above = np.flatnonzero(lengths > d), offsets[-1] - offsets[-2]
+        keys, ids[alive] = np.unique(words[alive, d].astype(np.intp) * above + ids[alive],
+                                     return_inverse=True)
+        j, up = np.divmod(keys, above)
         labels, rows = labels[up], np.arange(len(keys))
         alpha, beta = labels[rows, j - 1], labels[rows, j]
         labels[rows, j - 1], labels[rows, j] = beta, alpha
-        nodes.append((up + offsets[-2], j, alive[at], (alpha - 1) * N + beta - 1))
+        pair = pair_ids[alpha, beta]
+        nodes.append((up + offsets[-2], j, pair))
         offsets.append(offsets[-1] + len(keys))
-    parent, slot, first, code = map(np.concatenate, zip(*nodes))
+        edges = np.searchsorted(j, range(1, N + 1)).tolist()
+        done = alive[lengths[alive] == d + 1]
+        levels.append(_Level(
+            groups=tuple(_Group(slot=slot, parents=_frozen(up[start:stop]),
+                                pairs=_frozen(pair[start:stop]), stop=stop)
+                         for slot, start, stop in zip(range(1, N), edges, edges[1:]) if start < stop),
+            rows=_frozen(ids[done]), words=_frozen(done)))
+    parent, slot, pair = map(np.concatenate, zip(*nodes))
     depth = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     word = np.full(len(depth), -1)
     word[np.asarray(offsets)[lengths] + ids] = np.arange(len(slots))
-    # A momentum pair's id is its order of first use, where its first node is created.
-    created = code[1:][np.lexsort((depth[1:], first[1:]))]
-    _, at = np.unique(created, return_index=True)
-    used = created[np.sort(at)]
-    pairs = tuple((int(c) // N + 1, int(c) % N + 1) for c in used)
-    pair = np.zeros(N * N, dtype=np.intp)
-    pair[used] = np.arange(len(used))
-    pair = pair[code]
     # A braid node's base is the node three levels up, where its last three
     # swaps (a, b, a) with |a - b| = 1 start.  Bottom-up: subtree sizes
     # (weight) and braid counts.  Top-down: the depth-first positions of the
@@ -329,20 +335,7 @@ def _word_trie(N: int) -> tuple[tuple, tuple[_Level, ...], np.ndarray, np.ndarra
     walk = (depth[order], slot[order], pair[order], word[order], transport[order], last[order],
             braid[order], slot[up], pair[up], pair[parent[up]],
             braid[order] & (use[parent[parent[up]]] == at), use[up] == at, use[order] == at)
-    # A level lists its depth's nodes by slot, each group in depth-first
-    # order; rank is a node's position in its level.
-    by_level = np.lexsort((position, slot, depth))
-    rank = np.empty(len(depth), dtype=np.intp)
-    rank[by_level] = np.arange(len(depth)) - np.asarray(offsets)[depth[by_level]]
-    levels = []
-    for d in range(1, len(offsets) - 1):
-        members = by_level[offsets[d]:offsets[d + 1]]
-        groups = tuple(_Group(slot=int(slot[g[0]]), parents=_frozen(rank[parent[g]]),
-                              pairs=_frozen(pair[g]), stop=int(rank[g[-1]]) + 1)
-                       for g in np.split(members, np.flatnonzero(np.diff(slot[members])) + 1))
-        found = np.flatnonzero(word[members] >= 0)
-        levels.append(_Level(groups=groups, rows=_frozen(found), words=_frozen(word[members][found])))
-    return pairs, tuple(levels), _frozen(words, np.int8), slots, walk
+    return tuple(levels), _frozen(words, np.int8), slots, walk
 
 
 @functools.cache
@@ -351,14 +344,14 @@ def _plan(N: int) -> _Plan:
     (`_word_trie`), which is then dropped.
 
     The trie holds N! words.  Planning takes about 0.03 s at N = 7, 0.2 s
-    at N = 8 and 2 s at N = 9, about ten times more per particle, and the
-    plan retains 0.65, 3.8 and 35 MiB (tracemalloc; the build peaks at 1.8,
-    15 and 144 MiB, and a process that plans N = 9 reaches about 215 MB max
-    RSS).  So `_check_state_inputs` refuses N >= 10 (3628800 words and up)
-    before anything is allocated or planned.
+    at N = 8 and 2-3 s at N = 9, about ten times more per particle, and the
+    plan retains 0.65, 3.8 and 35 MiB (tracemalloc; the build peaks at 1.4,
+    11.6 and 111 MiB, and a process that plans N = 9 reaches about 150 MB
+    max RSS).  So `_check_state_inputs` refuses N >= 10 (3628800 words and
+    up) before anything is allocated or planned.
     """
-    pairs, levels, words, slots, walk = _word_trie(N)
-    return _Plan(pairs, levels, words, slots, *_program(walk))
+    levels, words, slots, walk = _word_trie(N)
+    return _Plan(levels, words, slots, *_program(walk))
 
 
 _COPY, _APPLY, _WIDEN, _SUBTRACT, _MAX = range(5)
@@ -455,19 +448,20 @@ def _program(walk: tuple[np.ndarray, ...]) -> tuple[np.ndarray, tuple[int, ...]]
     return _frozen(ops, np.int16).reshape(-1, 7), tuple(widths)
 
 
-def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...],
-                        pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The (P, n^2, n^2) stack of Y((k_alpha - k_beta)/2), one per momentum pair given."""
-    k = np.array([relative_momentum(momenta[alpha - 1], momenta[beta - 1]) for alpha, beta in pairs])
+def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...]) -> np.ndarray:
+    """The (N(N-1)/2, n^2, n^2) stack of Y((k_alpha - k_beta)/2), one per
+    momentum pair alpha < beta in lexicographic order (`pair_momenta`).  A
+    singular or non-finite operator is refused by its pair, the first in
+    that order."""
     try:
-        return y_separated(bc, k)
-    except SingularMatrixError as exc:
-        alpha, beta = pairs[exc.index]
-        raise SingularMatrixError(
-            f"momentum pair ({alpha},{beta}) gives a singular exchange "
-            f"operator: {exc}",
-            role=exc.role,
-        ) from None
+        return y_separated(bc, np.array(pair_momenta(momenta)))
+    except MatrixError as exc:
+        alpha, beta = (int(labels[exc.index]) + 1 for labels in np.triu_indices(len(momenta), 1))
+        named = f"momentum pair ({alpha},{beta}) gives a"
+        if isinstance(exc, SingularMatrixError):
+            raise SingularMatrixError(f"{named} singular exchange operator: {exc}",
+                                      role=exc.role) from None
+        raise ValueError(f"{named} non-finite exchange operator: {exc}") from None
 
 
 def _check_state_inputs(bc, momenta, u_init):
@@ -637,7 +631,7 @@ def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheSta
     # memory fails at once, naming the (N!, n^N) array.
     coefficients = np.empty((math.factorial(dims.N), dims.total_dim), dtype=np.complex128)
     coefficients[0] = u
-    operators = _exchange_operators(bc, momenta, _plan(dims.N).pairs)
+    operators = _exchange_operators(bc, momenta)
     return BetheState(dims=dims, momenta=momenta, statistics=stats,
                       array=_propagate(dims.N, operators, coefficients, dims.n))
 
@@ -660,7 +654,7 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    return _walk(dims.N, _exchange_operators(bc, momenta, _plan(dims.N).pairs), dims.n)
+    return _walk(dims.N, _exchange_operators(bc, momenta), dims.n)
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:

@@ -117,12 +117,12 @@ def cmd_yop(args, tol) -> tuple[int, str]:
 
 
 def _ybe(bc, args) -> float:
-    from .scattering import make_y_factory, y_separated, ybe_momenta, ybe_residual
+    from .scattering import make_y_factory, pair_momenta, y_separated, ybe_residual
     momenta = _momenta(args, exactly=3)
     lowered = lower(bc)
     if isinstance(lowered, SeparatedBC):
         # One stacked solve; ybe_residual's three requests are served from the kept stack.
-        y_separated(lowered, np.array(ybe_momenta(*momenta)))
+        y_separated(lowered, np.array(pair_momenta(momenta)))
     factory = make_y_factory(lowered, args.statistics)
     return float(ybe_residual(factory, *momenta, SpinDims(lowered.n, 3)))
 

@@ -20,6 +20,7 @@ SINGULARITY_RTOL = 1e-12
 __all__ = [
     "DEFAULT_TOL",
     "SINGULARITY_RTOL",
+    "MatrixError",
     "SingularMatrixError",
     "SpinDims",
     "Statistics",
@@ -44,16 +45,20 @@ __all__ = [
 ]
 
 
-class SingularMatrixError(ValueError):
-    """Inversion refused: smallest singular value below SINGULARITY_RTOL times the largest.
+class MatrixError(ValueError):
+    """A refused matrix; index is its position in a stack of matrices, else None."""
 
-    index is the position of the refused matrix in a stacked inversion, else None.
-    """
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+class SingularMatrixError(MatrixError):
+    """Inversion refused: smallest singular value below SINGULARITY_RTOL times the largest."""
 
     def __init__(self, message: str, role: str = "matrix", index: int | None = None):
-        super().__init__(message)
+        super().__init__(message, index)
         self.role = role
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -207,8 +212,9 @@ def cayley(F, k12, role: str = "ik-F") -> np.ndarray:
 
     A 1-D array k12 gives the (P, d, d) stack of the forms at its entries
     from one stacked `inverse`.  role names the inverted matrix ik - F in a
-    SingularMatrixError.  A form with non-finite entries (the factor ik + F
-    or the product overflowing) is refused with a ValueError naming its k12.
+    SingularMatrixError.  A form with non-finite entries (ik - F, the factor
+    ik + F or the product overflowing) is refused with a MatrixError naming
+    its k12, with its position in the stack as the index.
     """
     if isinstance(k12, np.ndarray):
         ik = 1j * k12.astype(np.float64)[..., None, None]
@@ -216,12 +222,13 @@ def cayley(F, k12, role: str = "ik-F") -> np.ndarray:
         ik = 1j * float(k12)
     eye = np.eye(F.shape[0], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = inverse(ik * eye - F, role=role) @ (ik * eye + F)
+        minus = ik * eye - F
+        y = inverse(minus, role=role) @ (ik * eye + F) if np.isfinite(minus).all() else minus
     finite = np.isfinite(y).reshape(-1, F.size).all(axis=1)
     if not finite.all():
         index = int(finite.argmin())
-        where = f"k12[{index}]" if y.ndim == 3 else "k12"
-        raise ValueError(f"the Cayley form at relative momentum {where}={float(np.ravel(k12)[index])!r} has non-finite entries")
+        raise MatrixError(f"the Cayley form at relative momentum k12={float(np.ravel(k12)[index])!r} "
+                          f"has non-finite entries", index=index if y.ndim == 3 else None)
     return y
 
 

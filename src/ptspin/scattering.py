@@ -19,6 +19,7 @@ is not made cheaper, only the sharing inside one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -45,7 +46,7 @@ __all__ = [
     "y_nonseparated",
     "y_inverse_residual",
     "make_y_factory",
-    "ybe_momenta",
+    "pair_momenta",
     "ybe_residual",
 ]
 
@@ -79,8 +80,9 @@ def y_separated(bc: SeparatedBC, k12) -> np.ndarray:
     eigenvalue only within DEFAULT_TOL * (1 + |eigenvalue|); else the inverse's message stands.
     A 1-D array k12 gives the (P, n^2, n^2) stack of the operators at its
     entries from one stacked inverse, equal to one call per entry; the first
-    singular entry raises what its own call raises, with its position as the
-    error's index.  A non-finite k12 (or entry) is refused with a ValueError,
+    singular entry raises what its own call raises, and an overflowing
+    operator the MatrixError of `cayley`, each with the entry's position as
+    the error's index.  A non-finite k12 (or entry) is refused with a ValueError,
     and a coupling that does not lower to a SeparatedBC with a TypeError
     (`require_separated`).
 
@@ -186,11 +188,14 @@ def make_y_factory(bc, statistics=Statistics.BOSON) -> Callable[[float], np.ndar
     raise TypeError(f"no exchange-operator factory for {type(bc).__name__}")
 
 
-def ybe_momenta(k1: float, k2: float, k3: float) -> list[float]:
-    """The relative momenta k12, k13, k23 at which `ybe_residual` calls its
-    factory, in that order.  A separated coupling can solve them as one stack
-    first, and the three calls are then served from the kept stack."""
-    return [relative_momentum(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))]
+def pair_momenta(momenta) -> list[float]:
+    """The relative momenta k_alpha_beta of every pair alpha < beta, in
+    lexicographic order (k12, k13, ..., k23, ...): the rows of a Bethe
+    problem's operator stack, and for three momenta the k12, k13, k23 at
+    which `ybe_residual` calls its factory.  A separated coupling can solve
+    them as one stack first, and later calls are then served from the kept
+    stack."""
+    return [relative_momentum(a, b) for a, b in itertools.combinations(momenta, 2)]
 
 
 def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
@@ -210,7 +215,7 @@ def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
         raise ValueError(f"the consistency check is a three-particle identity, got N={dims.N}")
     n = dims.n
     eye = np.eye(dims.total_dim, dtype=np.complex128)
-    outputs = [yfactory(k12) for k12 in ybe_momenta(k1, k2, k3)]
+    outputs = [yfactory(k12) for k12 in pair_momenta((k1, k2, k3))]
     y12, y13, y23 = (as_pair_operator(y, "pair operator", n) for y in outputs)
 
     def at(y, j):

@@ -403,9 +403,16 @@ class TrieRow(NamedTuple):
     free: tuple[int, ...]
 
 
+def lexicographic_pairs(N):
+    """The momentum pairs (alpha, beta), alpha < beta, in lexicographic order:
+    the pair a plan's pair id names."""
+    return tuple(itertools.combinations(range(1, N + 1), 2))
+
+
 def planner_rows(N):
     """The walk columns of `_word_trie(N)` read back as one TrieRow per row."""
-    pairs, *_, walk = _word_trie(N)
+    *_, walk = _word_trie(N)
+    pairs = lexicographic_pairs(N)
     perms = list(itertools.permutations(range(1, N + 1)))
     assert len({len(column) for column in walk}) == 1
     return tuple(
@@ -431,27 +438,40 @@ def _plan(N):
 
 def plan_digest(N):
     """A digest of every field of the plan of N, arrays as lists, with each
-    permutation's row and word looked up by the permutation."""
-    plan = _plan(N)
-    levels = [[(group.slot, group.parents.tolist(), group.pairs.tolist(), group.stop)
-               for group in level.groups] + [level.rows.tolist(), level.words.tolist()]
-              for level in plan.levels]
-    fields = (levels, plan.pairs, [(perm, plan.index[perm]) for perm in plan.index],
+    permutation's row and word looked up by the permutation.  A momentum pair
+    is named by its labels (alpha, beta) and a level's node by its word
+    prefix, each level's nodes sorted, so the digest names what the plan
+    holds, not how its pairs or the nodes of a level are numbered."""
+    plan, pairs = _plan(N), lexicographic_pairs(N)
+    above, levels = [()], []
+    for level in plan.levels:
+        nodes = [(above[parent] + (group.slot,), pairs[pair]) for group in level.groups
+                 for parent, pair in zip(group.parents.tolist(), group.pairs.tolist())]
+        word = dict(zip(level.rows.tolist(), level.words.tolist()))
+        levels.append(sorted((prefix, pair, word.get(position, -1))
+                             for position, (prefix, pair) in enumerate(nodes)))
+        above = [prefix for prefix, _ in nodes]
+    ops = [(kind, pairs[pair] if kind in (_APPLY, _COPY) else pair, *rest)
+           for kind, pair, *rest in plan.ops]
+    fields = (levels, [(perm, plan.index[perm]) for perm in plan.index],
               [(perm, plan.words[perm]) for perm in plan.words],
-              plan.slots.tolist(), plan.ops, plan.buffers)
+              plan.slots.tolist(), ops, plan.buffers)
     return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
 
 
 # Digests of the same fields as the dict-of-dicts trie planner built them,
-# which walked each word down the trie from the root (about 1 s at N = 8).
-DICT_TRIE_DIGESTS = {2: "fe8ede30cb48bfb8", 3: "7773ef33bb07f68f", 4: "e3a48d1d3f23f875",
-                     5: "a45c01c87f930ed6", 6: "5f5ce8eaaa5dbaea", 7: "24794776df8b3063",
-                     8: "ba274876605f20a2"}
+# which walked each word down the trie from the root (about 1 s at N = 8),
+# taken on the array planner that still matched it pair id for pair id and
+# node for node (pairs in order of first use, levels in depth-first order).
+DICT_TRIE_DIGESTS = {2: "7f7539ddc8a03a3f", 3: "d04d2b5941908e3c", 4: "0cd5e957c31e3af1",
+                     5: "9845834d86feb1e6", 6: "988290a119f5ae2c", 7: "729eb8d45a63a33f",
+                     8: "c4c46efffe48fc48"}
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_array_planner_equals_the_dict_trie_planner(N):
-    """Both plans are the dict-trie planner's, field for field and array for array."""
+    """Both plans are the dict-trie planner's, field for field and array for
+    array, up to the numbering of pairs and of the nodes within a level."""
     assert plan_digest(N) == DICT_TRIE_DIGESTS[N]
 
 
@@ -519,9 +539,9 @@ def test_the_refusal_of_many_particles_names_the_cap_not_a_huge_count():
 # depth-first replay of plan.rows, with every transport and difference held
 # as a full n^N x n^N matrix and buffer 0 holding the identity.
 
-def full_matrix_program(rows, pairs):
+def full_matrix_program(rows, N):
     """Ops (kind, pair, slot, src, dst) on numbered n^N x n^N buffers, and their count."""
-    pair_id = {pair: i for i, pair in enumerate(pairs)}
+    pair_id = {pair: i for i, pair in enumerate(lexicographic_pairs(N))}
     idle, ops, count = [], [], 1
 
     def take():
@@ -575,7 +595,7 @@ def full_matrix_program(rows, pairs):
 def full_matrix_walk(N, operators, n):
     """Path consistency with every array a full n^N x n^N matrix."""
     plan = _plan(N)
-    ops, count = full_matrix_program(plan.rows, plan.pairs)
+    ops, count = full_matrix_program(plan.rows, N)
     size = n ** N
     workspace = np.empty((count, size, size), dtype=np.complex128)
     views = [[buffer.reshape(n ** (slot - 1), n * n, -1) for slot in range(1, N)]
@@ -616,7 +636,7 @@ def test_block_walk_equals_the_full_matrix_walk(rng, n, N):
     same way in the block and in the full matrix; n = 1 runs the same 1 x 1
     products."""
     for name, bc in walk_couplings(rng, n).items():
-        operators = _exchange_operators(bc, separated_momenta(rng, N), _plan(N).pairs)
+        operators = _exchange_operators(bc, separated_momenta(rng, N))
         assert _walk(N, operators, n) == full_matrix_walk(N, operators, n), name
 
 
@@ -630,7 +650,7 @@ def test_block_walk_matches_the_full_matrix_walk_at_odd_spin_dimension(rng, N):
     n = 3
     for _ in range(4):
         for name, bc in walk_couplings(rng, n).items():
-            operators = _exchange_operators(bc, separated_momenta(rng, N), _plan(N).pairs)
+            operators = _exchange_operators(bc, separated_momenta(rng, N))
             got, want = _walk(N, operators, n), full_matrix_walk(N, operators, n)
             assert abs(got - want) <= WALK_RTOL * max(1.0, want), (name, got, want)
 
@@ -652,15 +672,15 @@ def reference_word_tree(N):
     """The trie planner that replays every prefix from the identity.
 
     Returns every trie row depth-first, the (perm, word) pairs in
-    itertools.permutations order and the momentum pairs in order of first
-    use.  `_word_trie` numbers the trie with array operations instead; its
-    rows must be the consistency rows of this planner, row for row.
+    itertools.permutations order and the momentum pairs the words swap,
+    sorted.  `_word_trie` numbers the trie with array operations instead;
+    its rows must be the consistency rows of this planner, row for row.
     """
     words = tuple((perm, reference_word(perm)) for perm in itertools.permutations(range(1, N + 1)))
-    pairs, perm_at = {}, {}
+    pairs, perm_at = set(), {}
     for perm, word in words:
         for _, pair in label_steps(word, N)[0]:
-            pairs.setdefault(pair)
+            pairs.add(pair)
         for m in range(len(word)):
             perm_at.setdefault(word[:m], None)
         perm_at[word] = perm
@@ -697,7 +717,7 @@ def reference_word_tree(N):
                             perm=perm_at[prefix], braid=braid, transport=prefix in transport,
                             last=last_child[prefix[:-1]] == i,
                             free=tuple(sorted(free.get(i, ())))))
-    return tuple(rows), words, tuple(pairs)
+    return tuple(rows), words, tuple(sorted(pairs))
 
 
 def row_prefixes(rows):
@@ -716,7 +736,8 @@ def row_prefixes(rows):
 def test_word_tree_equals_the_replaying_planner(N):
     """The planner's walk columns, read back as rows, are the reference rows
     that carry a transport, start a braid difference or have a braid node
-    above them (they inherit one)."""
+    above them (they inherit one).  The words swap every pair alpha < beta
+    and no other, so the lexicographic pairs name each pair id once."""
     rows, words, pairs = reference_word_tree(N)
     consistency = tuple(row for row, prefix in zip(rows, row_prefixes(rows))
                         if row.transport or row.braid
@@ -724,7 +745,7 @@ def test_word_tree_equals_the_replaying_planner(N):
     plan = _plan(N)
     assert plan.rows == consistency
     assert list(plan.words.items()) == list(words)
-    assert plan.pairs == pairs
+    assert pairs == lexicographic_pairs(N)
 
 
 @pytest.mark.parametrize("N", range(2, 8))
@@ -848,6 +869,7 @@ def run_on_labels(plan, N):
     leaves its source's hull.
     """
     assert plan.buffers[0] == 0
+    pairs = lexicographic_pairs(N)
     content = {0: ("T", ())}
     maxed = []
     for kind, pair, slot, src, dst, lo, hi in plan.ops:
@@ -865,7 +887,7 @@ def run_on_labels(plan, N):
             assert (kind == _COPY) == (source == ("T", ()))
             assert widened == widens(word, slot)
             word += (slot,)
-            assert label_steps(word, N)[0][-1] == (slot, plan.pairs[pair])
+            assert label_steps(word, N)[0][-1] == (slot, pairs[pair])
             assert (lo, hi) == hull(word)
             content[dst] = (*head, word)
             if widened:
@@ -952,7 +974,7 @@ def test_walk_program_works_on_the_hulls_of_the_touched_slots(N):
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
-    plan = _plan(N)
+    plan, pairs = _plan(N), lexicographic_pairs(N)
     perms = list(itertools.permutations(range(1, N + 1)))
     nodes = {word[:m] for word in map(reference_word, perms) for m in range(1, len(word) + 1)}
     above, filled = [()], [0]
@@ -962,10 +984,13 @@ def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
             assert group.stop - start == len(group.parents) == len(group.pairs) > 0
             for parent, pair in zip(group.parents, group.pairs):
                 prefix = above[parent] + (group.slot,)
-                assert label_steps(prefix, N)[0][-1] == (group.slot, plan.pairs[pair])
+                assert label_steps(prefix, N)[0][-1] == (group.slot, pairs[pair])
                 prefixes.append(prefix)
             start = group.stop
         assert sorted(prefixes) == sorted(p for p in nodes if len(p) == depth)
+        # One group per slot, in slot order.
+        slots = [group.slot for group in level.groups]
+        assert slots == sorted(set(slots))
         words = {pos for pos, prefix in enumerate(prefixes)
                  if reference_word(label_steps(prefix, N)[1]) == prefix}
         assert sorted(level.rows) == sorted(words)
@@ -977,12 +1002,15 @@ def test_level_plan_holds_every_trie_node_once_at_its_depth(N):
 
 
 def test_stacked_exchange_operators_equal_one_call_per_pair(rng):
-    for bc in [dense_complex_coupling(rng, n) for n in (1, 2, 3)] + [SeparatedBC(2, None)]:
-        momenta = separated_momenta(rng, 5)
-        pairs = _plan(5).pairs
-        stack = _exchange_operators(bc, momenta, pairs)
+    """Row i of the stack is the operator of the i-th pair alpha < beta in
+    lexicographic order, the bytes of its own solve."""
+    for bc, N in itertools.product([dense_complex_coupling(rng, n) for n in (1, 2, 3)]
+                                   + [SeparatedBC(2, None)], (2, 3, 5)):
+        momenta = separated_momenta(rng, N)
+        pairs = lexicographic_pairs(N)
+        stack = _exchange_operators(bc, momenta)
         assert stack.shape == (len(pairs), bc.n ** 2, bc.n ** 2)
-        for y, (alpha, beta) in zip(stack, pairs):
+        for y, (alpha, beta) in zip(stack, pairs, strict=True):
             want = fresh_y_separated(bc, 0.5 * (momenta[alpha - 1] - momenta[beta - 1]))
             assert y.tobytes() == want.tobytes()
 
@@ -997,11 +1025,13 @@ def jordan_coupling():
 
 @pytest.mark.parametrize("bc,momenta", [
     (hspin(a=0.0, b=0.0, c=1.0, d=-1.0, f=0.0, g=0.0, e1=0.0, e2=0.0, e3=0.0, e4=0.0),
-     (4.0, 2.0, -0.5, 0.0)),
-    (jordan_coupling(), (2.0, 0.5, -500.0, 1.5)),
+     (4.0, 3.0, 2.0, 0.0)),
+    (jordan_coupling(), (2.0, -500.0, 0.5, 1.5)),
 ], ids=["collision", "near-singular"])
 def test_stacked_operators_name_the_first_singular_pair(bc, momenta):
-    pairs = _plan(4).pairs
+    """Two pairs or more are singular, (1,2) is not, and the refusal names
+    the lexicographically first."""
+    pairs = lexicographic_pairs(4)
     errors = []
     for alpha, beta in pairs:
         try:
@@ -1011,7 +1041,7 @@ def test_stacked_operators_name_the_first_singular_pair(bc, momenta):
     assert len(errors) >= 2 and errors[0][0] != pairs[0]
     (alpha, beta), first = errors[0]
     with pytest.raises(SingularMatrixError) as info:
-        _exchange_operators(bc, momenta, pairs)
+        _exchange_operators(bc, momenta)
     assert str(info.value) == (f"momentum pair ({alpha},{beta}) gives a singular "
                                f"exchange operator: {first}")
     assert info.value.role == first.role == "ik-F"

@@ -714,8 +714,10 @@ def test_memory_error_without_text_still_has_a_detail(capsys, monkeypatch):
     assert json.loads(out) == {"error": "invalid", "detail": "out of memory"}
 
 
-# ik - F is finite and invertible at these momenta, but ik + F overflows.
-_OVERFLOWING_OPERATOR = {"kind": "separated", "n": 1, "F": [[[1e308, 1e308]]]}
+# At k12 = 1e308 the first overflows ik + F (ik - F is finite and
+# invertible), the second ik - F.
+_OVERFLOWING_OPERATORS = {"ik+F": {"kind": "separated", "n": 1, "F": [[[1e308, 1e308]]]},
+                          "ik-F": {"kind": "separated", "n": 1, "F": [[[0.0, -1e308]]]}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -724,17 +726,20 @@ _OVERFLOWING_OPERATOR = {"kind": "separated", "n": 1, "F": [[[1e308, 1e308]]]}
     ("bethe", "--k=1e308,-1e308,0"),
 ], ids=["yop", "ybe", "bethe"])
 def test_an_overflowing_exchange_operator_is_one_error_line(capsys, tmp_path, argv):
-    """Not NaN coefficients, a non-JSON matrix or a blamed pair operator; a
-    RuntimeWarning fails the test (pytest turns it into an error)."""
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(_OVERFLOWING_OPERATOR))
+    """Not NaN coefficients, a non-JSON matrix or a blamed pair operator, but
+    the value of k12 (no row of an internal stack), and for bethe the
+    momentum pair; a RuntimeWarning fails the test (pytest turns it into an
+    error)."""
     command, *flags = argv
-    rc, out, err = run_cli(capsys, command, path, *flags)
-    assert (rc, err, out.count("\n")) == (1, "", 1)
-    assert strict_json(out) == {
-        "error": "invalid",
-        "detail": f"the Cayley form at relative momentum k12{'' if command == 'yop' else '[1]'}"
-                  f"=1e+308 has non-finite entries"}
+    pair = "momentum pair (1,2) gives a non-finite exchange operator: " if command == "bethe" else ""
+    for name, doc in _OVERFLOWING_OPERATORS.items():
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli(capsys, command, path, *flags)
+        assert (rc, err, out.count("\n")) == (1, "", 1), name
+        assert strict_json(out) == {
+            "error": "invalid",
+            "detail": f"{pair}the Cayley form at relative momentum k12=1e+308 has non-finite entries"}, name
 
 
 def test_edge_flags_and_oversized_requests_fail_cleanly():

@@ -1,4 +1,6 @@
 """Two-body exchange operators and the factorization residual."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ptspin import scattering
 from ptspin.bethe import bethe_coefficients, path_consistency
 from ptspin.boundary import NonseparatedBC, SeparatedBC, delta_type, hspin
 from ptspin.linalg import (
+    MatrixError,
     SingularMatrixError,
     SpinDims,
     Statistics,
@@ -19,6 +22,8 @@ from ptspin.linalg import (
 )
 from ptspin.scattering import (
     make_y_factory,
+    pair_momenta,
+    relative_momentum,
     y_inverse_residual,
     y_nonseparated,
     y_separated,
@@ -372,18 +377,33 @@ def test_non_finite_relative_momentum_is_named(rng, bad):
 
 
 def test_an_overflowing_exchange_operator_is_refused_by_its_momentum(solves):
-    """ik - F is finite and invertible, but the factor ik + F overflows at
-    k12 = 1e308, so the operator would hold NaN; it is refused, naming k12,
-    and the failed solve keeps the stack."""
-    bc = SeparatedBC(1, np.array([[1e308 + 1e308j]]))
-    kept = y_separated(bc, np.array([0.3, 0.5]))
-    with pytest.raises(ValueError, match=r"relative momentum k12=1e\+308 has non-finite"):
-        y_separated(bc, 1e308)
-    with pytest.raises(ValueError, match=r"relative momentum k12\[1\]=1e\+308 has non-finite"):
-        y_separated(bc, np.array([0.5, 1e308, 0.2]))
-    with pytest.raises(ValueError, match="has non-finite entries"):
-        path_consistency(bc, [1e308, -1e308, 0.0], np.ones(1), "boson")
-    assert y_separated(bc, np.array([0.5, 0.3])).tobytes() == kept[::-1].tobytes()
+    """At k12 = 1e308 the factor ik + F (F = 1e308(1+i)) or the inverted
+    ik - F (F = -1e308 i) overflows, so the operator would hold NaN; it is
+    refused by one message naming the value of k12, with a stack's row as the
+    error's index, and the failed solve keeps the stack.  The Bethe passes
+    name the momentum pair."""
+    message = "the Cayley form at relative momentum k12=1e+308 has non-finite entries"
+    for F in (1e308 + 1e308j, -1e308j):
+        bc = SeparatedBC(1, np.array([[F]]))
+        kept = y_separated(bc, np.array([0.3, 0.5]))
+        for k12, index in ((1e308, None), (np.array([0.5, 1e308, 0.2]), 1)):
+            with pytest.raises(MatrixError) as info:
+                y_separated(bc, k12)
+            assert (str(info.value), info.value.index) == (message, index)
+            assert not isinstance(info.value, SingularMatrixError)
+        for run in (bethe_coefficients, path_consistency):
+            with pytest.raises(ValueError) as info:
+                run(bc, [1e308, -1e308, 0.0], np.ones(1), "boson")
+            assert str(info.value) == f"momentum pair (1,2) gives a non-finite exchange operator: {message}"
+        assert y_separated(bc, np.array([0.5, 0.3])).tobytes() == kept[::-1].tobytes()
+
+
+@pytest.mark.parametrize("count", range(2, 10))
+def test_pair_momenta_list_every_pair_in_lexicographic_order(rng, count):
+    momenta = rng.uniform(-3.0, 3.0, count).tolist()
+    want = [relative_momentum(a, b) for a, b in itertools.combinations(momenta, 2)]
+    assert pair_momenta(momenta) == want
+    assert pair_momenta(tuple(momenta)) == want
 
 
 def test_relative_momenta_beyond_one_axis_are_refused(rng):
