@@ -12,6 +12,11 @@ environment variable overrides the default, and a --tol flag overrides both.
 Only the commands with --tol (validate, bound, classify, sweep) read
 PTSPIN_TOL; yop, ybe and bethe take no tolerance and ignore it.
 
+`bethe` prints, for N >= 3, the path consistency: the largest absolute
+max-abs Yang-Baxter defect of the transposed exchange operators over all
+C(N,3) momentum triples (`bethe.path_consistency`), not scaled by the
+operators' size.
+
 A command returns its exit code and its output, one string or an iterable of
 string pieces that `_emit` writes in order.  `bethe` streams: it computes the
 coefficients and the path consistency first, then yields the head, one
@@ -145,7 +150,7 @@ def cmd_bethe(args, tol) -> tuple[int, Iterator[str]]:
         except (json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"--u-init: {exc}") from None
     state = bethe_coefficients(bc, momenta, u_init, args.statistics)
-    # The walk's operators come from the stack the coefficients kept (`y_separated`).
+    # The triples' operators come from the stack the coefficients kept (`y_separated`).
     consistency = path_consistency(bc, momenta, u_init, args.statistics) if dims.N >= 3 else None
     return EXIT_OK, _bethe_pieces(state, consistency)
 

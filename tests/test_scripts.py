@@ -85,28 +85,6 @@ def test_bethe_memory_measures_one_fresh_process_per_particle_count(capsys):
     assert float(capsys.readouterr().out.split()[-1]) < float(size) / 2
 
 
-def test_walk_cost_plans_blocks_and_times_fresh_processes(capsys):
-    assert load_script("walk_cost").main(["--cases", "2x4", "--repeats", "1", "--calls", "1"]) == 0
-    header, row, blank, plan_header, *plans = capsys.readouterr().out.splitlines()
-    assert header.split()[0] == "case" and header.split()[-1] == "ms"
-    case, *sizes, widens, work, maxabs, arena, magnitude, rows, widths, ms = row.split()
-    # N=4: 22 applications, 8 of them after a widen and 12 on less than the full 16x16
-    assert case == "n2N4" and sizes == ["k2:4", "k3:8", "k4:10"] and widens == "8"
-    assert 0.0 < float(work) < float(maxabs) < 1.0 and float(ms) > 0.0
-    # MiB of the identity, 2 blocks of 4x4, 4 of 8x8 and 3 of 16x16; of 256
-    # magnitudes; and of the same 10 buffers as rows of 256 entries
-    assert widths == "k0:1,k2:2,k3:4,k4:3"
-    assert (arena, magnitude, rows) == tuple(f"{size / 2**20:.4f}" for size in (
-        16 * (1 + 2 * 16 + 4 * 64 + 3 * 256), 8 * 256, 16 * 10 * 256))
-    # Planning N = 6, 7, 8: each build costs more, and its plan retains more,
-    # than the last, and retains no more than its peak.
-    assert blank == "" and plan_header.split() == ["N", "plan_ms", "retained_mib", "peak_mib"]
-    costs = {int(N): tuple(map(float, rest)) for N, *rest in map(str.split, plans)}
-    assert list(costs) == [6, 7, 8]
-    assert all(0.0 < retained <= peak for _, retained, peak in costs.values())
-    assert costs[6] < costs[7] < costs[8] and costs[6][1] < costs[7][1] < costs[8][1]
-
-
 def test_startup_cost_times_fresh_processes_and_lists_their_modules(capsys):
     assert load_script("startup_cost").main(
         ["--commands", "validate,bound,bethe,sweep-validate", "--repeats", "1"]) == 0
