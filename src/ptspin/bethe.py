@@ -49,10 +49,9 @@ triples, of the two braid products on (C^n)^3,
 
 read from the operator stack the coefficients solved; for N = 3 it is
 `scattering.ybe_residual` of k -> Y(k).T.  The triples' rows are gathered
-by one index per N (`_triples`), and each side is one Kronecker embedding
-of its first operator and two stacked np.matmul of the others on its
-(n^(j-1), n^2, rest) views, the products a replay of the braid from the
-identity makes; it plans nothing.
+by one index per N (`_triples`) and passed, all at once, to
+`scattering.braid_defect`, the kernel `ybe_residual` runs on one triple;
+it plans nothing.
 """
 from __future__ import annotations
 
@@ -68,7 +67,7 @@ import numpy as np
 from .boundary import SeparatedBC, require_separated
 from .linalg import (MatrixError, SingularMatrixError, SpinDims, Statistics, as_statistics,
                      max_abs, permutation_sign, permute_slots)
-from .scattering import pair_momenta, y_separated
+from .scattering import braid_defect, pair_momenta, y_separated
 
 __all__ = [
     "BetheState",
@@ -313,7 +312,20 @@ def _exchange_operators(bc: SeparatedBC, momenta: tuple[float, ...]) -> np.ndarr
         raise ValueError(f"{named} non-finite exchange operator: {exc}") from None
 
 
-def _check_state_inputs(bc, momenta, u_init):
+def _trie_refusal(N: int) -> str:
+    # The exact count is printed while it is short (20! has 19 digits).
+    words = math.factorial(N) if N <= 20 else f"{N}!"
+    return (f"planning N={N} particles builds a trie of {words} words; "
+            f"at most 9 particles ({math.factorial(9)} words) are planned")
+
+
+def _triple_refusal(N: int) -> str:
+    return (f"path consistency compares the momentum triples of at most 9 particles, "
+            f"as many as the coefficient pass takes; got N={N}")
+
+
+def _check_state_inputs(bc, momenta, u_init, refusal):
+    """The validated inputs of a pass; N >= 10 is refused with refusal(N)."""
     bc = require_separated(bc, "coefficient propagation")
     momenta = tuple(float(k) for k in momenta)
     if len(momenta) < 2:
@@ -322,10 +334,7 @@ def _check_state_inputs(bc, momenta, u_init):
         raise ValueError("momenta must be finite")
     dims = SpinDims(bc.n, len(momenta))
     if dims.N > 9:
-        # The exact count is printed while it is short (20! has 19 digits).
-        words = math.factorial(dims.N) if dims.N <= 20 else f"{dims.N}!"
-        raise ValueError(f"planning N={dims.N} particles builds a trie of {words} "
-                         f"words; at most 9 particles ({math.factorial(9)} words) are planned")
+        raise ValueError(refusal(dims.N))
     u = np.asarray(u_init, dtype=np.complex128).reshape(-1)
     if u.shape[0] != dims.total_dim:
         raise ValueError(
@@ -361,31 +370,6 @@ def _propagate(N: int, operators: np.ndarray, coefficients: np.ndarray, n: int) 
     return coefficients
 
 
-def _triple_defect(N: int, operators: np.ndarray, n: int) -> float:
-    """The largest max-abs, over every momentum triple a < b < c, of
-
-        Y^1(k_bc) Y^2(k_ac) Y^1(k_ab) - Y^2(k_ab) Y^1(k_ac) Y^2(k_bc)
-
-    on (C^n)^3, all triples at once.  Each side starts from the Kronecker
-    embedding of its first operator, Y (x) I or I (x) Y, written as n copies
-    of Y on the diagonal of zeros, and applies the other two as stacked
-    np.matmul on its (n^(j-1), n^2, rest) views, which is how a replay of
-    the braid from the identity makes them (the same n^2 x n^2 products as
-    `apply_pair`)."""
-    ab, ac, bc = operators[_triples(N).T]
-    square, cube = n * n, n ** 3
-    left = np.zeros((len(ab), square, n, square, n), dtype=np.complex128)
-    right = np.zeros((len(ab), n, square, n, square), dtype=np.complex128)
-    for i in range(n):
-        left[:, :, i, :, i] = ab
-        right[:, i, :, i, :] = bc
-    left = np.matmul(ac[:, None], left.reshape(-1, n, square, cube))
-    left = np.matmul(bc, left.reshape(-1, square, n * cube))
-    right = np.matmul(ac, right.reshape(-1, square, n * cube))
-    right = np.matmul(ab[:, None], right.reshape(-1, n, square, cube))
-    return max_abs(left - right.reshape(left.shape))
-
-
 def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheState:
     """Propagate the identity-permutation coefficient to all N! permutations.
 
@@ -393,7 +377,7 @@ def bethe_coefficients(bc: SeparatedBC, momenta, u_init, statistics) -> BetheSta
     canonical words is propagated one depth at a time, with one stacked
     product per slot of each depth (`_propagate`).
     """
-    bc, momenta, dims, u = _check_state_inputs(bc, momenta, u_init)
+    bc, momenta, dims, u = _check_state_inputs(bc, momenta, u_init, _trie_refusal)
     stats = as_statistics(statistics)
     # The output is allocated before the plan, so a request too large for
     # memory fails at once, naming the (N!, n^N) array.
@@ -416,17 +400,18 @@ def path_consistency(bc: SeparatedBC, momenta, u_init, statistics) -> float:
 
         Y^1(k_bc) Y^2(k_ac) Y^1(k_ab) - Y^2(k_ab) Y^1(k_ac) Y^2(k_bc)
 
-    on (C^n)^3 (`_triple_defect`); at N = 3 it is `ybe_residual` of
+    on (C^n)^3, one `scattering.braid_defect` pass over the C(N,3) triples'
+    rows of the operator stack; at N = 3 it is `ybe_residual` of
     k -> Y(k).T.  It is measured on operators, so u_init is validated but
     the number does not depend on it.  The operators are the stack the
-    coefficients solved; nothing is planned, and N >= 10 is refused as the
-    coefficient pass refuses it.
+    coefficients solved; nothing is planned.  N >= 10 is refused, the
+    momenta the coefficient pass refuses, before any triple is gathered.
     """
-    bc, momenta, dims, _ = _check_state_inputs(bc, momenta, u_init)
+    bc, momenta, dims, _ = _check_state_inputs(bc, momenta, u_init, _triple_refusal)
     as_statistics(statistics)
     if dims.N < 3:
         raise ValueError(f"path consistency needs at least three particles, got N={dims.N}")
-    return _triple_defect(dims.N, _exchange_operators(bc, momenta), dims.n)
+    return braid_defect(*_exchange_operators(bc, momenta)[_triples(dims.N).T], dims.n)
 
 
 def _fundamental_value(state: BetheState, y: np.ndarray, dtype) -> np.ndarray:

@@ -8,6 +8,10 @@ from the two interface conditions.
 
 Whether Y satisfies the Yang-Baxter equation for a given coupling family is
 measured, not assumed: `ybe_residual` reports the defect for any factory.
+`braid_defect` is the package's one Yang-Baxter kernel: the two braid
+products of a stack of operator triples on (C^n)^3, each made slot-locally
+from n^2 x n^2 products.  `ybe_residual` runs it on one triple and
+`bethe.path_consistency` on every momentum triple of a Bethe problem.
 
 `y_separated` keeps the operators of its last successful stacked solve, keyed
 by the coupling's bytes and the exact values of its relative momenta, and
@@ -31,7 +35,6 @@ from .linalg import (
     SingularMatrixError,
     SpinDims,
     Statistics,
-    apply_pair,
     as_pair_operator,
     as_statistics,
     cayley,
@@ -47,6 +50,7 @@ __all__ = [
     "y_inverse_residual",
     "make_y_factory",
     "pair_momenta",
+    "braid_defect",
     "ybe_residual",
 ]
 
@@ -198,29 +202,48 @@ def pair_momenta(momenta) -> list[float]:
     return [relative_momentum(a, b) for a, b in itertools.combinations(momenta, 2)]
 
 
+def braid_defect(ab: np.ndarray, ac: np.ndarray, bc: np.ndarray, n: int) -> float:
+    """The largest max-abs, over a stack of triples, of the braid defect
+
+        Y^1(bc) Y^2(ac) Y^1(ab) - Y^2(ab) Y^1(ac) Y^2(bc)
+
+    on (C^n)^3, where ab, ac and bc are (P, n^2, n^2) stacks of pair
+    operators and Y^m is applied at adjacent slot m.  Each side starts from
+    the Kronecker embedding of its first operator, Y (x) I or I (x) Y,
+    written as n copies of Y on the diagonal of zeros, and applies the other
+    two as stacked np.matmul on its (n^(j-1), n^2, rest) views, which is how
+    a replay of the braid from the identity makes them (the same n^2 x n^2
+    products as `apply_pair`).  No n^3 x n^3 matrix product is taken."""
+    square, cube = n * n, n ** 3
+    left = np.zeros((len(ab), square, n, square, n), dtype=np.complex128)
+    right = np.zeros((len(ab), n, square, n, square), dtype=np.complex128)
+    for i in range(n):
+        left[:, :, i, :, i] = ab
+        right[:, i, :, i, :] = bc
+    left = np.matmul(ac[:, None], left.reshape(-1, n, square, cube))
+    left = np.matmul(bc, left.reshape(-1, square, n * cube))
+    right = np.matmul(ac, right.reshape(-1, square, n * cube))
+    right = np.matmul(ab[:, None], right.reshape(-1, n, square, cube))
+    return max_abs(left - right.reshape(left.shape))
+
+
 def ybe_residual(yfactory: Callable[[float], np.ndarray], k1: float, k2: float,
                  k3: float, dims: SpinDims) -> float:
     """Yang-Baxter defect of a pair-exchange factory on three particles.
 
     With Y^m(k) the factory output applied at adjacent slot m of (C^n)^3
-    (`apply_pair` on the n^3 identity) and kij = (ki - kj)/2, returns the
-    entrywise max-abs of
+    and kij = (ki - kj)/2, returns the entrywise max-abs of
 
-        Y^1(k12) Y^2(k13) Y^1(k23) - Y^2(k23) Y^1(k13) Y^2(k12).
+        Y^1(k12) Y^2(k13) Y^1(k23) - Y^2(k23) Y^1(k13) Y^2(k12),
 
-    The factory is called once per momentum pair, and each output must be a
-    finite n^2 x n^2 matrix (`as_pair_operator`).
+    the braid defect of the one triple (ab, ac, bc) = (Y(k23), Y(k13),
+    Y(k12)) (`braid_defect`, the kernel `bethe.path_consistency` runs on
+    every momentum triple).  The factory is called once per momentum pair,
+    and each output must be a finite n^2 x n^2 matrix (`as_pair_operator`).
     """
     if dims.N != 3:
         raise ValueError(f"the consistency check is a three-particle identity, got N={dims.N}")
     n = dims.n
-    eye = np.eye(dims.total_dim, dtype=np.complex128)
     outputs = [yfactory(k12) for k12 in pair_momenta((k1, k2, k3))]
-    y12, y13, y23 = (as_pair_operator(y, "pair operator", n) for y in outputs)
-
-    def at(y, j):
-        return apply_pair(y, j, eye, n)
-
-    left = at(y12, 1) @ at(y13, 2) @ at(y23, 1)
-    right = at(y23, 2) @ at(y13, 1) @ at(y12, 2)
-    return max_abs(left - right)
+    y12, y13, y23 = (as_pair_operator(y, "pair operator", n)[None] for y in outputs)
+    return braid_defect(y23, y13, y12, n)

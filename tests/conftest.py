@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ptspin import scattering
 from ptspin.boundary import HSPIN_PARAM_NAMES, SeparatedBC, hspin
-from ptspin.linalg import SpinDims
+from ptspin.linalg import SpinDims, max_abs
 
 
 @pytest.fixture
@@ -45,6 +47,41 @@ def embed_pair(m, j: int, dims: SpinDims) -> np.ndarray:
     left = np.eye(dims.n ** (j - 1), dtype=np.complex128)
     right = np.eye(dims.n ** (dims.N - j - 1), dtype=np.complex128)
     return np.kron(np.kron(left, np.asarray(m, dtype=np.complex128)), right)
+
+
+def dense_braid_sides(ab, ac, bc, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense reference of `scattering.braid_defect` on one triple: the two
+    braid products Y^1(bc) Y^2(ac) Y^1(ab) and Y^2(ab) Y^1(ac) Y^2(bc) as
+    n^3 x n^3 matrices, each factor embedded by `embed_pair`."""
+    dims = SpinDims(n, 3)
+
+    def at(y, j):
+        return embed_pair(y, j, dims)
+
+    return at(bc, 1) @ at(ac, 2) @ at(ab, 1), at(ab, 2) @ at(ac, 1) @ at(bc, 2)
+
+
+def dense_ybe_residual(yfactory, k1, k2, k3, dims: SpinDims) -> float:
+    """Dense reference of `scattering.ybe_residual`: the max-abs of the
+    difference of the braid sides of (Y(k23), Y(k13), Y(k12)), one factory
+    call per pair."""
+    y12, y13, y23 = (yfactory(k) for k in scattering.pair_momenta((k1, k2, k3)))
+    left, right = dense_braid_sides(y23, y13, y12, dims.n)
+    return max_abs(left - right)
+
+
+def sides_scale(ab, ac, bc, n: int) -> float:
+    """The componentwise rounding scale of one triple's two braid products
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.5):
+    the largest entry of either side of `dense_braid_sides` on |ab|, |ac|, |bc|."""
+    return max(side.real.max() for side in dense_braid_sides(*map(np.abs, (ab, ac, bc)), n))
+
+
+def braid_scale(bc, momenta) -> float:
+    """The largest `sides_scale` of the triples (Y(k_ab), Y(k_ac), Y(k_bc)),
+    from fresh solves, over every momentum triple a < b < c."""
+    return max(sides_scale(*(fresh_y_separated(bc, k) for k in scattering.pair_momenta(triple)), bc.n)
+               for triple in itertools.combinations(momenta, 3))
 
 
 def exchange_operator(i: int, j: int, dims: SpinDims) -> np.ndarray:

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (dense_complex_coupling, embed_pair, exchange_operator, fresh_y_separated,
-                      random_hspin, separated_momenta)
+from conftest import (braid_scale, dense_complex_coupling, dense_ybe_residual, embed_pair,
+                      exchange_operator, fresh_y_separated, random_hspin, separated_momenta)
 from ptspin import bethe, cli
 from ptspin.bethe import (
     _ByPerm,
@@ -29,7 +29,7 @@ from ptspin.bethe import (
 from ptspin.boundary import (SeparatedBC, delta_type, hspin, load_boundary_condition,
                              parse_boundary_condition)
 from ptspin.linalg import SingularMatrixError, SpinDims, max_abs
-from ptspin.scattering import make_y_factory, pair_momenta, y_separated, ybe_residual
+from ptspin.scattering import make_y_factory, y_separated, ybe_residual
 from ptspin.spectra import SignPattern
 
 
@@ -176,8 +176,9 @@ def test_path_consistency_scalar_coupling(rng):
 
 def test_path_consistency_equals_factorization_residual(rng):
     """Word independence and the factorization identity are the same number:
-    for hspin, of Y itself; for a dense complex F, of k -> Y(k).T.  At n = 1
-    and 2 the numbers were `==` on 300 draws each.  At n = 3 OpenBLAS rounds
+    for hspin, of Y itself; for a dense complex F, of k -> Y(k).T, each
+    factorization residual from the dense reference (`dense_ybe_residual`).
+    At n = 1 and 2 the numbers were `==` on 300 draws each.  At n = 3 OpenBLAS rounds
     the trailing (length mod 4) columns of a product by other kernels, and
     the gap reached 10.4 eps of the defect (2.3e-15) but 0.78 eps of its
     componentwise scale over 300 draws."""
@@ -187,7 +188,7 @@ def test_path_consistency_equals_factorization_residual(rng):
         bc = random_hspin(rng)
         k1, k2, k3 = separated_momenta(rng, 3)
         pc = path_consistency(bc, (k1, k2, k3), u, "boson")
-        yb = ybe_residual(make_y_factory(bc), k1, k2, k3, SpinDims(2, 3))
+        yb = dense_ybe_residual(make_y_factory(bc), k1, k2, k3, SpinDims(2, 3))
         assert pc == pytest.approx(yb, rel=1e-10, abs=1e-10)
     for n in (1, 2, 3):
         u = np.zeros(n ** 3, complex)
@@ -196,7 +197,7 @@ def test_path_consistency_equals_factorization_residual(rng):
             bc = dense_complex_coupling(rng, n)
             ks = separated_momenta(rng, 3)
             pc = path_consistency(bc, ks, u, statistics)
-            yb = ybe_residual(lambda k12: y_separated(bc, k12).T, *ks, SpinDims(n, 3))
+            yb = dense_ybe_residual(lambda k12: y_separated(bc, k12).T, *ks, SpinDims(n, 3))
             if n < 3:
                 assert pc == yb
             else:
@@ -283,29 +284,12 @@ class ReferenceEngine:
 
 
 def triple_reference(bc, momenta):
-    """Yang's reduction one triple at a time: the largest `ybe_residual` of
-    k -> Y(k).T over every momentum triple a < b < c, from fresh solves."""
+    """Yang's reduction one triple at a time: the largest dense YBE residual
+    (`dense_ybe_residual`) of k -> Y(k).T over every momentum triple
+    a < b < c, from fresh solves."""
     dims = SpinDims(bc.n, 3)
-    return max(ybe_residual(lambda k: fresh_y_separated(bc, k).T, *triple, dims)
+    return max(dense_ybe_residual(lambda k: fresh_y_separated(bc, k).T, *triple, dims)
                for triple in itertools.combinations(momenta, 3))
-
-
-def braid_scale(bc, momenta):
-    """The componentwise rounding scale of the two braid products (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.5): the
-    largest entry of |Y^1(k_bc)| |Y^2(k_ac)| |Y^1(k_ab)| or of
-    |Y^2(k_ab)| |Y^1(k_ac)| |Y^2(k_bc)| over every momentum triple."""
-    dims = SpinDims(bc.n, 3)
-    scale = 0.0
-    for triple in itertools.combinations(momenta, 3):
-        y_ab, y_ac, y_bc = (np.abs(fresh_y_separated(bc, k)) for k in pair_momenta(triple))
-
-        def at(y, j):
-            return embed_pair(y, j, dims).real
-
-        scale = max(scale, (at(y_bc, 1) @ at(y_ac, 2) @ at(y_ab, 1)).max(),
-                    (at(y_ab, 2) @ at(y_ac, 1) @ at(y_bc, 2)).max())
-    return scale
 
 
 @pytest.mark.parametrize("stats", ["boson", "fermion"])
@@ -347,7 +331,7 @@ def sample_couplings(rng, n):
 @pytest.mark.parametrize("n,N", [(1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
                                  (3, 3), (3, 4), (3, 5), (3, 6)])
 def test_triple_pass_equals_the_per_triple_ybe_loop(rng, n, N):
-    """The batched pass is the transposed `ybe_residual` of the worst triple,
+    """The batched pass is the transposed dense YBE residual of the worst triple,
     to a few eps of the defect, or of its componentwise scale where the
     defect is rounding (the scalar and Dirichlet couplings factorize)."""
     for name, bc in sample_couplings(rng, n).items():
@@ -427,8 +411,8 @@ def test_the_worst_triple_is_one_no_canonical_braid_reaches(capsys):
     largest here; it printed 2314.006, the defects carried through gains."""
     bc = load_boundary_condition(FIXTURES / "hspin_complex_spectrum.json")
     dims = SpinDims(2, 3)
-    defects = {triple: ybe_residual(lambda k: y_separated(bc, k).T,
-                                    *(N4_MOMENTA[i - 1] for i in triple), dims)
+    defects = {triple: dense_ybe_residual(lambda k: y_separated(bc, k).T,
+                                          *(N4_MOMENTA[i - 1] for i in triple), dims)
                for triple in itertools.combinations(range(1, 5), 3)}
     assert max(defects, key=defects.get) == (1, 2, 4)
     got = path_consistency(bc, N4_MOMENTA, np.eye(16)[0], "boson")
@@ -507,17 +491,23 @@ def dyadic_momenta(rng, N):
 def test_consistency_is_exact_under_dyadic_scaling_and_shifts(rng, n, N):
     """(F, k) -> (2^m F, 2^m k) leaves every Y unchanged, and scaling by 2^m
     is exact in floating point; a dyadic shift k_i -> k_i + c leaves every
-    relative momentum unchanged.  So the number is `==` under both."""
+    relative momentum unchanged.  So path consistency, and `ybe_residual` on
+    the first three momenta, are `==` under both."""
     F = dense_complex_coupling(rng, n).F
     momenta = dyadic_momenta(rng, N)
     u = np.ones(n ** N)
-    want = path_consistency(SeparatedBC(n, F), momenta, u, "boson")
-    assert want > 1e-3
+
+    def numbers(F, momenta):
+        bc = SeparatedBC(n, F)
+        return (path_consistency(bc, momenta, u, "boson"),
+                ybe_residual(make_y_factory(bc), *momenta[:3], SpinDims(n, 3)))
+
+    want = numbers(F, momenta)
+    assert min(want) > 1e-3
     for m in (-3, 2, 10):
-        scaled = SeparatedBC(n, 2.0 ** m * F)
-        assert path_consistency(scaled, [2.0 ** m * k for k in momenta], u, "boson") == want, m
+        assert numbers(2.0 ** m * F, [2.0 ** m * k for k in momenta]) == want, m
     for c in (0.75, -3.0625):
-        assert path_consistency(SeparatedBC(n, F), [k + c for k in momenta], u, "boson") == want, c
+        assert numbers(F, [k + c for k in momenta]) == want, c
 
 
 def test_path_consistency_plans_nothing(monkeypatch, rng):
@@ -691,19 +681,25 @@ def test_each_trie_is_numbered_once_per_N(monkeypatch, rng, capsys):
 
 
 def test_ten_particles_are_refused_before_planning(monkeypatch, rng):
-    """The trie of 10 particles (3628800 words) is refused before it is built,
-    by the coefficient pass and by path consistency alike, and before the
-    coefficient pass allocates its (N!, n^N) array (55.4 GiB at n = 2).  Up
-    to N = 9 that array is allocated before planning, so a request too large
-    for memory (1.4 TiB at n = 4) names it at once."""
+    """The coefficient pass refuses the trie of 10 particles (3628800 words)
+    before it is built, and before it allocates its (N!, n^N) array (55.4 GiB
+    at n = 2).  Path consistency builds no trie; it refuses the same momenta
+    in its own terms, before it gathers a triple.  Up to N = 9 the (N!, n^N)
+    array is allocated before planning, so a request too large for memory
+    (1.4 TiB at n = 4) names it at once."""
     def unreachable(N):
-        raise AssertionError(f"the trie of N={N} was reached")
+        raise AssertionError(f"the trie or the triples of N={N} were reached")
 
     monkeypatch.setattr(bethe, "_word_trie", unreachable)
+    monkeypatch.setattr(bethe, "_triples", unreachable)
     bc = SeparatedBC(2, -np.eye(4))
-    for run in (path_consistency, bethe_coefficients):
-        with pytest.raises(ValueError, match="N=10 particles builds a trie of 3628800 words"):
-            run(bc, [0.3 * i for i in range(10)], np.ones(2 ** 10), "boson")
+    momenta, u = [0.3 * i for i in range(10)], np.ones(2 ** 10)
+    with pytest.raises(ValueError, match="N=10 particles builds a trie of 3628800 words"):
+        bethe_coefficients(bc, momenta, u, "boson")
+    with pytest.raises(ValueError, match="^path consistency compares the momentum triples of at "
+                                         "most 9 particles, as many as the coefficient pass "
+                                         "takes; got N=10$"):
+        path_consistency(bc, momenta, u, "boson")
     with pytest.raises(MemoryError, match="Unable to allocate 1.38 TiB"):
         bethe_coefficients(SeparatedBC(4, -np.eye(16)), [0.3 * i for i in range(9)],
                            np.ones(4 ** 9), "boson")
@@ -714,9 +710,11 @@ def test_the_refusal_of_many_particles_names_the_cap_not_a_huge_count():
     momenta reach the refusal; 2000! has 5736 digits, beyond what int -> str
     converts, and the refusal names the 9-particle cap instead."""
     bc = SeparatedBC(1, np.array([[-1.0]]))
-    for run in (path_consistency, bethe_coefficients):
-        with pytest.raises(ValueError, match="2000! words; at most 9 particles"):
-            run(bc, [0.001 * i for i in range(2000)], np.ones(1), "boson")
+    momenta = [0.001 * i for i in range(2000)]
+    with pytest.raises(ValueError, match="2000! words; at most 9 particles"):
+        bethe_coefficients(bc, momenta, np.ones(1), "boson")
+    with pytest.raises(ValueError, match="at most 9 particles, .*; got N=2000$"):
+        path_consistency(bc, momenta, np.ones(1), "boson")
 
 
 def label_steps(word, N):

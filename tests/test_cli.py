@@ -359,7 +359,7 @@ def test_sweep_ybe_csv(capsys):
     assert rc == 0
     assert out == ("param,value,residual\r\n"
                    "g,0.0,0.1810220798823981\r\n"
-                   "g,0.1,0.1808694706545149\r\n"
+                   "g,0.1,0.18086947065451484\r\n"
                    "g,0.2,0.18040812792145622\r\n")
 
 

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (dense_complex_coupling, embed_pair, fresh_y_separated, random_hspin,
-                      separated_momenta)
+from conftest import (braid_scale, dense_braid_sides, dense_complex_coupling, dense_ybe_residual,
+                      fresh_y_separated, random_hspin, separated_momenta, sides_scale)
 from ptspin import scattering
 from ptspin.bethe import bethe_coefficients, path_consistency
 from ptspin.boundary import NonseparatedBC, SeparatedBC, delta_type, hspin
@@ -21,6 +21,7 @@ from ptspin.linalg import (
     swap_pair,
 )
 from ptspin.scattering import (
+    braid_defect,
     make_y_factory,
     pair_momenta,
     relative_momentum,
@@ -186,19 +187,16 @@ def test_ybe_residual_symmetric_under_momentum_reversal(rng):
         assert forward == pytest.approx(backward, rel=1e-12, abs=1e-14)
 
 
-def six_call_ybe_residual(yfactory, k1, k2, k3, dims):
-    """The factorization residual with the factory called once per factor."""
-    def y_at(slot, k):
-        return embed_pair(yfactory(k), slot, dims)
-
-    k12, k13, k23 = 0.5 * (k1 - k2), 0.5 * (k1 - k3), 0.5 * (k2 - k3)
-    left = y_at(1, k12) @ y_at(2, k13) @ y_at(1, k23)
-    right = y_at(2, k23) @ y_at(1, k13) @ y_at(2, k12)
-    return max_abs(left - right)
+EPS = np.finfo(float).eps
+# The braid kernel and the dense reference take the same products in other
+# orders; they agree to this many times the componentwise scale of the
+# triple's braid products.
+BRAID_RTOL = 8 * EPS
 
 
 def test_ybe_residual_calls_the_factory_once_per_pair(rng):
-    """One factory call per pair, and the number of the Kronecker reference."""
+    """One factory call per pair, and the number of the dense reference to
+    rounding of the braid products' scale."""
     draws = [(2, make_y_factory(random_hspin(rng))) for _ in range(4)]
     for _ in range(4):
         C = rng.normal(size=(4, 4))
@@ -216,7 +214,29 @@ def test_ybe_residual_calls_the_factory_once_per_pair(rng):
         ks = separated_momenta(rng, 3)
         residual = ybe_residual(counting, *ks, SpinDims(n, 3))
         assert len(calls) == 3
-        assert residual == six_call_ybe_residual(factory, *ks, SpinDims(n, 3))
+        want = dense_ybe_residual(factory, *ks, SpinDims(n, 3))
+        y12, y13, y23 = (factory(k) for k in pair_momenta(ks))
+        assert abs(residual - want) <= BRAID_RTOL * sides_scale(y23, y13, y12, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_braid_kernel_matches_the_dense_reference(rng, n):
+    """300 seeded triples of Cayley operators of dense complex couplings.
+    At n = 1 the products are of scalars, and complex multiplication
+    commutes in floating point, so each side of the kernel is the other
+    side of the reference and the max-abs is the same number.  At n = 2
+    and 3 the two agree within BRAID_RTOL of the braid products' scale."""
+    for _ in range(300):
+        coupling = dense_complex_coupling(rng, n)
+        momenta = separated_momenta(rng, 3)
+        ab, ac, bc = fresh_y_separated(coupling, np.array(pair_momenta(momenta)))
+        got = braid_defect(ab[None], ac[None], bc[None], n)
+        left, right = dense_braid_sides(ab, ac, bc, n)
+        want = max_abs(left - right)
+        if n == 1:
+            assert got == want
+        else:
+            assert abs(got - want) <= BRAID_RTOL * braid_scale(coupling, momenta), (got, want)
 
 
 def test_ybe_residual_requires_three_particles():
